@@ -25,7 +25,12 @@
 //! 1. **fast path**: one `Acquire` load of the cache, then one CAS
 //!    advancing it from `m` to `m + 1`; on success the process writes
 //!    `m + 1` to its own register and returns it — three shared
-//!    accesses total, independent of `n`;
+//!    accesses total, independent of `n`, and the cache is the only
+//!    cache line among them that another process writes: the register
+//!    array keeps no scan words
+//!    ([`RegisterArray::without_scan_words`]), the space meter keeps
+//!    each register's counts on a line of their own, and the metered
+//!    write doubles as the call count;
 //! 2. **validation failure** (the CAS lost a race): fall back to the
 //!    classic full collect — seeded with the cache value the failed CAS
 //!    observed — write `max + 1` to the own register, then publish it
@@ -46,7 +51,7 @@ use ts_register::{
 };
 
 use crate::error::GetTsError;
-use crate::stats::ServiceStats;
+use crate::stats::{ServiceStats, SlotCounters};
 use crate::timestamp::Timestamp;
 use crate::traits::LongLivedTimestamp;
 
@@ -133,22 +138,32 @@ impl ExactSizeIterator for StampBatch {}
 pub struct CollectMax<B: RegisterBackend<u64> = PackedBackend> {
     /// One SWMR register per process, padded by default (each register
     /// has exactly one writer, the textbook false-sharing victim).
-    /// Held in a [`RegisterArray`] since the adaptive-scan PR, so every
-    /// register write feeds the array's write-summary and block dirty
-    /// words and [`read_max_scan`](CollectMax::read_max_scan) can ride
-    /// the same validated-collect ladder as the `ts-snapshot` scan.
+    /// Built without scan words: a write is one store to the writer's
+    /// own line, and [`read_max_scan`](CollectMax::read_max_scan)
+    /// validates by stamps instead.
     registers: RegisterArray<u64, B>,
     /// Cached maximum: `>=` the value of every *completed* `getTS`
     /// call, advanced only by CAS/fetch-max (hence monotone). Padded so
     /// fast-path CASes never share a line with any register.
     cached_max: CachePadded<AtomicU64>,
+    /// Also the call counter: every call, on every path, writes its
+    /// own register exactly once, so calls = metered writes and the
+    /// fast path needs no counter of its own.
     meter: SpaceMeter,
-    calls: AtomicU64,
-    fast_hits: AtomicU64,
-    batches: AtomicU64,
-    batched_stamps: AtomicU64,
-    scan_recollects: AtomicU64,
+    /// Per-process counts, indexed by pid: [`SLOW`], [`BATCHES`],
+    /// [`BATCHED`].
+    counters: SlotCounters<3>,
+    /// Padded: `read_max_scan` callers must not invalidate the line
+    /// holding the fields every `getTS` reads.
+    scan_recollects: CachePadded<AtomicU64>,
 }
+
+/// [`CollectMax::counters`] columns: calls that did not win the first
+/// cache CAS (collect fallback, classic path, retried batch CAS), batch
+/// reservations with `k > 1`, and their stamps.
+const SLOW: usize = 0;
+const BATCHES: usize = 1;
+const BATCHED: usize = 2;
 
 /// [`CollectMax`] over epoch-reclaimed heap-cell registers — same
 /// algorithm, heavier substrate; supports counters beyond the packed
@@ -192,14 +207,12 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
             // The array meters its own register traffic, so the
             // explicit record_* calls of the pre-array implementation
             // are gone from the getTS paths.
-            registers: RegisterArray::with_layout_and_meter(processes, 0, layout, meter.clone()),
+            registers: RegisterArray::with_layout_and_meter(processes, 0, layout, meter.clone())
+                .without_scan_words(),
             cached_max: CachePadded::new(AtomicU64::new(0)),
             meter,
-            calls: AtomicU64::new(0),
-            fast_hits: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_stamps: AtomicU64::new(0),
-            scan_recollects: AtomicU64::new(0),
+            counters: SlotCounters::new(processes),
+            scan_recollects: CachePadded::new(AtomicU64::new(0)),
         }
     }
 
@@ -210,10 +223,6 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
 
     fn register_count(&self) -> usize {
         self.registers.capacity()
-    }
-
-    fn read_register(&self, index: usize) -> u64 {
-        self.registers.read(index).expect("index in range")
     }
 
     fn write_register(&self, index: usize, value: u64) {
@@ -229,14 +238,14 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
 
     /// Total `getTS` calls served so far.
     pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
+        self.meter.snapshot().total_writes()
     }
 
     /// `getTS` calls served by the cached-max fast path (one load + one
     /// CAS, no collect). `calls() - fast_path_hits()` took the full
     /// collect fallback.
     pub fn fast_path_hits(&self) -> u64 {
-        self.fast_hits.load(Ordering::Relaxed)
+        self.calls().saturating_sub(self.counters.sum(SLOW))
     }
 
     /// Unified hot-path counter snapshot (the [`ServiceStats`] fold of
@@ -245,17 +254,17 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
     /// opaque throughput. Combining counters stay zero — this object
     /// has no combiner; `shard_stamps` is the single-shard vector.
     pub fn stats(&self) -> ServiceStats {
-        let calls = self.calls.load(Ordering::Relaxed);
-        let batches = self.batches.load(Ordering::Relaxed);
-        let batched = self.batched_stamps.load(Ordering::Relaxed);
+        let calls = self.calls();
+        let batches = self.counters.sum(BATCHES);
+        let batched = self.counters.sum(BATCHED);
         // Non-batch calls issue one stamp each (saturating: a racing
-        // snapshot may observe a call's batch bump before its call
-        // bump — the counters are Relaxed by design).
+        // snapshot may observe a call's batch or slow bump before its
+        // register write — the counters are Relaxed by design).
         let stamps = calls.saturating_sub(batches) + batched;
         ServiceStats {
             calls,
             stamps,
-            fast_hits: self.fast_hits.load(Ordering::Relaxed),
+            fast_hits: calls.saturating_sub(self.counters.sum(SLOW)),
             batches,
             batched_stamps: batched,
             shard_stamps: vec![stamps],
@@ -325,13 +334,12 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
             }
         }
         self.write_register(pid, m + k);
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        if first_attempt {
-            self.fast_hits.fetch_add(1, Ordering::Relaxed);
+        if !first_attempt {
+            self.counters.add(pid, SLOW, 1);
         }
         if k > 1 {
-            self.batches.fetch_add(1, Ordering::Relaxed);
-            self.batched_stamps.fetch_add(k, Ordering::Relaxed);
+            self.counters.add(pid, BATCHES, 1);
+            self.counters.add(pid, BATCHED, k);
         }
         Ok(StampBatch::new(m + 1, m + k))
     }
@@ -375,10 +383,8 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
             return Err(GetTsError::PidOutOfRange { pid, processes: n });
         }
         let mut max = 0u64;
-        for i in 0..n {
-            pause();
-            max = max.max(self.read_register(i));
-        }
+        self.registers
+            .sweep_values(&mut pause, |v| max = max.max(v));
         let t = max + 1;
         pause();
         self.write_register(pid, t);
@@ -386,7 +392,7 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
         // sub-step, but required so fast-path readers observe this
         // call's value once it completes.
         self.cached_max.fetch_max(t, Ordering::AcqRel);
-        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.counters.add(pid, SLOW, 1);
         Ok(Timestamp::scalar(t))
     }
 
@@ -462,8 +468,6 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
                     // collectors (I3).
                     pause();
                     self.write_register(pid, t);
-                    self.fast_hits.fetch_add(1, Ordering::Relaxed);
-                    self.calls.fetch_add(1, Ordering::Relaxed);
                     return Ok(Timestamp::scalar(t));
                 }
                 Err(now) => now,
@@ -476,10 +480,8 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
         // (I2) with a CAS retry chain (fetch_max spelled out so every
         // access has a pause point).
         let mut max = observed;
-        for i in 0..n {
-            pause();
-            max = max.max(self.read_register(i));
-        }
+        self.registers
+            .sweep_values(&mut pause, |v| max = max.max(v));
         let t = max + 1;
         pause();
         self.write_register(pid, t);
@@ -495,7 +497,7 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
                 Err(now) => cur = now,
             }
         }
-        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.counters.add(pid, SLOW, 1);
         Ok(Timestamp::scalar(t))
     }
 
@@ -526,21 +528,21 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
     /// [`read_max`](Self::read_max).
     pub fn read_max_collect(&self) -> Timestamp {
         let mut max = 0u64;
-        for i in 0..self.register_count() {
-            max = max.max(self.read_register(i));
-        }
+        self.registers.sweep_values(|| {}, |v| max = max.max(v));
         Timestamp::scalar(max)
     }
 
     /// Read-only **validated** collect: the maximum value in a
     /// linearizable view of the register bank, obtained through the
-    /// adaptive scan ladder of `ts-snapshot` (summary short-circuit,
-    /// then dirty-block recollect passes). Unlike
+    /// `ts-snapshot` scan. Unlike
     /// [`read_max_collect`](Self::read_max_collect), whose sweep can
     /// interleave with writes and mix values from different instants,
     /// the view this max is taken from was simultaneously present.
     ///
-    /// Dirty-block retry passes are counted into the
+    /// The registers keep no scan words (they would cost every `getTS`
+    /// four contended RMWs), so the scan validates by stamps: one
+    /// collect, then stamp sweeps of all `n` registers until one
+    /// confirms them all. Stamp sweeps are counted into the
     /// `dirty_recollects` field of [`stats`](Self::stats).
     pub fn read_max_scan(&self) -> Timestamp {
         let (view, outcome) = ts_snapshot::adaptive_scan(&self.registers);
@@ -643,6 +645,20 @@ mod tests {
             ts.get_ts(p).unwrap();
         }
         assert_eq!(ts.meter().snapshot().registers_written(), 5);
+    }
+
+    #[test]
+    fn read_max_scan_validates_registers_without_scan_words() {
+        let ts = CollectMax::new(3);
+        assert!(
+            !ts.registers.has_scan_words(),
+            "getTS must not bump scan words"
+        );
+        for p in 0..3 {
+            ts.get_ts(p).unwrap();
+        }
+        assert_eq!(ts.read_max_scan(), Timestamp::scalar(3));
+        assert_eq!(ts.stats().dirty_recollects, 1, "one confirming stamp sweep");
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use growable::GrowableTimestamp;
 pub use ids::GetTsId;
 pub use recorder::{HistoryRecorder, RecordedCall, RecordedViolation};
 pub use simple::{EpochSimpleOneShot, SimpleOneShot};
-pub use stats::ServiceStats;
+pub use stats::{ServiceStats, SlotCounters};
 pub use timestamp::{ShardedTimestamp, Timestamp};
 pub use traits::{LongLivedTimestamp, OneShotTimestamp};
 pub use workload::{

@@ -11,6 +11,61 @@
 //! Bench rows then report *ratios* (fast-hit rate, mean batch fill,
 //! shard imbalance) next to throughput, instead of opaque ops/sec.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use ts_register::CachePadded;
+
+/// Hot-path counters striped by slot: one cache-line-padded row of `N`
+/// counters per process id or lease slot, summed when read.
+///
+/// A counter shared by all callers is one more contended cache line on
+/// every call. Here each caller bumps only its own slot's row, which
+/// no other caller writes while it holds the slot, so counting adds no
+/// line that moves between CPUs. Bumps are `Relaxed`: the counts are
+/// statistics and publish nothing.
+pub struct SlotCounters<const N: usize> {
+    rows: Box<[CachePadded<[AtomicU64; N]>]>,
+}
+
+impl<const N: usize> SlotCounters<N> {
+    /// Zeroed rows for `slots` slots.
+    pub fn new(slots: usize) -> Self {
+        Self {
+            rows: (0..slots)
+                .map(|_| CachePadded::new(std::array::from_fn(|_| AtomicU64::new(0))))
+                .collect(),
+        }
+    }
+
+    /// Adds `by` to counter `counter` of `slot`'s row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` or `counter` is out of range.
+    pub fn add(&self, slot: usize, counter: usize, by: u64) {
+        self.rows[slot][counter].fetch_add(by, Ordering::Relaxed);
+    }
+
+    /// Counter `counter` summed over every slot. Exact once the writers
+    /// have quiesced; a racing read may miss bumps still in flight.
+    pub fn sum(&self, counter: usize) -> u64 {
+        self.rows
+            .iter()
+            .map(|row| row[counter].load(Ordering::Relaxed))
+            .sum()
+    }
+}
+
+impl<const N: usize> std::fmt::Debug for SlotCounters<N> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let sums: Vec<u64> = (0..N).map(|c| self.sum(c)).collect();
+        f.debug_struct("SlotCounters")
+            .field("slots", &self.rows.len())
+            .field("sums", &sums)
+            .finish()
+    }
+}
+
 /// A point-in-time snapshot of an issuer's hot-path counters.
 ///
 /// All counts are cumulative since object creation. Counters that an
@@ -252,6 +307,27 @@ mod tests {
         assert_eq!(a.shard_stamps, vec![2, 4]);
         assert_eq!(a.helped_scans, 2);
         assert_eq!(a.dirty_recollects, 5);
+    }
+
+    #[test]
+    fn slot_counters_sum_rows_on_separate_lines() {
+        let counters = SlotCounters::<2>::new(3);
+        std::thread::scope(|s| {
+            for slot in 0..3 {
+                let counters = &counters;
+                s.spawn(move || {
+                    for _ in 0..1000 {
+                        counters.add(slot, 0, 1);
+                    }
+                    counters.add(slot, 1, slot as u64);
+                });
+            }
+        });
+        assert_eq!(counters.sum(0), 3000);
+        assert_eq!(counters.sum(1), 3);
+        let a = &counters.rows[0] as *const _ as usize;
+        let b = &counters.rows[1] as *const _ as usize;
+        assert!(b - a >= 128, "rows {a:#x}/{b:#x} share a line");
     }
 
     #[test]

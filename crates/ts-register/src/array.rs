@@ -217,6 +217,14 @@ impl<T: fmt::Debug> fmt::Debug for Slots<T> {
 ///   `ts-snapshot` scan uses this to skip its second collect whenever
 ///   the array is quiescent.
 ///
+/// The summary and block dirty words (the *scan words*) are shared by
+/// every writer, so each write pays four `SeqCst` RMWs on two
+/// contended cache lines for them. An array whose writes are hot and
+/// whose scans are rare drops them with
+/// [`without_scan_words`](RegisterArray::without_scan_words): its
+/// writes then touch only the written register, and scans of it fall
+/// back to stamp-validated double collects.
+///
 /// The default backend is [`EpochBackend`] (values of any size); arrays
 /// of small [`Packable`] values can opt into the word-inlined
 /// [`PackedBackend`] via [`RegisterArray::new_packed`] (or the
@@ -242,6 +250,16 @@ impl<T: fmt::Debug> fmt::Debug for Slots<T> {
 /// ```
 pub struct RegisterArray<T, B: RegisterBackend<T> = EpochBackend> {
     registers: Slots<B::Reg>,
+    /// `None` once [`without_scan_words`](RegisterArray::without_scan_words)
+    /// dropped them.
+    scan_words: Option<ScanWords>,
+    meter: Option<SpaceMeter>,
+    _value: PhantomData<fn(T) -> T>,
+}
+
+/// The auxiliary words a [`RegisterArray`] write brackets its store
+/// with, for the benefit of scanners.
+struct ScanWords {
     /// Packed begun/completed write counts; padded so summary bumps
     /// never contend with register lines.
     summary: CachePadded<AtomicU64>,
@@ -252,8 +270,6 @@ pub struct RegisterArray<T, B: RegisterBackend<T> = EpochBackend> {
     /// blocks instead of re-sweeping the whole array — see
     /// [`RegisterArray::block_summary`].
     blocks: Box<[CachePadded<AtomicU64>]>,
-    meter: Option<SpaceMeter>,
-    _value: PhantomData<fn(T) -> T>,
 }
 
 /// A [`RegisterArray`] of word-inlined [`PackedBackend`] registers.
@@ -298,13 +314,42 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
         let block_count = capacity.div_ceil(BLOCK_REGISTERS);
         Self {
             registers: Slots::new(layout, capacity, |_| B::Reg::with_initial(initial.clone())),
-            summary: CachePadded::new(AtomicU64::new(0)),
-            blocks: (0..block_count)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
+            scan_words: Some(ScanWords {
+                summary: CachePadded::new(AtomicU64::new(0)),
+                blocks: (0..block_count)
+                    .map(|_| CachePadded::new(AtomicU64::new(0)))
+                    .collect(),
+            }),
             meter: None,
             _value: PhantomData,
         }
+    }
+
+    /// Drops the write-summary and block dirty words: afterwards a
+    /// write is one metered store to its register and nothing else.
+    ///
+    /// For arrays written on a hot path and scanned rarely or never
+    /// (`ts-core`'s `CollectMax`). Scans stay correct: the `ts-snapshot`
+    /// scan validates such an array by re-reading every register's
+    /// stamp until a sweep confirms them all, the classic double
+    /// collect. What is lost is its one-sweep quiescent rung and its
+    /// dirty-block narrowing. [`summary`](RegisterArray::summary) and
+    /// the block-word accessors panic on such an array.
+    pub fn without_scan_words(mut self) -> Self {
+        self.scan_words = None;
+        self
+    }
+
+    /// Whether writes maintain the write-summary and block dirty words
+    /// (true unless built [`without_scan_words`](RegisterArray::without_scan_words)).
+    pub fn has_scan_words(&self) -> bool {
+        self.scan_words.is_some()
+    }
+
+    fn scan_words(&self) -> &ScanWords {
+        self.scan_words
+            .as_ref()
+            .expect("array was built without scan words")
     }
 
     /// Creates a metered array on the backend `B`; all operations report
@@ -358,15 +403,21 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
     ///
     /// See [`WriteSummary`] for what two of these prove about a collect
     /// bracketed between them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the array was built
+    /// [`without_scan_words`](RegisterArray::without_scan_words).
     pub fn summary(&self) -> WriteSummary {
         WriteSummary {
-            raw: self.summary.load(Ordering::SeqCst),
+            raw: self.scan_words().summary.load(Ordering::SeqCst),
         }
     }
 
-    /// Number of block dirty words (`ceil(capacity / BLOCK_REGISTERS)`).
+    /// Number of register blocks (`ceil(capacity / BLOCK_REGISTERS)`),
+    /// one dirty word each when the array has scan words.
     pub fn block_count(&self) -> usize {
-        self.blocks.len()
+        self.capacity().div_ceil(BLOCK_REGISTERS)
     }
 
     /// The block covering register `index`.
@@ -381,7 +432,7 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
     ///
     /// Panics if `block >= block_count()`.
     pub fn block_range(&self, block: usize) -> std::ops::Range<usize> {
-        assert!(block < self.blocks.len(), "block {block} out of range");
+        assert!(block < self.block_count(), "block {block} out of range");
         let start = block * BLOCK_REGISTERS;
         start..self.capacity().min(start + BLOCK_REGISTERS)
     }
@@ -398,16 +449,22 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
     ///
     /// # Panics
     ///
-    /// Panics if `block >= block_count()`.
+    /// Panics if `block >= block_count()`, or if the array was built
+    /// [`without_scan_words`](RegisterArray::without_scan_words).
     pub fn block_summary(&self, block: usize) -> WriteSummary {
         WriteSummary {
-            raw: self.blocks[block].load(Ordering::SeqCst),
+            raw: self.scan_words().blocks[block].load(Ordering::SeqCst),
         }
     }
 
     /// Reads every block dirty word once, in block order (unmetered).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the array was built
+    /// [`without_scan_words`](RegisterArray::without_scan_words).
     pub fn block_summaries(&self) -> Vec<WriteSummary> {
-        (0..self.blocks.len())
+        (0..self.block_count())
             .map(|b| self.block_summary(b))
             .collect()
     }
@@ -461,7 +518,8 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
     }
 
     /// Writes `value` to register `index`, bracketed by the
-    /// begun/completed bumps of the write-summary word.
+    /// begun/completed bumps of the write-summary word (unless the
+    /// array has no scan words).
     ///
     /// # Errors
     ///
@@ -489,12 +547,16 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
         // leave `begun == completed + 1` at quiescence *forever*,
         // permanently disabling the scan's summary short-circuit after
         // 2³² writes.
-        let block = &self.blocks[Self::block_of(index)];
-        bump_begun(&self.summary);
+        let Some(words) = &self.scan_words else {
+            self.registers.get(index).write(value);
+            return Ok(());
+        };
+        let block = &words.blocks[Self::block_of(index)];
+        bump_begun(&words.summary);
         bump_begun(block);
         self.registers.get(index).write(value);
         bump_completed(block);
-        bump_completed(&self.summary);
+        bump_completed(&words.summary);
         Ok(())
     }
 
@@ -507,9 +569,29 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
     /// [`WriteSummary::no_writes_during`]. The `ts-snapshot` scan
     /// packages that check; use it when an atomic view is required.
     pub fn collect(&self) -> Vec<Stamped<T>> {
+        self.record_sweep();
         (0..self.capacity())
-            .map(|i| self.read_stamped(i).expect("index in range"))
+            .map(|i| self.registers.get(i).read_stamped())
             .collect()
+    }
+
+    /// Reads every register's value once, in index order, handing each
+    /// to `visit` and running `pause` before each read: a collect that
+    /// allocates nothing, for callers that only fold the values, with a
+    /// seam where a replay controller can hold the sweep between reads.
+    pub fn sweep_values(&self, mut pause: impl FnMut(), mut visit: impl FnMut(T)) {
+        self.record_sweep();
+        for i in 0..self.capacity() {
+            pause();
+            visit(self.registers.get(i).read());
+        }
+    }
+
+    /// Meters a whole-array sweep as one read of each register.
+    fn record_sweep(&self) {
+        if let Some(meter) = &self.meter {
+            meter.record_sweep();
+        }
     }
 
     /// Reads every register's stamp once, in index order — a collect
@@ -517,8 +599,9 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
     /// one stamp read each (no value clones). The scan's validation
     /// sweeps use this instead of a second full collect.
     pub fn collect_stamps(&self) -> Vec<Stamp> {
+        self.record_sweep();
         (0..self.capacity())
-            .map(|i| self.stamp(i).expect("index in range"))
+            .map(|i| self.registers.get(i).stamp())
             .collect()
     }
 }
@@ -635,7 +718,7 @@ mod tests {
         // quiescence check keeps working on the far side.
         let array: PackedRegisterArray<u32> = RegisterArray::new_packed(1, 0);
         let seeded = (u64::from(u32::MAX) << 32) | u64::from(u32::MAX);
-        array.summary.store(seeded, Ordering::SeqCst);
+        array.scan_words().summary.store(seeded, Ordering::SeqCst);
         array.write(0, 7).unwrap();
         let s = array.summary();
         assert_eq!(s.begun(), 0, "begun must wrap cleanly");
@@ -703,7 +786,7 @@ mod tests {
         // cross the wrap.
         let array: PackedRegisterArray<u32> = RegisterArray::new_packed(1, 0);
         let seeded = (u64::from(u32::MAX) << 32) | u64::from(u32::MAX);
-        array.blocks[0].store(seeded, Ordering::SeqCst);
+        array.scan_words().blocks[0].store(seeded, Ordering::SeqCst);
         array.write(0, 7).unwrap();
         let s = array.block_summary(0);
         assert_eq!(s.begun(), 0, "block begun must wrap cleanly");
@@ -724,7 +807,7 @@ mod tests {
         // and cross the wrap. Block 0 must stay untouched throughout.
         let array: PackedRegisterArray<u32> = RegisterArray::new_packed(65, 0);
         let seeded = (u64::from(u32::MAX) << 32) | u64::from(u32::MAX);
-        array.blocks[1].store(seeded, Ordering::SeqCst);
+        array.scan_words().blocks[1].store(seeded, Ordering::SeqCst);
         let block0_before = array.block_summary(0);
         array.write(64, 7).unwrap();
         let s = array.block_summary(1);
@@ -807,6 +890,27 @@ mod tests {
     fn mismatched_meter_capacity_panics() {
         let meter = SpaceMeter::new(2);
         let _ = RegisterArray::with_meter(3, 0u32, meter);
+    }
+
+    #[test]
+    fn array_without_scan_words_reads_writes_and_meters_alike() {
+        let meter = SpaceMeter::new(65);
+        let array: PackedRegisterArray<u32> =
+            RegisterArray::with_backend_and_meter(65, 0, meter.clone()).without_scan_words();
+        assert!(!array.has_scan_words());
+        assert_eq!(array.block_count(), 2, "blocks are index arithmetic");
+        let before = array.stamp(64).unwrap();
+        array.write(64, 9).unwrap();
+        assert_eq!(array.read(64).unwrap(), 9);
+        assert_ne!(array.stamp(64).unwrap(), before, "stamps still move");
+        assert_eq!(meter.snapshot().total_writes(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "without scan words")]
+    fn summary_of_an_array_without_scan_words_panics() {
+        let array: PackedRegisterArray<u32> = RegisterArray::new_packed(2, 0).without_scan_words();
+        let _ = array.summary();
     }
 
     #[test]

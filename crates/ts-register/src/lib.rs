@@ -38,7 +38,9 @@
 //! ([`ArrayLayout`]) and maintains a [`WriteSummary`] word — begun and
 //! completed write counts in one `AtomicU64` — that lets the
 //! `ts-snapshot` scan prove "nothing changed while I collected" from
-//! two one-word loads and skip its second collect. The memory-ordering
+//! two one-word loads and skip its second collect; arrays that are
+//! written hot and scanned rarely drop those words
+//! ([`RegisterArray::without_scan_words`]). The memory-ordering
 //! contract every backend obeys lives in the [`backend`] module docs.
 //!
 //! # Example

@@ -11,6 +11,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::pad::CachePadded;
 use crate::traits::Register;
 
 #[derive(Debug, Default)]
@@ -24,6 +25,11 @@ struct Counters {
 /// Clone the meter (cheap; internally `Arc`) and attach it to registers
 /// via [`SpaceMeter::wrap`] or record manually with
 /// [`SpaceMeter::record_read`] / [`SpaceMeter::record_write`].
+///
+/// Each register's counters sit on a cache line of their own, so the
+/// owner of a single-writer register meters its writes without touching
+/// a line any other writer touches. A collect records one *sweep*
+/// ([`SpaceMeter::record_sweep`]) instead of one read per register.
 ///
 /// # Example
 ///
@@ -40,22 +46,30 @@ struct Counters {
 /// ```
 #[derive(Clone)]
 pub struct SpaceMeter {
-    counters: Arc<Vec<Counters>>,
+    inner: Arc<Inner>,
+}
+
+struct Inner {
+    counters: Box<[CachePadded<Counters>]>,
+    /// Reads of *every* register, one per collect: snapshots add this
+    /// to each register's own read count.
+    sweeps: CachePadded<AtomicU64>,
 }
 
 impl SpaceMeter {
     /// Creates a meter for an array of `capacity` registers.
     pub fn new(capacity: usize) -> Self {
-        let mut v = Vec::with_capacity(capacity);
-        v.resize_with(capacity, Counters::default);
         Self {
-            counters: Arc::new(v),
+            inner: Arc::new(Inner {
+                counters: (0..capacity).map(|_| CachePadded::default()).collect(),
+                sweeps: CachePadded::default(),
+            }),
         }
     }
 
     /// Number of registers the meter observes.
     pub fn capacity(&self) -> usize {
-        self.counters.len()
+        self.inner.counters.len()
     }
 
     /// Records a read of register `index`.
@@ -64,7 +78,16 @@ impl SpaceMeter {
     ///
     /// Panics if `index >= capacity`.
     pub fn record_read(&self, index: usize) {
-        self.counters[index].reads.fetch_add(1, Ordering::Relaxed);
+        self.inner.counters[index]
+            .reads
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one read of every register (a collect), with one atomic
+    /// add where `capacity` calls of [`record_read`](Self::record_read)
+    /// would take `capacity`.
+    pub fn record_sweep(&self) {
+        self.inner.sweeps.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a write of register `index`.
@@ -73,7 +96,9 @@ impl SpaceMeter {
     ///
     /// Panics if `index >= capacity`.
     pub fn record_write(&self, index: usize) {
-        self.counters[index].writes.fetch_add(1, Ordering::Relaxed);
+        self.inner.counters[index]
+            .writes
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Wraps `register` so that all operations on it are recorded under
@@ -97,13 +122,16 @@ impl SpaceMeter {
     /// execution has quiesced (which is how the experiment harness uses
     /// it).
     pub fn snapshot(&self) -> MeterSnapshot {
+        let sweeps = self.inner.sweeps.load(Ordering::Relaxed);
         MeterSnapshot {
             reads: self
+                .inner
                 .counters
                 .iter()
-                .map(|c| c.reads.load(Ordering::Relaxed))
+                .map(|c| c.reads.load(Ordering::Relaxed) + sweeps)
                 .collect(),
             writes: self
+                .inner
                 .counters
                 .iter()
                 .map(|c| c.writes.load(Ordering::Relaxed))
@@ -228,6 +256,17 @@ mod tests {
         assert_eq!(snap.max_written_index(), Some(1));
         assert_eq!(snap.total_reads(), 2);
         assert_eq!(snap.total_writes(), 1);
+    }
+
+    #[test]
+    fn a_sweep_reads_every_register_once() {
+        let meter = SpaceMeter::new(3);
+        meter.record_sweep();
+        meter.record_read(2);
+        let snap = meter.snapshot();
+        assert_eq!(snap.reads, vec![1, 1, 2]);
+        assert_eq!(snap.registers_accessed(), 3);
+        assert_eq!(snap.registers_written(), 0);
     }
 
     #[test]

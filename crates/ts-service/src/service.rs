@@ -9,7 +9,7 @@ use ts_register::{PackedBackend, RegisterBackend, SpaceMeter};
 
 use crate::batch::ShardBatch;
 use crate::session::ClientSession;
-use crate::shard::{Pass, Shard};
+use crate::shard::{Pass, Shard, BATCHED, BATCHES, CALLS, COMBINED_OPS, COMBINE_PASSES, FAST_HITS};
 use crate::ServiceConfig;
 
 /// A long-lived timestamp *service* over `S` independent shard domains.
@@ -48,12 +48,6 @@ pub struct ShardedCollectMax<B: RegisterBackend<u64> = PackedBackend> {
     shards: Vec<Shard<B>>,
     config: ServiceConfig,
     vpids: VpidAllocator,
-    calls: AtomicU64,
-    fast_hits: AtomicU64,
-    batches: AtomicU64,
-    batched_stamps: AtomicU64,
-    combined_ops: AtomicU64,
-    combine_passes: AtomicU64,
     scan_recollects: AtomicU64,
 }
 
@@ -76,12 +70,6 @@ impl<B: RegisterBackend<u64>> ShardedCollectMax<B> {
                 .collect(),
             config,
             vpids: VpidAllocator::new(),
-            calls: AtomicU64::new(0),
-            fast_hits: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_stamps: AtomicU64::new(0),
-            combined_ops: AtomicU64::new(0),
-            combine_passes: AtomicU64::new(0),
             scan_recollects: AtomicU64::new(0),
         }
     }
@@ -208,17 +196,19 @@ impl<B: RegisterBackend<u64>> ShardedCollectMax<B> {
         self.shards[shard].meter()
     }
 
-    /// Snapshot of the unified hot-path counters.
+    /// Snapshot of the unified hot-path counters (per-slot rows of
+    /// every shard, summed).
     pub fn stats(&self) -> ServiceStats {
         let shard_stamps: Vec<u64> = self.shards.iter().map(Shard::stamps).collect();
+        let sum = |column| self.shards.iter().map(|s| s.counters.sum(column)).sum();
         ServiceStats {
-            calls: self.calls.load(Ordering::Relaxed),
+            calls: sum(CALLS),
             stamps: shard_stamps.iter().sum(),
-            fast_hits: self.fast_hits.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_stamps: self.batched_stamps.load(Ordering::Relaxed),
-            combined_ops: self.combined_ops.load(Ordering::Relaxed),
-            combine_passes: self.combine_passes.load(Ordering::Relaxed),
+            fast_hits: sum(FAST_HITS),
+            batches: sum(BATCHES),
+            batched_stamps: sum(BATCHED),
+            combined_ops: sum(COMBINED_OPS),
+            combine_passes: sum(COMBINE_PASSES),
             lease_waits: self.shards.iter().map(|s| s.pool.waits()).sum(),
             shard_stamps,
             dirty_recollects: self.scan_recollects.load(Ordering::Relaxed),
@@ -234,17 +224,17 @@ impl<B: RegisterBackend<u64>> ShardedCollectMax<B> {
         assert!(k >= 1, "batch size must be at least 1");
         let sh = &self.shards[shard];
         let lease = sh.pool.lease();
-        let res = sh.get_batch(lease.slot(), floor, u64::from(k));
-        drop(lease);
-        self.calls.fetch_add(1, Ordering::Relaxed);
+        let slot = lease.slot();
+        let res = sh.get_batch(slot, floor, u64::from(k));
+        sh.counters.add(slot, CALLS, 1);
         if res.fast {
-            self.fast_hits.fetch_add(1, Ordering::Relaxed);
+            sh.counters.add(slot, FAST_HITS, 1);
         }
         if k > 1 {
-            self.batches.fetch_add(1, Ordering::Relaxed);
-            self.batched_stamps
-                .fetch_add(u64::from(k), Ordering::Relaxed);
+            sh.counters.add(slot, BATCHES, 1);
+            sh.counters.add(slot, BATCHED, u64::from(k));
         }
+        drop(lease);
         ShardBatch::new(res.first, res.last, shard as u32)
     }
 
@@ -254,16 +244,17 @@ impl<B: RegisterBackend<u64>> ShardedCollectMax<B> {
         assert!(k >= 1, "request size must be at least 1");
         let sh = &self.shards[shard];
         let lease = sh.pool.lease();
-        let grant = sh.get_combined(lease.slot(), floor, u64::from(k));
-        drop(lease);
-        self.calls.fetch_add(1, Ordering::Relaxed);
+        let slot = lease.slot();
+        let grant = sh.get_combined(slot, floor, u64::from(k));
+        sh.counters.add(slot, CALLS, 1);
         if let Some(Pass { served, fast }) = grant.pass {
-            self.combine_passes.fetch_add(1, Ordering::Relaxed);
-            self.combined_ops.fetch_add(served, Ordering::Relaxed);
+            sh.counters.add(slot, COMBINE_PASSES, 1);
+            sh.counters.add(slot, COMBINED_OPS, served);
             if fast {
-                self.fast_hits.fetch_add(1, Ordering::Relaxed);
+                sh.counters.add(slot, FAST_HITS, 1);
             }
         }
+        drop(lease);
         ShardBatch::new(grant.first, grant.last, shard as u32)
     }
 }
@@ -274,7 +265,7 @@ impl<B: RegisterBackend<u64>> fmt::Debug for ShardedCollectMax<B> {
             .field("backend", &B::NAME)
             .field("config", &self.config)
             .field("sessions", &self.vpids.issued())
-            .field("calls", &self.calls.load(Ordering::Relaxed))
+            .field("calls", &self.stats().calls)
             .finish_non_exhaustive()
     }
 }

@@ -26,12 +26,25 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use ts_core::SlotCounters;
 use ts_register::{
     ArrayLayout, BackendRegister, CachePadded, Register, RegisterBackend, Slots, SpaceMeter,
 };
 
 use crate::combining::{backoff, PubCell};
 use crate::pool::SlotPool;
+
+/// Columns of [`Shard::counters`]: stamps issued, issue calls, calls
+/// whose reservation CAS won on the first attempt, batch reservations
+/// (`k > 1`) and their stamps, requests served by combiner passes, and
+/// those passes.
+pub(crate) const STAMPS: usize = 0;
+pub(crate) const CALLS: usize = 1;
+pub(crate) const FAST_HITS: usize = 2;
+pub(crate) const BATCHES: usize = 3;
+pub(crate) const BATCHED: usize = 4;
+pub(crate) const COMBINED_OPS: usize = 5;
+pub(crate) const COMBINE_PASSES: usize = 6;
 
 /// Largest value of the packed word's `local` half.
 const LOCAL_MAX: u64 = u32::MAX as u64;
@@ -105,8 +118,9 @@ pub(crate) struct Shard<B: RegisterBackend<u64>> {
     pubs: Vec<CachePadded<PubCell>>,
     /// The combiner try-lock.
     combiner: CachePadded<AtomicBool>,
-    /// Stamps issued by this shard (the imbalance signal).
-    stamps: CachePadded<AtomicU64>,
+    /// Issue counters, one row per slot, bumped by the slot's lease
+    /// holder; the shard's stamp total is the imbalance signal.
+    pub(crate) counters: SlotCounters<7>,
 }
 
 impl<B: RegisterBackend<u64>> Shard<B> {
@@ -124,7 +138,7 @@ impl<B: RegisterBackend<u64>> Shard<B> {
                 .map(|_| CachePadded::new(PubCell::default()))
                 .collect(),
             combiner: CachePadded::new(AtomicBool::new(false)),
-            stamps: CachePadded::new(AtomicU64::new(0)),
+            counters: SlotCounters::new(slots),
         }
     }
 
@@ -207,7 +221,7 @@ impl<B: RegisterBackend<u64>> Shard<B> {
     pub(crate) fn get_batch(&self, slot: usize, floor: u64, k: u64) -> Reservation {
         let res = self.reserve(floor, k);
         self.publish(slot, res.last);
-        self.stamps.fetch_add(k, Ordering::Relaxed);
+        self.counters.add(slot, STAMPS, k);
         res
     }
 
@@ -234,7 +248,7 @@ impl<B: RegisterBackend<u64>> Shard<B> {
                     .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
                     .is_ok()
             {
-                pass = self.combine_pass();
+                pass = self.combine_pass(slot);
                 self.combiner.store(false, Ordering::Release);
                 // Our request was either drained by this pass or served
                 // by the previous lock holder before we acquired it;
@@ -249,11 +263,12 @@ impl<B: RegisterBackend<u64>> Shard<B> {
         CombinedGrant { first, last, pass }
     }
 
-    /// One combiner pass (lock held by the caller): drains every
-    /// published request, reserves the sum with one CAS, distributes
-    /// consecutive sub-ranges. Returns `None` if no request was pending
-    /// (the caller's own was served by the previous lock holder).
-    fn combine_pass(&self) -> Option<Pass> {
+    /// One combiner pass (lock held by the caller, who leases `slot`):
+    /// drains every published request, reserves the sum with one CAS,
+    /// distributes consecutive sub-ranges. Returns `None` if no request
+    /// was pending (the caller's own was served by the previous lock
+    /// holder).
+    fn combine_pass(&self, slot: usize) -> Option<Pass> {
         let mut requests: Vec<(usize, u64)> = Vec::with_capacity(self.pubs.len());
         let mut total = 0u64;
         for (i, cell) in self.pubs.iter().enumerate() {
@@ -274,7 +289,7 @@ impl<B: RegisterBackend<u64>> Shard<B> {
             self.pubs[i].serve(next);
             next += k;
         }
-        self.stamps.fetch_add(total, Ordering::Relaxed);
+        self.counters.add(slot, STAMPS, total);
         Some(Pass {
             served: requests.len() as u64,
             fast: res.fast,
@@ -300,7 +315,7 @@ impl<B: RegisterBackend<u64>> Shard<B> {
 
     /// Stamps issued by this shard so far.
     pub(crate) fn stamps(&self) -> u64 {
-        self.stamps.load(Ordering::Relaxed)
+        self.counters.sum(STAMPS)
     }
 
     /// The shard's register-traffic meter.

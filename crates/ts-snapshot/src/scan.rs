@@ -84,6 +84,14 @@ pub struct ScanOutcome {
 /// stamp pair certifies the value did not move in between. This is
 /// Afek et al.'s double-collect criterion applied per block, with the
 /// block words selecting which registers still need the stamp sweep.
+///
+/// **Arrays without scan words**
+/// ([`RegisterArray::without_scan_words`]) skip rung 1 and keep every
+/// block flagged: each pass re-reads every register's stamp, and the
+/// scan returns on the first pass that patches nothing. That is the
+/// classic double collect: every entry was read before the pass began
+/// and confirmed by an equal stamp during it, so all entries were
+/// current at the instant between the two sweeps.
 pub(crate) struct AdaptiveScanner<'a, T, B: RegisterBackend<T>> {
     array: &'a RegisterArray<T, B>,
     entries: Vec<Stamped<T>>,
@@ -108,6 +116,18 @@ where
     /// validation; check [`is_validated`](Self::is_validated) before
     /// stepping.
     pub fn new(array: &'a RegisterArray<T, B>) -> Self {
+        if !array.has_scan_words() {
+            let flagged: Vec<usize> = (0..array.block_count()).collect();
+            return Self {
+                array,
+                entries: array.collect(),
+                window: Vec::new(),
+                validated: flagged.is_empty(),
+                flagged,
+                passes: 0,
+                patched: 0,
+            };
+        }
         let before_global = array.summary();
         let before_blocks = array.block_summaries();
         let entries = array.collect();
@@ -166,6 +186,9 @@ where
             // window boundary; unflagged blocks were quiescent.
             self.validated = true;
             return;
+        }
+        if !self.array.has_scan_words() {
+            return; // every block stays flagged for the next sweep
         }
         let next = self.array.block_summaries();
         self.flagged = dirty_blocks(&self.window, &next);
@@ -582,6 +605,51 @@ mod tests {
                 assert!(
                     v[63] >= v[64] && v[63] - v[64] <= 1,
                     "torn cross-block view: ({}, {}) cannot have been simultaneous",
+                    v[63],
+                    v[64]
+                );
+            }
+            stop.store(true, Ordering::Relaxed);
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn array_without_scan_words_validates_by_a_stamp_sweep() {
+        let meter = SpaceMeter::new(3);
+        let array = RegisterArray::with_meter(3, 0u64, meter.clone()).without_scan_words();
+        array.write(1, 4).unwrap();
+        let (view, outcome) = adaptive_scan(&array);
+        assert_eq!(view.values(), vec![0, 4, 0]);
+        assert_eq!(outcome.recollect_passes, 1, "the confirming stamp sweep");
+        assert_eq!(outcome.patched_registers, 0);
+        assert_eq!(meter.snapshot().total_reads(), 6, "collect + stamp sweep");
+        let empty: RegisterArray<u64> = RegisterArray::new(0, 0).without_scan_words();
+        assert!(double_collect_scan(&empty).values().is_empty());
+    }
+
+    #[test]
+    fn array_without_scan_words_never_returns_a_torn_view() {
+        // The cross-block pair of the test above, on an array whose
+        // writes bump no summary or dirty word.
+        let array = Arc::new(RegisterArray::<u64>::new(65, 0).without_scan_words());
+        let stop = Arc::new(AtomicBool::new(false));
+        crossbeam::scope(|s| {
+            let writer_array = Arc::clone(&array);
+            let writer_stop = Arc::clone(&stop);
+            s.spawn(move |_| {
+                let mut k = 1u64;
+                while !writer_stop.load(Ordering::Relaxed) {
+                    writer_array.write(63, k).unwrap();
+                    writer_array.write(64, k).unwrap();
+                    k += 1;
+                }
+            });
+            for _ in 0..100 {
+                let v = double_collect_scan(&array).values();
+                assert!(
+                    v[63] >= v[64] && v[63] - v[64] <= 1,
+                    "torn stamp-only view: ({}, {}) cannot have been simultaneous",
                     v[63],
                     v[64]
                 );

@@ -578,11 +578,14 @@ mod tests {
                 campaign.after_op();
             });
             // Slot 1 keeps completing ops; its second completion
-            // crosses the resume threshold (1 + 2 = 3).
-            while campaign.ops_completed() < 1 {
+            // crosses the resume threshold (1 + 2 = 3). Wait for the
+            // stall itself, not the op count: `after_op` counts op 1
+            // before it arms the stall, and a failed assert here would
+            // leave the scope joining a parked thread forever.
+            while !campaign.stalled_slots().contains(&0) {
                 std::thread::yield_now();
             }
-            assert!(campaign.stalled_slots().contains(&0));
+            assert_eq!(campaign.ops_completed(), 1);
             campaign.before_op(1);
             campaign.after_op(); // op 2
             assert!(!parked_passed.load(Ordering::SeqCst), "still parked");
