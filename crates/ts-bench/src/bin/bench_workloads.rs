@@ -13,14 +13,14 @@
 //! padded-vs-unpadded A/B cell.
 //!
 //! The `ts-service` layer joins the grid as `sharded_s{S}_{mode}` cells
-//! (`S ∈ {1,4,16}` shard domains × `{single, batch16, combining}`
-//! issue modes) under the pure-issue scenarios (`closed_getts`,
-//! `open_bursty`). Service rows carry extra columns from the unified
-//! [`ServiceStats`] snapshot — `stamps_per_sec` (the per-stamp
-//! throughput; batch cells issue 16 stamps per op so `ops/sec` alone
-//! would hide the amortization), fast-hit ratio, batch/combine fill,
-//! shard imbalance and lease waits; the columns are `null` on rows
-//! whose target has no stats hook.
+//! (`S ∈ {1,4,16}` shard domains × `{single, batch16}` issue modes)
+//! under the pure-issue scenarios (`closed_getts`, `open_bursty`).
+//! Service rows carry extra columns from the unified [`ServiceStats`]
+//! snapshot — `stamps_per_sec` (the per-stamp throughput; batch cells
+//! issue 16 stamps per op so `ops/sec` alone would hide the
+//! amortization), fast-hit ratio, batch fill, shard imbalance and lease
+//! waits; the columns are `null` on rows whose target has no stats
+//! hook.
 //!
 //! The scan ladder joins under the `writer_storm` scenario as
 //! `classic_scan` / `adaptive_scan` / `helping_scan` cells: slot 0
@@ -117,7 +117,6 @@ struct WorkloadRow {
     stamps_per_sec: Option<f64>,
     fast_hit_ratio: Option<f64>,
     avg_batch_fill: Option<f64>,
-    avg_combine_fill: Option<f64>,
     shard_imbalance: Option<f64>,
     lease_waits: Option<u64>,
     // Replicated-backend columns, `null` unless the cell's registers
@@ -170,7 +169,6 @@ impl WorkloadRow {
             stamps_per_sec: None,
             fast_hit_ratio: None,
             avg_batch_fill: None,
-            avg_combine_fill: None,
             shard_imbalance: None,
             lease_waits: None,
             quorum_rounds_per_call: None,
@@ -216,7 +214,6 @@ impl WorkloadRow {
             }),
             fast_hit_ratio: stats.and_then(ServiceStats::fast_hit_ratio),
             avg_batch_fill: stats.and_then(ServiceStats::avg_batch_fill),
-            avg_combine_fill: stats.and_then(ServiceStats::avg_combine_fill),
             shard_imbalance: stats.and_then(ServiceStats::shard_imbalance),
             lease_waits: stats.map(|s| s.lease_waits),
             quorum_rounds_per_call: stats.and_then(ServiceStats::rounds_per_call),
@@ -353,13 +350,10 @@ fn targets(threads: usize, pool_size: usize) -> Vec<Box<dyn WorkloadTarget>> {
 const SERVICE_CELLS: &[(usize, IssueMode, &str)] = &[
     (1, IssueMode::Single, "sharded_s1_single"),
     (1, IssueMode::Batch(16), "sharded_s1_batch16"),
-    (1, IssueMode::Combining, "sharded_s1_combining"),
     (4, IssueMode::Single, "sharded_s4_single"),
     (4, IssueMode::Batch(16), "sharded_s4_batch16"),
-    (4, IssueMode::Combining, "sharded_s4_combining"),
     (16, IssueMode::Single, "sharded_s16_single"),
     (16, IssueMode::Batch(16), "sharded_s16_batch16"),
-    (16, IssueMode::Combining, "sharded_s16_combining"),
 ];
 
 /// Service cells run only under the pure-issue scenarios: the service's

@@ -64,19 +64,25 @@ use crate::traits::LongLivedTimestamp;
 /// overlap; see `get_ts_batch` for the exact uniqueness contract.
 #[derive(Debug, Clone)]
 pub struct StampBatch {
+    first: u64,
     next: u64,
     last: u64,
 }
 
 impl StampBatch {
     fn new(first: u64, last: u64) -> Self {
-        Self { next: first, last }
+        Self {
+            first,
+            next: first,
+            last,
+        }
     }
 
-    /// The smallest stamp in the batch (named to avoid shadowing
-    /// [`Iterator::last`], which consumes the iterator).
+    /// The smallest stamp in the batch, however much of it has been
+    /// consumed (named to avoid shadowing [`Iterator::last`], which
+    /// consumes the iterator).
     pub fn first_stamp(&self) -> Timestamp {
-        Timestamp::scalar(self.next)
+        Timestamp::scalar(self.first)
     }
 
     /// The largest stamp in the batch (what the issuer published to its
@@ -248,11 +254,10 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
         self.calls().saturating_sub(self.counters.sum(SLOW))
     }
 
-    /// Unified hot-path counter snapshot (the [`ServiceStats`] fold of
-    /// the PR-5 `fast_path_hits` pattern): calls, stamps, fast hits and
+    /// Unified hot-path counter snapshot: calls, stamps, fast hits and
     /// batch fill in one struct, so reports show *ratios* instead of
-    /// opaque throughput. Combining counters stay zero — this object
-    /// has no combiner; `shard_stamps` is the single-shard vector.
+    /// opaque throughput. Lease and quorum counters stay zero — this
+    /// object has neither; `shard_stamps` is the single-shard vector.
     pub fn stats(&self) -> ServiceStats {
         let calls = self.calls();
         let batches = self.counters.sum(BATCHES);
@@ -780,6 +785,21 @@ mod tests {
         // collector started after the call sees all three stamps.
         assert_eq!(ts.read_max(), Timestamp::scalar(3));
         assert_eq!(ts.read_max_collect(), Timestamp::scalar(3));
+    }
+
+    #[test]
+    fn batch_first_stamp_survives_consumption() {
+        let ts = CollectMax::new(1);
+        let mut batch = ts.get_ts_batch(0, 3).unwrap();
+        batch.next().unwrap();
+        assert_eq!(batch.first_stamp(), Timestamp::scalar(1));
+        batch.by_ref().for_each(drop);
+        assert_eq!(batch.remaining(), 0);
+        assert_eq!(
+            batch.first_stamp(),
+            Timestamp::scalar(1),
+            "batch held 1..=3"
+        );
     }
 
     #[test]

@@ -12,6 +12,8 @@ use ts_core::ShardedTimestamp;
 /// starts fresh instead — see `shard::advance`).
 #[derive(Debug, Clone)]
 pub struct ShardBatch {
+    /// First packed word in the reservation.
+    first: u64,
     /// Next packed word to yield.
     next: u64,
     /// Last packed word in the reservation (inclusive).
@@ -29,17 +31,18 @@ impl ShardBatch {
             "a reservation never spans an epoch boundary"
         );
         Self {
+            first,
             next: first,
             last,
             shard,
         }
     }
 
-    /// The smallest stamp in the batch (named to avoid shadowing the
-    /// consuming [`Iterator::last`], mirroring
-    /// [`StampBatch`](ts_core::StampBatch)).
+    /// The smallest stamp in the batch, however much of it has been
+    /// consumed (named to avoid shadowing the consuming
+    /// [`Iterator::last`], mirroring [`StampBatch`](ts_core::StampBatch)).
     pub fn first_stamp(&self) -> ShardedTimestamp {
-        ShardedTimestamp::from_word(self.next, self.shard)
+        ShardedTimestamp::from_word(self.first, self.shard)
     }
 
     /// The largest stamp in the batch (what the issuer published to its
@@ -108,5 +111,18 @@ mod tests {
         batch.next().unwrap();
         assert_eq!(batch.remaining(), 2);
         assert_eq!(batch.count(), 2);
+    }
+
+    #[test]
+    fn first_stamp_survives_consumption() {
+        let first = ShardedTimestamp::new(0, 1, 0).word();
+        let last = ShardedTimestamp::new(0, 3, 0).word();
+        let mut batch = ShardBatch::new(first, last, 0);
+        let smallest = ShardedTimestamp::new(0, 1, 0);
+        batch.next().unwrap();
+        assert_eq!(batch.first_stamp(), smallest);
+        batch.by_ref().for_each(drop);
+        assert_eq!(batch.remaining(), 0);
+        assert_eq!(batch.first_stamp(), smallest, "batch held local 1..=3");
     }
 }

@@ -1,5 +1,5 @@
 //! A *timestamp service* layered over the collect-max substrate:
-//! sharding, batching, flat combining and virtual-pid multiplexing.
+//! sharding, batching and virtual-pid multiplexing.
 //!
 //! The paper (Helmi–Higham–Pacheco–Woelfel, PODC 2011) proves that a
 //! long-lived timestamp object for `n` processes needs Ω(n) registers
@@ -13,8 +13,8 @@
 //!    [`ShardedTimestamp`](ts_core::ShardedTimestamp) — antisymmetric,
 //!    transitive, shared-memory-free to evaluate), and
 //! 2. **per-client monotonicity**: every stamp a client obtains is
-//!    strictly larger than its previous one, across batches, combining
-//!    passes and shard migrations.
+//!    strictly larger than its previous one, across batches and shard
+//!    migrations.
 //!
 //! That relaxation is exactly what lets the hot path escape the single
 //! contended maximum:
@@ -26,10 +26,6 @@
 //!   lower bound is respected shard-wise, not dodged).
 //! - [`ClientSession::get_ts_batch`] reserves `k` consecutive stamps
 //!   with **one** CAS, amortizing the shared-memory cost `k`-fold.
-//! - [`ClientSession::get_ts_combined`] routes requests through a
-//!   *flat-combining* publication array: one winner drains every
-//!   waiting peer's request and serves the whole set with a single
-//!   reservation.
 //! - Sessions are keyed by *virtual pids*
 //!   ([`VpidAllocator`](ts_core::VpidAllocator)) and borrow a physical
 //!   register slot only for the duration of a call, so `M` clients run
@@ -39,7 +35,7 @@
 //! Every hot-path event is counted in a
 //! [`ServiceStats`](ts_core::ServiceStats) snapshot
 //! ([`ShardedCollectMax::stats`]) so benchmarks report fast-hit /
-//! batch-fill / combine-fill ratios instead of opaque throughput.
+//! batch-fill / lease-wait figures instead of opaque throughput.
 //!
 //! # Example
 //!
@@ -62,7 +58,6 @@
 #![warn(missing_debug_implementations)]
 
 mod batch;
-mod combining;
 mod pool;
 mod service;
 mod session;
@@ -130,17 +125,13 @@ pub enum IssueMode {
     /// ([`ClientSession::get_ts_batch`]): the same shared-memory cost,
     /// amortized `k`-fold.
     Batch(u32),
-    /// One stamp per call through the flat-combining publication array
-    /// ([`ClientSession::get_ts_combined`]): under contention one
-    /// combiner's CAS serves every waiting peer.
-    Combining,
 }
 
 impl IssueMode {
     /// Stamps issued per call in this mode.
     pub fn stamps_per_call(&self) -> u64 {
         match self {
-            IssueMode::Single | IssueMode::Combining => 1,
+            IssueMode::Single => 1,
             IssueMode::Batch(k) => u64::from(*k),
         }
     }
@@ -172,6 +163,5 @@ mod tests {
     fn issue_modes_report_stamps_per_call() {
         assert_eq!(IssueMode::Single.stamps_per_call(), 1);
         assert_eq!(IssueMode::Batch(16).stamps_per_call(), 16);
-        assert_eq!(IssueMode::Combining.stamps_per_call(), 1);
     }
 }

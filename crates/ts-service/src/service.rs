@@ -1,15 +1,13 @@
-//! [`ShardedCollectMax`]: the sharded, batched, combining timestamp
-//! service.
+//! [`ShardedCollectMax`]: the sharded, batched timestamp service.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use ts_core::{ServiceStats, ShardedTimestamp, VpidAllocator};
 use ts_register::{PackedBackend, RegisterBackend, SpaceMeter};
 
 use crate::batch::ShardBatch;
 use crate::session::ClientSession;
-use crate::shard::{Pass, Shard, BATCHED, BATCHES, CALLS, COMBINED_OPS, COMBINE_PASSES, FAST_HITS};
+use crate::shard::{Shard, BATCHED, BATCHES, CALLS, FAST_HITS};
 use crate::ServiceConfig;
 
 /// A long-lived timestamp *service* over `S` independent shard domains.
@@ -48,7 +46,6 @@ pub struct ShardedCollectMax<B: RegisterBackend<u64> = PackedBackend> {
     shards: Vec<Shard<B>>,
     config: ServiceConfig,
     vpids: VpidAllocator,
-    scan_recollects: AtomicU64,
 }
 
 impl ShardedCollectMax<PackedBackend> {
@@ -70,7 +67,6 @@ impl<B: RegisterBackend<u64>> ShardedCollectMax<B> {
                 .collect(),
             config,
             vpids: VpidAllocator::new(),
-            scan_recollects: AtomicU64::new(0),
         }
     }
 
@@ -145,51 +141,6 @@ impl<B: RegisterBackend<u64>> ShardedCollectMax<B> {
         best
     }
 
-    /// Validated observation pass — the sharded sibling of the
-    /// adaptive scan ladder in `ts-snapshot`. A plain [`read_max`]
-    /// collect can interleave with publications; this variant repeats
-    /// each frontier collect until two consecutive passes agree, and a
-    /// retry re-collects **only the shards whose published maximum
-    /// moved** (per-shard published maxima are monotone — every
-    /// publication writes the top of a frontier reservation that
-    /// strictly exceeds all earlier ones on that shard — so a stable
-    /// per-shard max pins that shard for the whole bracket). Retry
-    /// passes are counted into the `dirty_recollects` field of
-    /// [`stats`](Self::stats).
-    ///
-    /// [`read_max`]: Self::read_max
-    pub fn read_max_snapshot(&self) -> Option<ShardedTimestamp> {
-        let mut words: Vec<u64> = self
-            .shards
-            .iter()
-            .map(|s| s.collect_max_word().unwrap_or(0))
-            .collect();
-        // Dirty set: shards whose max moved since the previous pass.
-        let mut dirty: Vec<usize> = (0..self.shards.len()).collect();
-        loop {
-            let mut moved = Vec::new();
-            for &i in &dirty {
-                let now = self.shards[i].collect_max_word().unwrap_or(0);
-                if now != words[i] {
-                    words[i] = now;
-                    moved.push(i);
-                }
-            }
-            if moved.is_empty() {
-                break;
-            }
-            self.scan_recollects.fetch_add(1, Ordering::Relaxed);
-            dirty = moved;
-        }
-        let best = words
-            .iter()
-            .enumerate()
-            .filter(|&(_, &w)| w > 0)
-            .map(|(i, &w)| ShardedTimestamp::from_word(w, i as u32))
-            .max();
-        best
-    }
-
     /// A shard's register-traffic meter (space accounting, same
     /// substrate as [`CollectMax::meter`](ts_core::CollectMax::meter)).
     pub fn meter(&self, shard: usize) -> &SpaceMeter {
@@ -207,11 +158,8 @@ impl<B: RegisterBackend<u64>> ShardedCollectMax<B> {
             fast_hits: sum(FAST_HITS),
             batches: sum(BATCHES),
             batched_stamps: sum(BATCHED),
-            combined_ops: sum(COMBINED_OPS),
-            combine_passes: sum(COMBINE_PASSES),
             lease_waits: self.shards.iter().map(|s| s.pool.waits()).sum(),
             shard_stamps,
-            dirty_recollects: self.scan_recollects.load(Ordering::Relaxed),
             ..Default::default()
         }
     }
@@ -236,26 +184,6 @@ impl<B: RegisterBackend<u64>> ShardedCollectMax<B> {
         }
         drop(lease);
         ShardBatch::new(res.first, res.last, shard as u32)
-    }
-
-    /// Issues `k` stamps on `shard` above `floor` through the
-    /// flat-combining array.
-    pub(crate) fn issue_combined(&self, shard: usize, floor: u64, k: u32) -> ShardBatch {
-        assert!(k >= 1, "request size must be at least 1");
-        let sh = &self.shards[shard];
-        let lease = sh.pool.lease();
-        let slot = lease.slot();
-        let grant = sh.get_combined(slot, floor, u64::from(k));
-        sh.counters.add(slot, CALLS, 1);
-        if let Some(Pass { served, fast }) = grant.pass {
-            sh.counters.add(slot, COMBINE_PASSES, 1);
-            sh.counters.add(slot, COMBINED_OPS, served);
-            if fast {
-                sh.counters.add(slot, FAST_HITS, 1);
-            }
-        }
-        drop(lease);
-        ShardBatch::new(grant.first, grant.last, shard as u32)
     }
 }
 
@@ -301,21 +229,6 @@ mod tests {
         // Shard 1 published local 4 — the global max.
         let max = service.read_max().expect("stamps were published");
         assert_eq!((max.local, max.shard), (4, 1));
-    }
-
-    #[test]
-    fn validated_snapshot_agrees_with_read_max_when_quiescent() {
-        let service = ShardedCollectMax::new(ServiceConfig::new(3, 2));
-        assert_eq!(service.read_max_snapshot(), None, "nothing published yet");
-        let mut sessions: Vec<_> = (0..3).map(|_| service.session()).collect();
-        for s in &mut sessions {
-            s.get_ts();
-            s.get_ts();
-        }
-        let snap = service.read_max_snapshot().expect("stamps were published");
-        assert_eq!(Some(snap), service.read_max());
-        // Quiescent validation: the confirming pass saw no movement.
-        assert_eq!(service.stats().dirty_recollects, 0);
     }
 
     #[test]

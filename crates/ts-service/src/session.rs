@@ -15,11 +15,11 @@ use crate::service::ShardedCollectMax;
 /// `shards * slots_per_shard` registers.
 ///
 /// **Per-client monotonicity.** Every issuing method folds the floor
-/// into the shard's reservation word before (or while) reserving, so
-/// each stamp returned is strictly larger — in `(epoch, local)` and
-/// hence in the full lexicographic order — than every stamp the session
-/// returned before it, across batches, combining passes and
-/// [`migrate`](ClientSession::migrate) calls. Each method `debug_assert`s
+/// into the shard's reservation word as it reserves, so each stamp
+/// returned is strictly larger — in `(epoch, local)` and hence in the
+/// full lexicographic order — than every stamp the session returned
+/// before it, across batches and [`migrate`](ClientSession::migrate)
+/// calls. Each method `debug_assert`s
 /// the property on return.
 ///
 /// Sessions are plain data over `&service`, so they can move into
@@ -100,15 +100,6 @@ impl<'a, B: RegisterBackend<u64>> ClientSession<'a, B> {
         batch.clone()
     }
 
-    /// Issues one stamp through the shard's flat-combining publication
-    /// array: under contention one combiner's CAS serves every waiting
-    /// peer's request, this one included.
-    pub fn get_ts_combined(&mut self) -> ShardedTimestamp {
-        let batch = self.service.issue_combined(self.shard, self.floor(), 1);
-        self.advance_floor(&batch);
-        batch.first_stamp()
-    }
-
     /// Moves the session to `shard`. The floor travels with the
     /// session: the next issue folds it into the new shard's word, so
     /// monotonicity holds across the migration even when the new shard
@@ -133,12 +124,11 @@ mod tests {
     use crate::ServiceConfig;
 
     #[test]
-    fn stamps_strictly_increase_across_modes_and_migrations() {
+    fn stamps_strictly_increase_across_batches_and_migrations() {
         let service = ShardedCollectMax::new(ServiceConfig::new(3, 2));
         let mut session = service.session();
         let mut stamps = vec![session.get_ts()];
         stamps.extend(session.get_ts_batch(5));
-        stamps.push(session.get_ts_combined());
         for target in [2, 1, 0, 2] {
             session.migrate(target);
             assert_eq!(session.shard(), target);

@@ -1,5 +1,5 @@
 //! One shard domain: a packed `(epoch, local)` reservation word, a bank
-//! of single-writer registers, a slot pool and a combining array.
+//! of single-writer registers and a slot pool.
 //!
 //! # The reservation word
 //!
@@ -24,27 +24,23 @@
 //! fallback on this path — reservation-issued stamps are globally
 //! unique, not merely ordered.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use ts_core::SlotCounters;
 use ts_register::{
     ArrayLayout, BackendRegister, CachePadded, Register, RegisterBackend, Slots, SpaceMeter,
 };
 
-use crate::combining::{backoff, PubCell};
 use crate::pool::SlotPool;
 
 /// Columns of [`Shard::counters`]: stamps issued, issue calls, calls
-/// whose reservation CAS won on the first attempt, batch reservations
-/// (`k > 1`) and their stamps, requests served by combiner passes, and
-/// those passes.
+/// whose reservation CAS won on the first attempt, and batch
+/// reservations (`k > 1`) and their stamps.
 pub(crate) const STAMPS: usize = 0;
 pub(crate) const CALLS: usize = 1;
 pub(crate) const FAST_HITS: usize = 2;
 pub(crate) const BATCHES: usize = 3;
 pub(crate) const BATCHED: usize = 4;
-pub(crate) const COMBINED_OPS: usize = 5;
-pub(crate) const COMBINE_PASSES: usize = 6;
 
 /// Largest value of the packed word's `local` half.
 const LOCAL_MAX: u64 = u32::MAX as u64;
@@ -75,27 +71,8 @@ pub(crate) struct Reservation {
     pub(crate) fast: bool,
 }
 
-/// What a combining call produced: the granted range, plus pass
-/// accounting if *this* caller became the combiner (`served` requests
-/// drained — including its own — and whether the pass's one reservation
-/// CAS hit on the first attempt).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CombinedGrant {
-    pub(crate) first: u64,
-    pub(crate) last: u64,
-    pub(crate) pass: Option<Pass>,
-}
-
-/// Accounting for one combiner pass.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Pass {
-    pub(crate) served: u64,
-    pub(crate) fast: bool,
-}
-
 /// One shard domain. See the module docs for the word protocol; the
-/// register bank, slot pool and publication array are all sized to the
-/// same `slots_per_shard`.
+/// register bank and slot pool are both sized to `slots_per_shard`.
 pub(crate) struct Shard<B: RegisterBackend<u64>> {
     /// The packed `(epoch, local)` reservation word. Padded: this is
     /// the shard's contention point and must not share a line with any
@@ -111,16 +88,11 @@ pub(crate) struct Shard<B: RegisterBackend<u64>> {
     /// Single-writer `epoch` registers, paired with `locals`.
     epochs: Slots<B::Reg>,
     meter: SpaceMeter,
-    /// Slot leases (also gate the publication cells: cell `i` is owned
-    /// by the lease of slot `i`).
+    /// Slot leases: slot `i`'s registers have one writer at a time.
     pub(crate) pool: SlotPool,
-    /// Flat-combining publication cells, one per slot.
-    pubs: Vec<CachePadded<PubCell>>,
-    /// The combiner try-lock.
-    combiner: CachePadded<AtomicBool>,
     /// Issue counters, one row per slot, bumped by the slot's lease
     /// holder; the shard's stamp total is the imbalance signal.
-    pub(crate) counters: SlotCounters<7>,
+    pub(crate) counters: SlotCounters<5>,
 }
 
 impl<B: RegisterBackend<u64>> Shard<B> {
@@ -134,10 +106,6 @@ impl<B: RegisterBackend<u64>> Shard<B> {
             // slot` for its epoch partner.
             meter: SpaceMeter::new(2 * slots),
             pool: SlotPool::new(slots),
-            pubs: (0..slots)
-                .map(|_| CachePadded::new(PubCell::default()))
-                .collect(),
-            combiner: CachePadded::new(AtomicBool::new(false)),
             counters: SlotCounters::new(slots),
         }
     }
@@ -225,77 +193,6 @@ impl<B: RegisterBackend<u64>> Shard<B> {
         res
     }
 
-    /// Requests `k` stamps through the flat-combining array: publishes
-    /// the request in the leased slot's cell, then either a peer
-    /// combiner serves it or this caller wins the combiner lock and
-    /// drains every published request with one reservation.
-    pub(crate) fn get_combined(&self, slot: usize, floor: u64, k: u64) -> CombinedGrant {
-        // Pre-raise the floor so *whichever* combiner serves this
-        // request reserves above it.
-        if floor != 0 {
-            self.raise_floor(floor);
-        }
-        self.pubs[slot].publish(k);
-        let mut pass = None;
-        let mut spins = 0;
-        let first = loop {
-            if let Some(first) = self.pubs[slot].poll() {
-                break first;
-            }
-            if !self.combiner.load(Ordering::Relaxed)
-                && self
-                    .combiner
-                    .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                pass = self.combine_pass(slot);
-                self.combiner.store(false, Ordering::Release);
-                // Our request was either drained by this pass or served
-                // by the previous lock holder before we acquired it;
-                // either way the grant is visible now.
-                let first = self.pubs[slot].poll().expect("combiner pass serves itself");
-                break first;
-            }
-            backoff(&mut spins);
-        };
-        let last = first + (k - 1);
-        self.publish(slot, last);
-        CombinedGrant { first, last, pass }
-    }
-
-    /// One combiner pass (lock held by the caller, who leases `slot`):
-    /// drains every published request, reserves the sum with one CAS,
-    /// distributes consecutive sub-ranges. Returns `None` if no request
-    /// was pending (the caller's own was served by the previous lock
-    /// holder).
-    fn combine_pass(&self, slot: usize) -> Option<Pass> {
-        let mut requests: Vec<(usize, u64)> = Vec::with_capacity(self.pubs.len());
-        let mut total = 0u64;
-        for (i, cell) in self.pubs.iter().enumerate() {
-            let k = cell.pending();
-            if k > 0 {
-                requests.push((i, k));
-                total += k;
-            }
-        }
-        if total == 0 {
-            return None;
-        }
-        // Floors were folded by each peer before publishing, so the
-        // pass reserves with floor 0.
-        let res = self.reserve(0, total);
-        let mut next = res.first;
-        for (i, k) in requests.iter().copied() {
-            self.pubs[i].serve(next);
-            next += k;
-        }
-        self.counters.add(slot, STAMPS, total);
-        Some(Pass {
-            served: requests.len() as u64,
-            fast: res.fast,
-        })
-    }
-
     /// Collect over the register bank: the largest published word, or
     /// `None` if nothing was published yet. A read-only observation
     /// pass (`2n` metered reads), lower-bounding the reservation
@@ -379,51 +276,5 @@ mod tests {
         assert_eq!((res.first, res.last), (word(8, 1), word(8, 8)));
         // All stamps of the reservation share the bumped epoch.
         assert_eq!(res.first >> 32, res.last >> 32);
-    }
-
-    #[test]
-    fn solo_combining_call_combines_itself() {
-        let shard = Shard::<PackedBackend>::new(2);
-        let grant = shard.get_combined(0, 0, 1);
-        assert_eq!((grant.first, grant.last), (word(0, 1), word(0, 1)));
-        let pass = grant.pass.expect("no peer: the caller must combine");
-        assert_eq!(pass.served, 1);
-        assert!(pass.fast);
-        // The grant was published to the slot register.
-        assert_eq!(shard.collect_max_word(), Some(word(0, 1)));
-        // A second call with the first stamp as floor lands above it.
-        let grant = shard.get_combined(1, word(0, 1), 1);
-        assert_eq!(grant.first, word(0, 2));
-    }
-
-    #[test]
-    fn concurrent_combining_grants_unique_consecutive_ranges() {
-        let shard = std::sync::Arc::new(Shard::<PackedBackend>::new(4));
-        let threads = 4;
-        let rounds = 200;
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            let shard = std::sync::Arc::clone(&shard);
-            handles.push(std::thread::spawn(move || {
-                let mut got = Vec::with_capacity(rounds);
-                for i in 0..rounds {
-                    let k = 1 + (i % 3) as u64;
-                    let lease = shard.pool.lease();
-                    let grant = shard.get_combined(lease.slot(), 0, k);
-                    drop(lease);
-                    got.push((grant.first, grant.last));
-                }
-                got
-            }));
-        }
-        let mut seen = std::collections::HashSet::new();
-        for handle in handles {
-            for (first, last) in handle.join().expect("combining thread") {
-                for w in first..=last {
-                    assert!(seen.insert(w), "stamp word {w:#x} granted twice");
-                }
-            }
-        }
-        assert_eq!(seen.len() as u64, shard.stamps());
     }
 }

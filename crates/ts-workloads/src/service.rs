@@ -9,9 +9,7 @@
 //!
 //! # Op semantics (what one engine op measures)
 //!
-//! - [`IssueMode::Single`] / [`IssueMode::Combining`] — one `GetTs` op
-//!   issues **one** stamp (directly, or through the shard's
-//!   flat-combining array).
+//! - [`IssueMode::Single`] — one `GetTs` op issues **one** stamp.
 //! - [`IssueMode::Batch(k)`](IssueMode::Batch) — one `GetTs` op is one
 //!   *service call* that issues the **whole batch** of `k` stamps.
 //!   `ops/sec` therefore counts issue calls; the per-stamp figure
@@ -124,15 +122,11 @@ impl<B: RegisterBackend<u64>> WorkloadWorker for ServiceWorker<'_, B> {
                         let batch = self.session.get_ts_batch(k);
                         (batch.first_stamp(), batch.last_stamp())
                     }
-                    IssueMode::Combining => {
-                        let t = self.session.get_ts_combined();
-                        (t, t)
-                    }
                 };
                 if let Some(p) = self.history.last() {
                     // The service's per-client guarantee: every stamp a
                     // session obtains exceeds its previous one, across
-                    // batches, combining passes and migrations.
+                    // batches and migrations.
                     assert!(
                         ShardedTimestamp::compare(&p, &first),
                         "service violated per-client monotonicity: {p} !< {first}"
@@ -231,7 +225,7 @@ mod tests {
 
     #[test]
     fn engine_drives_every_mode_under_contention() {
-        for mode in [IssueMode::Single, IssueMode::Batch(4), IssueMode::Combining] {
+        for mode in [IssueMode::Single, IssueMode::Batch(4)] {
             let t = target(2, 2, mode);
             let scenario = Scenario {
                 name: "svc_closed",

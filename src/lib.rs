@@ -11,7 +11,7 @@
 //! - [`ts_core`] — the paper's timestamp algorithms
 //! - [`ts_lowerbound`] — covering-argument machinery and bound formulas
 //! - [`ts_clocks`] — the introduction's lineage: Lamport/vector/matrix clocks
-//! - [`ts_service`] — sharded/batched/combining timestamp service layer
+//! - [`ts_service`] — sharded/batched timestamp service layer
 //! - [`ts_replica`] — quorum-replicated register backend over a fault-injecting modelled network
 //! - [`ts_apps`] — consumers: FCFS locks, k-exclusion, renaming
 //! - [`ts_workloads`] — workload scenario engine with latency histograms

@@ -7,9 +7,8 @@
 //!   triples) — the service's cross-client guarantee is exactly this
 //!   order, so its laws carry the whole relaxation;
 //! - a client session's stamps are *strictly increasing* under any
-//!   interleaving of single issues, batches, combining passes and shard
-//!   migrations — per-client monotonicity is the other half of the
-//!   guarantee;
+//!   interleaving of single issues, batches and shard migrations —
+//!   per-client monotonicity is the other half of the guarantee;
 //! - serde round-trips are *byte-stable*: deserialize ∘ serialize is
 //!   identity on values **and** serialize ∘ deserialize is identity on
 //!   bytes, so recorded bench rows and replay corpora can be diffed
@@ -63,13 +62,12 @@ proptest! {
 
     /// Per-client monotonicity survives any action sequence: every
     /// issued stamp strictly exceeds the session's previous one, across
-    /// batches, combining passes and shard migrations, on every shard
-    /// shape.
+    /// batches and shard migrations, on every shard shape.
     #[test]
     fn session_stamps_increase_under_any_action_sequence(
         shards in 1usize..5,
         slots in 1usize..3,
-        seed_actions in proptest::collection::vec((0u8..4, 1u32..18, 0usize..8), 1..40),
+        seed_actions in proptest::collection::vec((0u8..3, 1u32..18, 0usize..8), 1..40),
     ) {
         let service = ShardedCollectMax::new(ServiceConfig::new(shards, slots));
         let mut session = service.session();
@@ -83,7 +81,6 @@ proptest! {
                     prop_assert_eq!(b.len() as u32, k);
                     (b.first_stamp(), b.last_stamp())
                 }
-                2 => { let t = session.get_ts_combined(); (t, t) }
                 _ => { session.migrate(raw_shard % shards); continue }
             };
             issued += u64::from(if kind == 1 { k } else { 1 });
