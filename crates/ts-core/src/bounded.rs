@@ -25,7 +25,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ts_register::{RegisterArray, SpaceMeter};
+use ts_register::{reclaim, RegisterArray, SpaceMeter};
 use ts_snapshot::double_collect_scan;
 
 use crate::error::GetTsError;
@@ -338,10 +338,11 @@ impl BoundedTimestamp {
         }
     }
 
-    /// Reads register `R[j]` (paper's 1-based indexing).
-    fn read(&self, j: usize) -> Slot {
+    /// Applies `f` to register `R[j]` in place (paper's 1-based
+    /// indexing): one metered read, no clone of the slot.
+    fn read_with<R>(&self, j: usize, f: impl FnOnce(&Slot) -> R) -> R {
         self.regs
-            .read(j - 1)
+            .read_with(j - 1, f)
             .expect("paper register index within the array")
     }
 
@@ -377,16 +378,28 @@ impl BoundedTimestamp {
 
     fn get_ts_inner(&self, id: GetTsId) -> Timestamp {
         let m = self.m;
+        // One epoch pin for the whole call: the register accesses below
+        // pin again, but a nested pin only bumps a thread-local count.
+        let _pin = reclaim::pin();
 
-        // Lines 1–4: find the non-⊥ prefix, recording it in r[1..myrnd].
-        let mut r: Vec<Slot> = vec![Slot::Bot; m + 1]; // r[1..=m]
+        // Lines 1–4: find the non-⊥ prefix R[1..myrnd]. Of the values
+        // r[1..myrnd] the paper records, only r[myrnd].seq is used again
+        // (line 7), so each probe copies out just its register's seq and
+        // the last copy stands.
+        let mut seq: Vec<GetTsId> = Vec::with_capacity(m);
         let mut j = 1usize;
         loop {
-            let v = self.read(j);
-            if v.is_bot() {
+            let written = self.read_with(j, |v| match v {
+                Slot::Bot => false,
+                Slot::Val(v) => {
+                    seq.clear();
+                    seq.extend_from_slice(&v.seq);
+                    true
+                }
+            });
+            if !written {
                 break;
             }
-            r[j] = v;
             j += 1;
             assert!(
                 j <= m,
@@ -398,18 +411,18 @@ impl BoundedTimestamp {
         // Lines 5–12: look for the first valid register among R[1..myrnd-1].
         for j in 1..myrnd {
             // Line 6: has the next phase opened?
-            if !self.read(myrnd + 1).is_bot() {
+            if !self.read_with(myrnd + 1, Slot::is_bot) {
                 // Line 12.
                 self.accounting
                     .early_returns
                     .fetch_add(1, Ordering::Relaxed);
                 return Timestamp::new((myrnd + 1) as u64, 0);
             }
-            // Lines 7–11: one read of R[j] serves both the validity test
-            // and the staleness test.
-            let cur = self.read(j);
-            let expected = r[myrnd].seq_get(j);
-            if expected.is_some() && cur.last() == expected {
+            // Lines 7–11: one in-place read of R[j] serves both the
+            // validity test and the staleness test.
+            let (last, rnd) = self.read_with(j, |cur| (cur.last(), cur.rnd()));
+            let expected = seq.get(j - 1).copied(); // r[myrnd].seq[j]
+            if expected.is_some() && last == expected {
                 // Lines 8–9: R[j] is valid — invalidate it, take turn j.
                 self.write(j, Slot::val(vec![id], myrnd as u64), false);
                 self.accounting.turn_returns.fetch_add(1, Ordering::Relaxed);
@@ -419,7 +432,7 @@ impl BoundedTimestamp {
                 OverwritePolicy::Paper => {
                     // Line 10: only a write from an *older* phase can
                     // spuriously re-validate later; pin it down.
-                    cur.rnd().is_some_and(|rnd| rnd < myrnd as u64)
+                    rnd.is_some_and(|rnd| rnd < myrnd as u64)
                 }
                 OverwritePolicy::Always => true,
                 OverwritePolicy::Never => false,
@@ -546,6 +559,26 @@ mod tests {
             Timestamp::new(4, 3),
         ];
         assert_eq!(got.as_slice(), expected.as_slice());
+    }
+
+    #[test]
+    fn sequential_walkthrough_register_traffic_is_pinned() {
+        // The exact per-register access counts of the walkthrough above:
+        // a change to which registers Algorithm 4 reads or writes, or how
+        // often, moves them.
+        let ts = BoundedTimestamp::with_budget(10);
+        for k in 0..10u32 {
+            ts.get_ts_with_id(GetTsId::new(k, 0)).unwrap();
+        }
+        let snap = ts.meter().snapshot();
+        assert_eq!(snap.reads, vec![22, 17, 15, 15, 13, 4, 4]);
+        assert_eq!(snap.writes, vec![4, 3, 2, 1, 0, 0, 0]);
+        let stats = ts.phase_stats();
+        assert_eq!(stats.phases, 4);
+        assert_eq!(stats.scans, 4);
+        assert_eq!(stats.turn_returns, 6);
+        assert_eq!(stats.total_writes, 10);
+        assert_eq!(stats.registers_written, 4);
     }
 
     #[test]

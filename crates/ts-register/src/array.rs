@@ -502,6 +502,20 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
         Ok(self.registers.get(index).read_stamped())
     }
 
+    /// Applies `f` to the value of register `index` in place, without
+    /// cloning it out. One register read for metering purposes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CapacityError`] if `index` is out of range.
+    pub fn read_with<R>(&self, index: usize, f: impl FnOnce(&T) -> R) -> Result<R, CapacityError> {
+        self.check(index)?;
+        if let Some(meter) = &self.meter {
+            meter.record_read(index);
+        }
+        Ok(self.registers.get(index).read_with(f))
+    }
+
     /// Reads just the write stamp of register `index` — the cheapest
     /// change probe a backend offers (no value clone on the epoch
     /// backend). One register read for metering purposes.
@@ -883,6 +897,30 @@ mod tests {
         let snap = meter.snapshot();
         assert_eq!(snap.total_writes(), 1);
         assert_eq!(snap.total_reads(), 1);
+    }
+
+    #[test]
+    fn read_with_reads_in_place_and_meters_one_read_on_both_backends() {
+        fn run<B: RegisterBackend<u32>>() {
+            let meter = SpaceMeter::new(3);
+            let array: RegisterArray<u32, B> =
+                RegisterArray::with_backend_and_meter(3, 0, meter.clone());
+            array.write(1, 7).unwrap();
+            let read = array.read(1).unwrap();
+            let before = meter.snapshot();
+            assert_eq!(array.read_with(1, |v| *v), Ok(read));
+            let after = meter.snapshot();
+            let mut reads = before.reads.clone();
+            reads[1] += 1;
+            assert_eq!(after.reads, reads, "exactly one read of index 1");
+            assert_eq!(after.writes, before.writes);
+
+            let err = array.read_with(3, |v| *v).unwrap_err();
+            assert_eq!((err.index, err.capacity), (3, 3));
+            assert_eq!(meter.snapshot(), after, "out of range meters nothing");
+        }
+        run::<EpochBackend>();
+        run::<PackedBackend>();
     }
 
     #[test]

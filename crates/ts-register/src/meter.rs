@@ -8,16 +8,25 @@
 //! experiment tables of EXPERIMENTS.md report against the paper's bounds.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::pad::CachePadded;
 use crate::traits::Register;
 
-#[derive(Debug, Default)]
-struct Counters {
-    reads: AtomicU64,
-    writes: AtomicU64,
+/// Stripes of read counters. A thread adds its reads to one stripe, so
+/// readers of the same register on different threads bump different
+/// lines unless more than this many threads share a meter.
+const READ_STRIPES: usize = 8;
+
+/// Read counters per padded chunk: 16 × 8 bytes fill one 128-byte line.
+const LANES: usize = 16;
+
+/// Hands each thread its read stripe, round-robin in first-use order.
+static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % READ_STRIPES;
 }
 
 /// Shared recorder of per-register read/write counts.
@@ -26,10 +35,15 @@ struct Counters {
 /// via [`SpaceMeter::wrap`] or record manually with
 /// [`SpaceMeter::record_read`] / [`SpaceMeter::record_write`].
 ///
-/// Each register's counters sit on a cache line of their own, so the
-/// owner of a single-writer register meters its writes without touching
-/// a line any other writer touches. A collect records one *sweep*
-/// ([`SpaceMeter::record_sweep`]) instead of one read per register.
+/// Each register's write counter sits on a cache line of its own, so
+/// the owner of a single-writer register meters its writes without
+/// touching a line any other writer touches. Read counters are striped
+/// per thread instead: a thread bumps its own stripe's counter for the
+/// register, sixteen registers to a padded line, and
+/// [`snapshot`](SpaceMeter::snapshot) sums the stripes, so concurrent
+/// readers of one register meter their reads on different lines. A
+/// collect records one *sweep* ([`SpaceMeter::record_sweep`]) instead
+/// of one read per register. Every count is exact.
 ///
 /// # Example
 ///
@@ -50,18 +64,37 @@ pub struct SpaceMeter {
 }
 
 struct Inner {
-    counters: Box<[CachePadded<Counters>]>,
+    /// Per-register write counters, one line each.
+    writes: Box<[CachePadded<AtomicU64>]>,
+    /// `READ_STRIPES` stripes of `chunks` chunks each: register `i`'s
+    /// count in stripe `s` is lane `i % LANES` of chunk
+    /// `s * chunks + i / LANES`.
+    reads: Box<[CachePadded<[AtomicU64; LANES]>]>,
+    /// Chunks per stripe, `ceil(capacity / LANES)`.
+    chunks: usize,
     /// Reads of *every* register, one per collect: snapshots add this
     /// to each register's own read count.
     sweeps: CachePadded<AtomicU64>,
 }
 
+impl Inner {
+    /// Register `index`'s read counter in stripe `stripe`.
+    fn read_counter(&self, stripe: usize, index: usize) -> &AtomicU64 {
+        &self.reads[stripe * self.chunks + index / LANES][index % LANES]
+    }
+}
+
 impl SpaceMeter {
     /// Creates a meter for an array of `capacity` registers.
     pub fn new(capacity: usize) -> Self {
+        let chunks = capacity.div_ceil(LANES);
         Self {
             inner: Arc::new(Inner {
-                counters: (0..capacity).map(|_| CachePadded::default()).collect(),
+                writes: (0..capacity).map(|_| CachePadded::default()).collect(),
+                reads: (0..READ_STRIPES * chunks)
+                    .map(|_| CachePadded::default())
+                    .collect(),
+                chunks,
                 sweeps: CachePadded::default(),
             }),
         }
@@ -69,17 +102,25 @@ impl SpaceMeter {
 
     /// Number of registers the meter observes.
     pub fn capacity(&self) -> usize {
-        self.inner.counters.len()
+        self.inner.writes.len()
     }
 
-    /// Records a read of register `index`.
+    /// Records a read of register `index` in the calling thread's
+    /// stripe.
     ///
     /// # Panics
     ///
     /// Panics if `index >= capacity`.
     pub fn record_read(&self, index: usize) {
-        self.inner.counters[index]
-            .reads
+        assert!(
+            index < self.capacity(),
+            "register index {index} out of meter capacity {}",
+            self.capacity()
+        );
+        // A thread whose locals are already torn down shares stripe 0.
+        let stripe = STRIPE.try_with(|s| *s).unwrap_or(0);
+        self.inner
+            .read_counter(stripe, index)
             .fetch_add(1, Ordering::Relaxed);
     }
 
@@ -96,9 +137,7 @@ impl SpaceMeter {
     ///
     /// Panics if `index >= capacity`.
     pub fn record_write(&self, index: usize) {
-        self.inner.counters[index]
-            .writes
-            .fetch_add(1, Ordering::Relaxed);
+        self.inner.writes[index].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Wraps `register` so that all operations on it are recorded under
@@ -122,19 +161,21 @@ impl SpaceMeter {
     /// execution has quiesced (which is how the experiment harness uses
     /// it).
     pub fn snapshot(&self) -> MeterSnapshot {
-        let sweeps = self.inner.sweeps.load(Ordering::Relaxed);
+        let inner = &*self.inner;
+        let sweeps = inner.sweeps.load(Ordering::Relaxed);
         MeterSnapshot {
-            reads: self
-                .inner
-                .counters
-                .iter()
-                .map(|c| c.reads.load(Ordering::Relaxed) + sweeps)
+            reads: (0..self.capacity())
+                .map(|i| {
+                    (0..READ_STRIPES)
+                        .map(|s| inner.read_counter(s, i).load(Ordering::Relaxed))
+                        .sum::<u64>()
+                        + sweeps
+                })
                 .collect(),
-            writes: self
-                .inner
-                .counters
+            writes: inner
+                .writes
                 .iter()
-                .map(|c| c.writes.load(Ordering::Relaxed))
+                .map(|w| w.load(Ordering::Relaxed))
                 .collect(),
         }
     }
@@ -267,6 +308,56 @@ mod tests {
         assert_eq!(snap.reads, vec![1, 1, 2]);
         assert_eq!(snap.registers_accessed(), 3);
         assert_eq!(snap.registers_written(), 0);
+    }
+
+    #[test]
+    fn striped_reads_count_exactly_when_threads_share_stripes() {
+        // More threads than stripes, so some threads share a stripe;
+        // 20 registers span two chunks per stripe.
+        let threads = 12;
+        assert!(threads > READ_STRIPES);
+        let meter = SpaceMeter::new(20);
+        meter.record_write(3);
+        meter.record_write(17);
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(|| {
+                    for _ in 0..10_000 {
+                        meter.record_read(3);
+                    }
+                });
+            }
+        });
+        meter.record_sweep();
+        let snap = meter.snapshot();
+        assert_eq!(snap.reads[3], 120_001);
+        for (i, &reads) in snap.reads.iter().enumerate() {
+            if i != 3 {
+                assert_eq!(reads, 1, "register {i}");
+            }
+        }
+        let mut writes = vec![0; 20];
+        writes[3] = 1;
+        writes[17] = 1;
+        assert_eq!(snap.writes, writes);
+    }
+
+    #[test]
+    fn reads_past_the_first_chunk_land_on_their_own_register() {
+        let meter = SpaceMeter::new(33);
+        meter.record_read(16);
+        meter.record_read(32);
+        meter.record_read(32);
+        let snap = meter.snapshot();
+        assert_eq!(snap.total_reads(), 3);
+        assert_eq!((snap.reads[16], snap.reads[32]), (1, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of meter capacity")]
+    fn reading_past_capacity_panics_inside_the_last_chunk() {
+        // Index 3 exists in the padded chunk but not in the array.
+        SpaceMeter::new(3).record_read(3);
     }
 
     #[test]

@@ -7,11 +7,24 @@
 //! and leaving mid-run, as in the `ts-workloads` churn scenarios) a
 //! supervisor should periodically call [`flush`] so orphaned bags are
 //! adopted and freed promptly instead of waiting for the next incidental
-//! pin.
+//! pin. [`pin`] lets a multi-access operation pay for one pin instead
+//! of one per access.
 //!
 //! These functions are no-ops in effect for purely packed-backend
 //! workloads (nothing is ever deferred there), so callers can invoke
 //! them unconditionally.
+
+/// Pins the calling thread in the epoch backend until the guard drops.
+///
+/// Every epoch-register access pins for its own duration; that pin
+/// costs a `SeqCst` fence and, every 64 pins, a reclamation pass. A
+/// caller making several accesses in a row can hold one guard across
+/// them: the nested pins inside those accesses then only bump a
+/// thread-local count. Holding the guard delays reclamation of cells
+/// retired meanwhile, so hold it for one operation, not for a loop.
+pub fn pin() -> crossbeam_epoch::Guard {
+    crossbeam_epoch::pin()
+}
 
 /// Seals the calling thread's garbage bag, attempts one epoch advance,
 /// and reclaims everything already two epochs behind — including bags
@@ -97,6 +110,16 @@ mod tests {
             "drain left {after} cells outstanding (baseline {baseline}): \
              our 500 deferred cells were not reclaimed"
         );
+    }
+
+    #[test]
+    fn accesses_under_a_held_pin_read_their_own_writes() {
+        let reg = AtomicRegister::new(0u64);
+        let _pin = super::pin();
+        for i in 1..=100 {
+            reg.write(i);
+            assert_eq!(reg.read_with(|v| *v), i);
+        }
     }
 
     #[test]
