@@ -165,14 +165,22 @@ impl<B: RegisterBackend<u64>> ShardedCollectMax<B> {
     }
 
     /// Issues `k` stamps on `shard` above `floor` (a packed word, `0`
-    /// for none): leases a slot, reserves with one CAS, publishes the
-    /// top to the leased register. Sessions call this; it is the
+    /// for none): leases a slot (trying `slot_hint` first, and leaving
+    /// it at the slot leased), reserves with one CAS, publishes the top
+    /// to the leased register. Sessions call this; it is the
     /// single-stamp path too (`k == 1`).
-    pub(crate) fn issue_batch(&self, shard: usize, floor: u64, k: u32) -> ShardBatch {
+    pub(crate) fn issue_batch(
+        &self,
+        shard: usize,
+        slot_hint: &mut usize,
+        floor: u64,
+        k: u32,
+    ) -> ShardBatch {
         assert!(k >= 1, "batch size must be at least 1");
         let sh = &self.shards[shard];
-        let lease = sh.pool.lease();
+        let lease = sh.pool.lease(*slot_hint);
         let slot = lease.slot();
+        *slot_hint = slot;
         let res = sh.get_batch(slot, floor, u64::from(k));
         sh.counters.add(slot, CALLS, 1);
         if res.fast {

@@ -12,7 +12,9 @@ use crate::service::ShardedCollectMax;
 /// assigned shard, and the last stamp obtained. It owns no shared
 /// memory — physical register slots are leased from the shard's pool
 /// only while a call runs, which is how `M` sessions share
-/// `shards * slots_per_shard` registers.
+/// `shards * slots_per_shard` registers. The session remembers the slot
+/// it last leased and asks for it first, so a session that is not
+/// crowded out keeps one slot, its registers and its counter row.
 ///
 /// **Per-client monotonicity.** Every issuing method folds the floor
 /// into the shard's reservation word as it reserves, so each stamp
@@ -31,6 +33,9 @@ pub struct ClientSession<'a, B: RegisterBackend<u64> = PackedBackend> {
     service: &'a ShardedCollectMax<B>,
     vpid: u32,
     shard: usize,
+    /// Slot to try first on the next lease: the slot last leased,
+    /// initially `vpid / shards` (the session's rank on its shard).
+    slot_hint: usize,
     last: Option<ShardedTimestamp>,
 }
 
@@ -40,6 +45,7 @@ impl<'a, B: RegisterBackend<u64>> ClientSession<'a, B> {
             service,
             vpid,
             shard,
+            slot_hint: vpid as usize / service.shards(),
             last: None,
         }
     }
@@ -81,9 +87,7 @@ impl<'a, B: RegisterBackend<u64>> ClientSession<'a, B> {
     /// Issues one stamp (one slot lease + one CAS + one register
     /// write), strictly above the session's floor.
     pub fn get_ts(&mut self) -> ShardedTimestamp {
-        let batch = self.service.issue_batch(self.shard, self.floor(), 1);
-        self.advance_floor(&batch);
-        batch.first_stamp()
+        self.get_ts_batch(1).first_stamp()
     }
 
     /// Reserves `k` consecutive stamps with one CAS. The whole batch is
@@ -95,15 +99,19 @@ impl<'a, B: RegisterBackend<u64>> ClientSession<'a, B> {
     ///
     /// Panics if `k == 0`.
     pub fn get_ts_batch(&mut self, k: u32) -> ShardBatch {
-        let batch = self.service.issue_batch(self.shard, self.floor(), k);
+        let floor = self.floor();
+        let batch = self
+            .service
+            .issue_batch(self.shard, &mut self.slot_hint, floor, k);
         self.advance_floor(&batch);
-        batch.clone()
+        batch
     }
 
     /// Moves the session to `shard`. The floor travels with the
     /// session: the next issue folds it into the new shard's word, so
     /// monotonicity holds across the migration even when the new shard
-    /// is far behind the old one.
+    /// is far behind the old one. The slot hint stays too; the new
+    /// shard's pool reduces it to its own slot range.
     ///
     /// # Panics
     ///

@@ -1,6 +1,7 @@
 //! Concurrency stress for the `ts-service` layer.
 //!
-//! Three hammers, each aimed at a different uniqueness argument:
+//! Three hammers, each aimed at a different uniqueness argument, plus
+//! two checks of the slot lease:
 //!
 //! - **Batch reservations**: N threads issue mixed-size batches on both
 //!   register backends; every stamp ever issued must be globally unique
@@ -13,8 +14,13 @@
 //!   sessions over `n = 8` physical slots through the churn scenario;
 //!   the per-worker monotonicity asserts inside the engine check the
 //!   timestamp property while sessions outnumber registers 8:1.
+//! - **Lease hand-off**: 8 sessions share 2 slots while an observer
+//!   polls the published maximum; a holder that missed its
+//!   predecessor's register writes could regress a slot's pair.
+//! - **Slot affinity**: uncrowded sessions keep the slot they leased.
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
 use timestamp_suite::ts_core::{EpochBackend, PackedBackend, RegisterBackend, ShardedTimestamp};
@@ -172,4 +178,55 @@ fn sixty_four_clients_multiplex_over_eight_slots() {
         stats.stamps,
         "every stamp is accounted to a shard"
     );
+}
+
+/// A slot changes hands under contention and each new holder's publish
+/// reads, compares and writes the pair its predecessor left: the lease
+/// hand-off must make those writes visible, or the published maximum
+/// could go backwards. Every request is still issued exactly once.
+#[test]
+fn lease_hand_off_keeps_the_published_max_monotone() {
+    let service = ShardedCollectMax::new(ServiceConfig::new(1, 2));
+    let per_thread = 2_000;
+    let stop = AtomicBool::new(false);
+    let polls = std::thread::scope(|s| {
+        let observer = s.spawn(|| {
+            let (mut prev, mut polls) = (None, 0u64);
+            while !stop.load(Ordering::Acquire) {
+                let now = service.read_max();
+                assert!(now >= prev, "published max fell: {prev:?} -> {now:?}");
+                prev = now;
+                polls += 1;
+            }
+            polls
+        });
+        let all = hammer(&service, per_thread, |session, _| vec![session.get_ts()]);
+        stop.store(true, Ordering::Release);
+        assert_eq!(all.len(), THREADS * per_thread);
+        observer.join().expect("observer panicked")
+    });
+    assert!(polls > 0, "observer never polled");
+    let stats = service.stats();
+    assert_eq!(stats.stamps, (THREADS * per_thread) as u64);
+    assert_eq!(stats.calls, (THREADS * per_thread) as u64);
+}
+
+/// Two sessions on one shard of two slots keep one slot each: session
+/// `i` starts on slot `i` and, uncrowded, is never moved off it.
+#[test]
+fn alternating_sessions_keep_their_own_slots() {
+    let service = ShardedCollectMax::new(ServiceConfig::new(1, 2));
+    let mut a = service.session();
+    let mut b = service.session();
+    for _ in 0..10 {
+        a.get_ts();
+        b.get_ts();
+    }
+    // Meter indexes: `slot` for a local register, `2 + slot` for its
+    // epoch partner. Every publish reads the epoch, then (same epoch)
+    // the local, and writes only the local.
+    let snapshot = service.meter(0).snapshot();
+    assert_eq!(snapshot.writes, [10, 10, 0, 0]);
+    assert_eq!(snapshot.reads, [10, 10, 10, 10]);
+    assert_eq!(service.stats().lease_waits, 0);
 }
