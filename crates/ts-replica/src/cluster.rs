@@ -24,11 +24,18 @@
 //!
 //! # Determinism
 //!
-//! All nondeterminism lives in the router's seeded
-//! [`FaultPlan`] plus the thread schedule.
-//! Single-threaded clients over a seeded plan replay **bit-identically**
-//! (see `delivery_log`); multi-threaded runs stay linearizable but not
-//! schedule-stable, exactly like the shared-memory objects upstream.
+//! Every client owns its message queue, its op counter and its
+//! counter stripes, and every fault decision is hashed from the
+//! message's identity (see [`net`](crate::net)). So a client's network
+//! schedule — which of its messages are lost, duplicated, delayed, and
+//! the order its queue delivers them — depends only on the router's
+//! seeded [`FaultPlan`] and that client's own program. A client whose
+//! registers no one else touches replays **bit-identically** (see
+//! `client_delivery_log`), alone or next to other busy clients. What
+//! other threads add is the *contents* of replies on shared registers
+//! and the timing of crashes, partitions and wipes; such runs stay
+//! linearizable but not schedule-stable, exactly like the shared-memory
+//! objects upstream.
 //!
 //! # Ambient wiring
 //!
@@ -44,14 +51,15 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ts_core::workload::VpidAllocator;
-use ts_core::{ServiceStats, Timestamp};
+use ts_core::{CachePadded, ServiceStats, Timestamp};
 
-use crate::net::{FaultPlan, NetStats, Pumped, Router};
+use crate::net::{mix, FaultPlan, NetStats, Pumped, Router};
 use crate::proto::{Message, MsgKind, WriteStamp};
 use crate::replica::Replica;
+use crate::table::SegTable;
 
 /// Default per-operation deadline, in client-local steps (see
 /// [`ClusterConfig::deadline`]). Generous: a healthy or lossy-but-live
@@ -161,17 +169,16 @@ impl std::fmt::Display for Unavailable {
 
 impl std::error::Error for Unavailable {}
 
-/// SplitMix64-flavored hash: deterministic backoff jitter from
-/// `(plan seed, client, op, attempt)` — no RNG state to carry, no wall
-/// clock, bit-identical on replay.
-fn mix(seed: u64, a: u64, b: u64, c: u64) -> u64 {
-    let mut z = seed
-        ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ b.wrapping_mul(0xBF58_476D_1CE4_E5B9)
-        ^ c.wrapping_mul(0x94D0_49BB_1331_11EB);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// One client's quorum counters; the [`Cluster`] getters sum them.
+#[derive(Debug, Default)]
+struct QuorumStripe {
+    rounds: AtomicU64,
+    repairs: AtomicU64,
+    retries: AtomicU64,
+    timeouts: AtomicU64,
+    backoffs: AtomicU64,
+    degraded: AtomicU64,
+    unavailable: AtomicU64,
 }
 
 thread_local! {
@@ -216,18 +223,9 @@ pub struct Cluster {
     replicas: Vec<Replica>,
     router: Router,
     next_reg: AtomicU32,
-    next_op: AtomicU64,
     client_vpids: VpidAllocator,
-    /// Reply mailboxes keyed by client id, filled by whichever thread
-    /// pumps a client-bound delivery.
-    mailboxes: Mutex<HashMap<u32, Vec<Message>>>,
-    rounds: AtomicU64,
-    repairs: AtomicU64,
-    retries: AtomicU64,
-    timeouts: AtomicU64,
-    backoffs: AtomicU64,
-    degraded: AtomicU64,
-    unavailable: AtomicU64,
+    /// Per-client quorum counters, indexed by `client - CLIENT_BASE`.
+    stripes: SegTable<CachePadded<QuorumStripe>>,
     crashes: AtomicU64,
     restarts: AtomicU64,
     resynced_regs: AtomicU64,
@@ -255,22 +253,19 @@ impl std::fmt::Debug for Cluster {
 impl Cluster {
     /// Builds a cluster of `2f + 1` replicas running `config.plan`.
     pub fn new(config: ClusterConfig) -> Arc<Self> {
+        assert!(
+            config.replicas() <= u64::BITS as usize,
+            "at most {} replicas",
+            u64::BITS
+        );
         Arc::new(Self {
             uid: NEXT_CLUSTER_UID.fetch_add(1, Ordering::Relaxed),
             config,
             replicas: (0..config.replicas() as u32).map(Replica::new).collect(),
             router: Router::new(config.plan),
             next_reg: AtomicU32::new(0),
-            next_op: AtomicU64::new(0),
             client_vpids: VpidAllocator::new(),
-            mailboxes: Mutex::new(HashMap::new()),
-            rounds: AtomicU64::new(0),
-            repairs: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            backoffs: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            unavailable: AtomicU64::new(0),
+            stripes: SegTable::new(),
             crashes: AtomicU64::new(0),
             restarts: AtomicU64::new(0),
             resynced_regs: AtomicU64::new(0),
@@ -314,40 +309,52 @@ impl Cluster {
         self.router.stats()
     }
 
+    fn stripe(&self, client: u32) -> &QuorumStripe {
+        self.stripes
+            .get_or_init((client - Message::CLIENT_BASE) as usize)
+    }
+
+    fn sum(&self, field: impl Fn(&QuorumStripe) -> &AtomicU64) -> u64 {
+        self.stripes
+            .iter()
+            .map(|s| field(s).load(Ordering::Relaxed))
+            .sum()
+    }
+
     /// Quorum round-trips performed (one per completed phase).
     pub fn quorum_rounds(&self) -> u64 {
-        self.rounds.load(Ordering::Relaxed)
+        self.sum(|s| &s.rounds)
     }
 
     /// Read-repair write-backs performed.
     pub fn quorum_repairs(&self) -> u64 {
-        self.repairs.load(Ordering::Relaxed)
+        self.sum(|s| &s.repairs)
     }
 
     /// Client retransmission attempts (fault pressure).
     pub fn quorum_retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
+        self.sum(|s| &s.retries)
     }
 
     /// Operations that exhausted their step deadline.
     pub fn quorum_timeouts(&self) -> u64 {
-        self.timeouts.load(Ordering::Relaxed)
+        self.sum(|s| &s.timeouts)
     }
 
     /// Backoff steps spent waiting between retransmissions.
     pub fn quorum_backoff_steps(&self) -> u64 {
-        self.backoffs.load(Ordering::Relaxed)
+        self.sum(|s| &s.backoffs)
     }
 
     /// Operations that completed, but only after retrying (service was
     /// degraded, not down, from that client's perspective).
     pub fn quorum_degraded(&self) -> u64 {
-        self.degraded.load(Ordering::Relaxed)
+        self.sum(|s| &s.degraded)
     }
 
     /// Operations that returned [`Unavailable`].
     pub fn quorum_unavailable(&self) -> u64 {
-        self.unavailable.load(Ordering::Relaxed)
+        self.sum(|s| &s.unavailable)
     }
 
     /// Replica crashes injected.
@@ -458,7 +465,9 @@ impl Cluster {
     /// register, read the stored `(stamp, word)` of **all live other
     /// replicas**, take the stamp-maximum, and install it into the
     /// healing replica through the ordinary `Write` handler (so the
-    /// monotonic-stamp assert stays armed).
+    /// monotonic-stamp assert stays armed). The writes are sent as
+    /// [`Message::CONTROLLER`], so a thread that only restarts replicas
+    /// never becomes a client.
     ///
     /// Soundness (the wiped case — the retained case only gains): with
     /// at most `f` replicas down in total (the healing one included),
@@ -488,8 +497,8 @@ impl Cluster {
             if stamp > mine {
                 healing.handle(&Message {
                     kind: MsgKind::Write,
-                    op: self.next_op.fetch_add(1, Ordering::Relaxed),
-                    from: self.client_id(),
+                    op: Message::CONTROL_OP,
+                    from: Message::CONTROLLER,
                     to: id,
                     reg,
                     seq: stamp.seq,
@@ -548,9 +557,11 @@ impl Cluster {
     /// Fallible ABD read: quorum-maximum `(stamp, word)` with
     /// read-repair, or [`Unavailable`] once the step deadline expires.
     pub fn try_abd_read(&self, reg: u32) -> Result<(WriteStamp, u64), Unavailable> {
-        self.rounds.fetch_add(1, Ordering::Relaxed);
+        let client = self.client_id();
+        let stripe = self.stripe(client);
+        stripe.rounds.fetch_add(1, Ordering::Relaxed);
         let need = self.quorum();
-        let replies = self.quorum_rpc(need, "read", reg, |op, from, to| Message {
+        let replies = self.quorum_rpc(client, need, "read", reg, |op, from, to| Message {
             kind: MsgKind::ReadQuery,
             op,
             from,
@@ -570,8 +581,8 @@ impl Cluster {
             // Read-repair: the replies diverged, so the maximum may be
             // durable on fewer than f + 1 replicas. Write it back
             // before returning or a later read could go backwards.
-            self.repairs.fetch_add(1, Ordering::Relaxed);
-            self.try_write_back(reg, stamp, word)?;
+            stripe.repairs.fetch_add(1, Ordering::Relaxed);
+            self.try_write_back(client, reg, stamp, word)?;
         }
         Ok((stamp, word))
     }
@@ -584,9 +595,10 @@ impl Cluster {
     /// still surface it), exactly like a timed-out write in any
     /// quorum system.
     pub fn try_abd_write(&self, reg: u32, word: u64) -> Result<WriteStamp, Unavailable> {
-        self.rounds.fetch_add(1, Ordering::Relaxed);
+        let client = self.client_id();
+        self.stripe(client).rounds.fetch_add(1, Ordering::Relaxed);
         let need = self.quorum();
-        let replies = self.quorum_rpc(need, "write", reg, |op, from, to| Message {
+        let replies = self.quorum_rpc(client, need, "write", reg, |op, from, to| Message {
             kind: MsgKind::ReadQuery,
             op,
             from,
@@ -602,17 +614,23 @@ impl Cluster {
             .map(|m| m.stamp())
             .max()
             .expect("quorum_rpc returns a full quorum");
-        let stamp = max.next(self.client_id());
-        self.try_write_back(reg, stamp, word)?;
+        let stamp = max.next(client);
+        self.try_write_back(client, reg, stamp, word)?;
         Ok(stamp)
     }
 
     /// One quorum write phase: install `(stamp, word)` on `f + 1`
     /// replicas and wait for all acks.
-    fn try_write_back(&self, reg: u32, stamp: WriteStamp, word: u64) -> Result<(), Unavailable> {
-        self.rounds.fetch_add(1, Ordering::Relaxed);
+    fn try_write_back(
+        &self,
+        client: u32,
+        reg: u32,
+        stamp: WriteStamp,
+        word: u64,
+    ) -> Result<(), Unavailable> {
+        self.stripe(client).rounds.fetch_add(1, Ordering::Relaxed);
         let need = self.quorum();
-        let acks = self.quorum_rpc(need, "write-back", reg, |op, from, to| Message {
+        let acks = self.quorum_rpc(client, need, "write-back", reg, |op, from, to| Message {
             kind: MsgKind::Write,
             op,
             from,
@@ -629,31 +647,33 @@ impl Cluster {
 
     /// Sends one request per target replica and collects `need`
     /// replies from distinct replicas, retransmitting (with a fresh op
-    /// id and a widened target set) whenever the network runs dry.
+    /// id and a widened target set) whenever the client's own queue
+    /// runs dry.
     ///
     /// Every probe, pump, and backoff tick is one **client-local
     /// step**; the phase fails with [`Unavailable`] once the step
     /// count crosses [`ClusterConfig::deadline`]. Between attempts the
     /// client waits out a seeded exponential backoff
     /// (`2^min(attempt, CAP)` steps plus deterministic jitter hashed
-    /// from `(plan seed, client, op, attempt)`) — the waiting ticks
-    /// keep pumping the router, so a backed-off client still moves
-    /// other clients' traffic instead of stalling the network.
+    /// from `(plan seed, client, op, attempt)`). The waiting ticks pump
+    /// only this client's queue, so its late duplicates drain; other
+    /// clients never depend on it to move their traffic.
     fn quorum_rpc(
         &self,
+        client: u32,
         need: usize,
         phase: &'static str,
         reg: u32,
         build: impl Fn(u64, u32, u32) -> Message,
     ) -> Result<Vec<Message>, Unavailable> {
-        let client = self.client_id();
+        let stripe = self.stripe(client);
         let n = self.replicas.len();
         debug_assert!(need <= n);
         let deadline = self.config.deadline;
         let mut attempt = 0u64;
         let mut steps = 0u64;
         loop {
-            let op = self.next_op.fetch_add(1, Ordering::Relaxed);
+            let op = self.router.next_op(client);
             // Snapshot the wipe epoch before the first probe of this
             // attempt; re-checked after the last reply.
             let epoch = self.wipe_epoch.load(Ordering::Acquire);
@@ -678,7 +698,7 @@ impl Cluster {
                 for i in 0..width {
                     let to = ((start + i) % n) as u32;
                     steps += 1;
-                    self.router.send(build(op, client, to));
+                    self.router.send(build(op, client, to), 0);
                 }
                 self.collect_replies(client, op, need, &mut replies, &mut steps);
             }
@@ -696,15 +716,15 @@ impl Cluster {
             // the loop either way.
             if replies.len() == need && self.wipe_epoch.load(Ordering::Acquire) == epoch {
                 if attempt > 0 {
-                    self.degraded.fetch_add(1, Ordering::Relaxed);
+                    stripe.degraded.fetch_add(1, Ordering::Relaxed);
                 }
                 return Ok(replies);
             }
             attempt += 1;
-            self.retries.fetch_add(1, Ordering::Relaxed);
+            stripe.retries.fetch_add(1, Ordering::Relaxed);
             if steps >= deadline {
-                self.timeouts.fetch_add(1, Ordering::Relaxed);
-                self.unavailable.fetch_add(1, Ordering::Relaxed);
+                stripe.timeouts.fetch_add(1, Ordering::Relaxed);
+                stripe.unavailable.fetch_add(1, Ordering::Relaxed);
                 return Err(Unavailable {
                     reg,
                     op: phase,
@@ -721,12 +741,16 @@ impl Cluster {
             let base = 1u64 << attempt.min(BACKOFF_CAP);
             let jitter = mix(self.config.plan.seed, client as u64, op, attempt) % base;
             let wait = (base + jitter).min(deadline.saturating_sub(steps));
+            steps += wait;
+            stripe.backoffs.fetch_add(wait, Ordering::Relaxed);
             for _ in 0..wait {
-                steps += 1;
-                self.backoffs.fetch_add(1, Ordering::Relaxed);
-                // Waiting ticks pump the router (Idle is cheap when
-                // the network is empty).
-                self.pump_dispatch();
+                // Late replies to the failed attempt land in its
+                // `replies` and are dropped with it.
+                match self.router.pump(client) {
+                    Pumped::Deliver(msg, copy) => self.deliver(msg, copy, op, &mut replies),
+                    Pumped::Discarded => {}
+                    Pumped::Idle => break,
+                }
             }
             std::thread::yield_now();
         }
@@ -736,9 +760,7 @@ impl Cluster {
     /// (no queue), honoring partitions, crashes and the step hook.
     /// Returns `None` when either endpoint is isolated or crashed.
     fn interact_direct(&self, msg: Message) -> Option<Message> {
-        if !(self.router.no_partition_fast() && self.router.no_crash_fast())
-            && (self.router.is_blocked(msg.from) || self.router.is_blocked(msg.to))
-        {
+        if self.router.is_blocked(msg.from) || self.router.is_blocked(msg.to) {
             return None;
         }
         self.router.fire_hook(&msg);
@@ -747,33 +769,21 @@ impl Cluster {
         Some(reply)
     }
 
-    /// Pumps the router once and dispatches the delivery:
-    /// replica-bound requests are handled inline (the reply re-enters
-    /// the network), client-bound replies land in the owner's mailbox.
-    /// Returns `true` when the network was idle.
-    fn pump_dispatch(&self) -> bool {
-        match self.router.pump() {
-            Pumped::Deliver(msg) => {
-                if msg.to < Message::CLIENT_BASE {
-                    let reply = self.replicas[msg.to as usize].handle(&msg);
-                    self.router.send(reply);
-                } else {
-                    self.mailboxes
-                        .lock()
-                        .expect("mailbox lock")
-                        .entry(msg.to)
-                        .or_default()
-                        .push(msg);
-                }
-                false
-            }
-            Pumped::Discarded => false,
-            Pumped::Idle => true,
+    /// Hands one delivered message on: a request is handled inline by
+    /// its replica and the reply re-enters the client's queue; a reply
+    /// to `op` from a replica not yet counted joins `replies` (stale
+    /// and duplicate replies are dropped).
+    fn deliver(&self, msg: Message, copy: u8, op: u64, replies: &mut Vec<Message>) {
+        if msg.to < Message::CLIENT_BASE {
+            let reply = self.replicas[msg.to as usize].handle(&msg);
+            self.router.send(reply, copy);
+        } else if msg.op == op && !replies.iter().any(|r| r.from == msg.from) {
+            replies.push(msg);
         }
     }
 
-    /// Pumps the router until `need` distinct replicas answered `op`,
-    /// or the network runs dry (returns `false`: time to retransmit).
+    /// Pumps `client`'s queue until `need` distinct replicas answered
+    /// `op`, or the queue runs dry (time to retransmit).
     fn collect_replies(
         &self,
         client: u32,
@@ -781,35 +791,13 @@ impl Cluster {
         need: usize,
         replies: &mut Vec<Message>,
         steps: &mut u64,
-    ) -> bool {
-        loop {
-            self.drain_mailbox(client, op, replies);
-            if replies.len() >= need {
-                return true;
-            }
+    ) {
+        while replies.len() < need {
             *steps += 1;
-            if self.pump_dispatch() {
-                // Another pumping thread may have deposited our
-                // replies between the drain and the pump.
-                self.drain_mailbox(client, op, replies);
-                return replies.len() >= need;
-            }
-        }
-    }
-
-    /// Moves this client's current-op replies out of its mailbox,
-    /// deduplicating by replica and dropping stale-op leftovers.
-    fn drain_mailbox(&self, client: u32, op: u64, replies: &mut Vec<Message>) {
-        let drained = {
-            let mut boxes = self.mailboxes.lock().expect("mailbox lock");
-            match boxes.get_mut(&client) {
-                Some(inbox) if !inbox.is_empty() => std::mem::take(inbox),
-                _ => return,
-            }
-        };
-        for msg in drained {
-            if msg.op == op && !replies.iter().any(|r| r.from == msg.from) {
-                replies.push(msg);
+            match self.router.pump(client) {
+                Pumped::Deliver(msg, copy) => self.deliver(msg, copy, op, replies),
+                Pumped::Discarded => {}
+                Pumped::Idle => return,
             }
         }
     }
@@ -819,10 +807,11 @@ impl Cluster {
     /// Reads replica `replica`'s word for `reg` — one protocol step,
     /// delivered synchronously (the step hook still fires).
     pub(crate) fn replica_fetch(&self, replica: u32, reg: u32) -> u64 {
+        let client = self.client_id();
         let msg = Message {
             kind: MsgKind::ReadQuery,
-            op: self.next_op.fetch_add(1, Ordering::Relaxed),
-            from: self.client_id(),
+            op: self.router.next_op(client),
+            from: client,
             to: replica,
             reg,
             seq: 0,
@@ -840,10 +829,11 @@ impl Cluster {
     /// one protocol step. Returns the word held before (equality with
     /// `expected` means it landed).
     pub(crate) fn replica_install(&self, replica: u32, reg: u32, expected: u64, new: u64) -> u64 {
+        let client = self.client_id();
         let msg = Message {
             kind: MsgKind::Install,
-            op: self.next_op.fetch_add(1, Ordering::Relaxed),
-            from: self.client_id(),
+            op: self.router.next_op(client),
+            from: client,
             to: replica,
             reg,
             seq: new as u32,
@@ -1188,6 +1178,26 @@ mod tests {
         cluster.crash(holder);
         cluster.restart(holder, RestartMode::Retain);
         assert_eq!(cluster.replica(holder as usize).stored(reg).1, 7);
+    }
+
+    #[test]
+    fn a_restart_only_controller_mints_no_client() {
+        let cluster = Cluster::new(ClusterConfig::new(1));
+        let reg = cluster.alloc_register(0);
+        cluster.abd_write(reg, 5);
+        assert_eq!(cluster.client_vpids.issued(), 1);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                cluster.crash(2);
+                cluster.restart(2, RestartMode::Wipe);
+            });
+        });
+        assert_eq!(cluster.replica(2).stored(reg).1, 5, "resync ran");
+        assert_eq!(
+            cluster.client_vpids.issued(),
+            1,
+            "the controller is no client"
+        );
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! | module | what lives there |
 //! |---|---|
 //! | [`proto`] | [`WriteStamp`] `(seq, writer)` pairs, the flat [`Message`] envelope |
-//! | [`net`] | [`Router`]: seeded [`FaultPlan`] knobs, partitions, the per-delivery step hook |
-//! | [`replica`] | [`Replica`]: per-register `(stamp, word)` slots, handlers, the armed monotonicity invariant |
+//! | [`net`] | [`Router`]: per-client queues, hashed [`FaultPlan`] knobs, partitions, the per-delivery step hook |
+//! | [`replica`] | [`Replica`]: one locked `(stamp, word)` cell per register, handlers, the armed monotonicity invariant |
 //! | [`cluster`] | [`Cluster`]: ABD reads/writes, retransmission, [`with_cluster`] scoping; [`QuorumTs`], the message-step timestamp object |
 //! | [`backend`] | [`QuorumBackend`] / [`QuorumRegister`]: the [`RegisterBackend`](ts_register::RegisterBackend) seam |
 //! | [`model`] | [`QuorumModel`] / [`QuorumMachine`]: the model twin (one register per replica, one step per message) |
@@ -60,6 +60,7 @@ pub mod model;
 pub mod net;
 pub mod proto;
 pub mod replica;
+mod table;
 pub mod workload;
 
 pub use backend::{QuorumBackend, QuorumRegister};

@@ -1,24 +1,35 @@
-//! The modelled network: a seeded, fault-injecting in-process router.
+//! The modelled network: a seeded, fault-injecting in-process router
+//! with one message queue per client.
 //!
 //! Every message between quorum clients and replicas flows through one
 //! [`Router`] (the in-process reproduction of `dist-register`'s
 //! `network/modelled.rs`). The router is *thread-free*: it owns no
-//! event loop. Clients push sends and then **pump** — each pump
-//! delivers exactly one in-flight message, chosen by the seeded fault
-//! plan — so delivery order is a deterministic function of the seed
-//! and the pump sequence. Replica handlers run inline on the pumping
-//! thread.
+//! event loop. A client's requests and the replies to them travel in
+//! that **client's own queue**: the client pushes its sends and then
+//! **pumps** its queue, each pump delivering exactly one of its own
+//! in-flight messages. Replica handlers run inline on the pumping
+//! thread. No client ever pumps, locks or waits on another client's
+//! queue, so one client's traffic cannot stall or reorder another's.
 //!
 //! # Fault knobs ([`FaultPlan`])
 //!
 //! | knob | effect |
 //! |---|---|
-//! | `seed` | SplitMix64 stream deciding every probabilistic choice |
-//! | `drop_permille` | per-message loss probability (‰), rolled at send |
+//! | `seed` | hashed into every probabilistic decision below |
+//! | `drop_permille` | per-message loss probability (‰), decided at send |
 //! | `dup_permille` | per-message duplication probability (‰) |
 //! | `delay_max` | extra delivery ticks, uniform in `0..=delay_max` |
 //! | `reorder` | deliver a random eligible message instead of FIFO |
 //! | `record_log` | keep the delivered-message log for diffing |
+//!
+//! No RNG state is kept. Each decision hashes the message's identity:
+//! the plan seed, the client, the client's op id, the replica endpoint,
+//! the direction (request or reply) and which copy it is (duplicates
+//! and the replies to them are distinct copies). The reorder pick
+//! hashes the client's own pump tick instead. So a client's network
+//! schedule — what is lost, duplicated, delayed, and the order its
+//! queue delivers in — is a function of the seed and that client's own
+//! sends, whatever other clients do meanwhile.
 //!
 //! Partitions are dynamic (not part of the plan):
 //! [`Router::partition`] isolates a replica set — traffic to or from
@@ -30,32 +41,52 @@
 //! counted separately in [`NetStats::crash_discarded`]) and
 //! [`Router::restore_endpoint`] brings it back. State loss and resync
 //! on rejoin live one layer up, in
-//! [`Cluster::restart`](crate::Cluster::restart).
+//! [`Cluster::restart`](crate::Cluster::restart). Both sets are atomic
+//! bitmasks over replica ids, read without a lock.
 //!
 //! # The step hook
 //!
 //! [`Router::set_step_hook`] installs a callback invoked **before
-//! every message delivery**, outside the router lock. Pointing it at
+//! every message delivery**, outside any queue lock. Pointing it at
 //! [`StepGate::pause`](ts_core::workload::StepGate::pause) puts each
 //! delivery under controller pacing — the same barrier protocol that
 //! replays memory-access schedules — so message interleavings become
 //! steppable and replayable exactly like register accesses.
 
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ts_register::CachePadded;
 
 use crate::proto::Message;
+use crate::table::SegTable;
+
+/// SplitMix64-flavored hash of `(seed, a, b, c)`: the fault knobs'
+/// decisions and the cluster's backoff jitter come from it — no RNG
+/// state to carry, no wall clock, bit-identical on replay.
+pub(crate) fn mix(seed: u64, a: u64, b: u64, c: u64) -> u64 {
+    let mut z = seed
+        ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ b.wrapping_mul(0xBF58_476D_1CE4_E5B9)
+        ^ c.wrapping_mul(0x94D0_49BB_1331_11EB);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Per-knob salts, so the drop, duplicate, delay and reorder decisions
+/// of one message are independent draws.
+const SALT_DROP: u64 = 0xD809;
+const SALT_DUP: u64 = 0xD0B1;
+const SALT_DELAY: u64 = 0xDE1A;
+const SALT_REORDER: u64 = 0x0DE5;
 
 /// The seeded fault schedule of a [`Router`]. See the module docs for
 /// the knob table. [`FaultPlan::default`] is the fault-free plan:
 /// FIFO, lossless, undelayed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Seed of the SplitMix64 stream behind every probabilistic knob.
+    /// Seed hashed into every probabilistic decision.
     pub seed: u64,
     /// Per-message drop probability in permille (0..=1000).
     pub drop_permille: u16,
@@ -95,7 +126,7 @@ impl FaultPlan {
 pub struct NetStats {
     /// Messages accepted into flight.
     pub sent: u64,
-    /// Messages delivered to a handler or mailbox.
+    /// Messages delivered to a handler or to their client.
     pub delivered: u64,
     /// Messages lost to the drop knob at send time.
     pub dropped: u64,
@@ -114,62 +145,100 @@ pub struct NetStats {
     pub crash_discarded: u64,
 }
 
+impl NetStats {
+    fn add(&mut self, o: &NetStats) {
+        self.sent += o.sent;
+        self.delivered += o.delivered;
+        self.dropped += o.dropped;
+        self.duplicated += o.duplicated;
+        self.partitioned += o.partitioned;
+        self.delayed += o.delayed;
+        self.reordered += o.reordered;
+        self.crash_discarded += o.crash_discarded;
+    }
+}
+
 #[derive(Debug)]
 struct Flight {
     deliver_at: u64,
     id: u64,
+    /// Which copy this is: bit 0 tells the duplicate knob's twins
+    /// apart, the bits above are the copy of the request a reply
+    /// answers.
+    copy: u8,
     msg: Message,
 }
 
-#[derive(Debug)]
-struct RouterState {
+/// One client's queue, clock, stats stripe and delivery log.
+#[derive(Debug, Default)]
+struct Queue {
     now: u64,
     next_id: u64,
     in_flight: Vec<Flight>,
-    rng: StdRng,
-    isolated: HashSet<u32>,
-    crashed: HashSet<u32>,
     stats: NetStats,
     log: Vec<Message>,
+}
+
+/// One client's network state. Only the owning client's thread sends
+/// into or pumps its queue; other threads only read its stripe.
+#[derive(Debug, Default)]
+struct ClientNet {
+    queue: Mutex<Queue>,
+    next_op: AtomicU64,
 }
 
 /// What one pump produced: a message for a handler, silence, or proof
 /// that nothing is in flight (time to retransmit).
 #[derive(Debug)]
 pub(crate) enum Pumped {
-    /// The message to hand to its destination's handler.
-    Deliver(Message),
-    /// A message existed but was discarded (partitioned endpoint);
-    /// the pump still made progress.
+    /// The message to hand to its destination, and which copy it is
+    /// (a reply passes it on to [`Router::send`]).
+    Deliver(Message, u8),
+    /// A message existed but was discarded (partitioned or crashed
+    /// endpoint); the pump still made progress.
     Discarded,
-    /// Nothing in flight at all.
+    /// Nothing of this client's is in flight.
     Idle,
 }
 
 /// Per-delivery callback type (see the module docs on the step hook).
 pub type StepHook = Box<dyn Fn(&Message) + Send + Sync>;
 
+/// The bit of `node` in the crashed/isolated masks (clients have none).
+fn bit(node: u32) -> u64 {
+    if node < u64::BITS {
+        1 << node
+    } else {
+        0
+    }
+}
+
+/// The node ids set in `mask`, ascending.
+fn ids(mask: u64) -> Vec<u32> {
+    (0..u64::BITS).filter(|&i| mask & (1 << i) != 0).collect()
+}
+
 /// The seeded fault-injecting message router. One per
 /// [`Cluster`](crate::Cluster); see the module docs.
 pub struct Router {
     plan: FaultPlan,
-    state: Mutex<RouterState>,
+    /// Crashed and isolated replica ids, one bit each.
+    crashed: AtomicU64,
+    isolated: AtomicU64,
     hook: Mutex<Option<StepHook>>,
-    // Lock-free mirrors for the fault-free direct path: whether a hook
-    // is installed, and how many replicas are isolated or crashed.
     hook_armed: AtomicBool,
-    isolated_count: AtomicUsize,
-    crashed_count: AtomicUsize,
+    /// Per-client network state, indexed by `client - CLIENT_BASE`.
+    clients: SegTable<CachePadded<ClientNet>>,
 }
 
 impl std::fmt::Debug for Router {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.state.lock().expect("router lock");
         f.debug_struct("Router")
             .field("plan", &self.plan)
-            .field("in_flight", &state.in_flight.len())
-            .field("isolated", &state.isolated)
-            .field("stats", &state.stats)
+            .field("in_flight", &self.in_flight())
+            .field("isolated", &self.isolated())
+            .field("crashed", &self.crashed())
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -179,26 +248,33 @@ impl Router {
     pub fn new(plan: FaultPlan) -> Self {
         Self {
             plan,
-            state: Mutex::new(RouterState {
-                now: 0,
-                next_id: 0,
-                in_flight: Vec::new(),
-                rng: StdRng::seed_from_u64(plan.seed),
-                isolated: HashSet::new(),
-                crashed: HashSet::new(),
-                stats: NetStats::default(),
-                log: Vec::new(),
-            }),
+            crashed: AtomicU64::new(0),
+            isolated: AtomicU64::new(0),
             hook: Mutex::new(None),
             hook_armed: AtomicBool::new(false),
-            isolated_count: AtomicUsize::new(0),
-            crashed_count: AtomicUsize::new(0),
+            clients: SegTable::new(),
         }
     }
 
     /// The plan this router runs.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
+    }
+
+    fn client(&self, client: u32) -> &ClientNet {
+        let vpid = client
+            .checked_sub(Message::CLIENT_BASE)
+            .unwrap_or_else(|| panic!("node {client} is not a client"));
+        self.clients.get_or_init(vpid as usize)
+    }
+
+    fn queue(&self, client: u32) -> std::sync::MutexGuard<'_, Queue> {
+        self.client(client).queue.lock().expect("client queue lock")
+    }
+
+    /// Mints `client`'s next op id (op ids are per client).
+    pub(crate) fn next_op(&self, client: u32) -> u64 {
+        self.client(client).next_op.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Installs (or clears) the per-delivery step hook.
@@ -220,25 +296,21 @@ impl Router {
     /// Isolates `replicas`: messages to or from them are discarded at
     /// delivery time until [`Router::heal`].
     pub fn partition(&self, replicas: &[u32]) {
-        let mut state = self.state.lock().expect("router lock");
-        state.isolated.extend(replicas.iter().copied());
-        self.isolated_count
-            .store(state.isolated.len(), Ordering::Release);
+        let mask = replicas.iter().fold(0, |m, &r| {
+            assert!(r < u64::BITS, "replica id {r} out of range");
+            m | bit(r)
+        });
+        self.isolated.fetch_or(mask, Ordering::AcqRel);
     }
 
     /// Reconnects every isolated replica.
     pub fn heal(&self) {
-        let mut state = self.state.lock().expect("router lock");
-        state.isolated.clear();
-        self.isolated_count.store(0, Ordering::Release);
+        self.isolated.store(0, Ordering::Release);
     }
 
     /// Reconnects one replica.
     pub fn heal_one(&self, replica: u32) {
-        let mut state = self.state.lock().expect("router lock");
-        state.isolated.remove(&replica);
-        self.isolated_count
-            .store(state.isolated.len(), Ordering::Release);
+        self.isolated.fetch_and(!bit(replica), Ordering::AcqRel);
     }
 
     /// Marks `replica` crashed: all its traffic (both directions) is
@@ -247,206 +319,198 @@ impl Router {
     /// may be lost — that part is the cluster's business; the router
     /// only models unreachability.
     pub fn crash_endpoint(&self, replica: u32) {
-        let mut state = self.state.lock().expect("router lock");
-        state.crashed.insert(replica);
-        self.crashed_count
-            .store(state.crashed.len(), Ordering::Release);
+        assert!(replica < u64::BITS, "replica id {replica} out of range");
+        self.crashed.fetch_or(bit(replica), Ordering::AcqRel);
     }
 
     /// Brings a crashed replica back onto the network.
     pub fn restore_endpoint(&self, replica: u32) {
-        let mut state = self.state.lock().expect("router lock");
-        state.crashed.remove(&replica);
-        self.crashed_count
-            .store(state.crashed.len(), Ordering::Release);
+        self.crashed.fetch_and(!bit(replica), Ordering::AcqRel);
     }
 
-    /// Whether `replica` is currently crashed (takes the lock).
+    /// Whether `replica` is currently crashed.
     pub fn is_crashed(&self, replica: u32) -> bool {
-        self.state
-            .lock()
-            .expect("router lock")
-            .crashed
-            .contains(&replica)
+        self.crashed.load(Ordering::Acquire) & bit(replica) != 0
     }
 
     /// The currently crashed replica ids (sorted).
     pub fn crashed(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self
-            .state
-            .lock()
-            .expect("router lock")
-            .crashed
-            .iter()
-            .copied()
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Lock-free "no partition right now" probe for the direct path.
-    pub(crate) fn no_partition_fast(&self) -> bool {
-        self.isolated_count.load(Ordering::Acquire) == 0
-    }
-
-    /// Lock-free "no crashed replica right now" probe for the direct
-    /// path.
-    pub(crate) fn no_crash_fast(&self) -> bool {
-        self.crashed_count.load(Ordering::Acquire) == 0
+        ids(self.crashed.load(Ordering::Acquire))
     }
 
     /// Whether `node` is currently unreachable — isolated by a
-    /// partition or crashed (takes the lock).
+    /// partition or crashed.
     pub(crate) fn is_blocked(&self, node: u32) -> bool {
-        let state = self.state.lock().expect("router lock");
-        state.isolated.contains(&node) || state.crashed.contains(&node)
+        (self.isolated.load(Ordering::Acquire) | self.crashed.load(Ordering::Acquire)) & bit(node)
+            != 0
     }
 
     /// The currently isolated replica ids (sorted).
     pub fn isolated(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self
-            .state
-            .lock()
-            .expect("router lock")
-            .isolated
-            .iter()
-            .copied()
-            .collect();
-        v.sort_unstable();
-        v
+        ids(self.isolated.load(Ordering::Acquire))
     }
 
     /// Whether any replica is currently isolated.
     pub fn has_partition(&self) -> bool {
-        !self.state.lock().expect("router lock").isolated.is_empty()
+        self.isolated.load(Ordering::Acquire) != 0
     }
 
-    /// Snapshot of the router's counters.
+    /// The router's counters: the sum of every client's stripe.
     pub fn stats(&self) -> NetStats {
-        self.state.lock().expect("router lock").stats
+        let mut total = NetStats::default();
+        for c in self.clients.iter() {
+            total.add(&c.queue.lock().expect("client queue lock").stats);
+        }
+        total
+    }
+
+    /// Messages currently in flight, over every client's queue.
+    pub fn in_flight(&self) -> usize {
+        self.clients
+            .iter()
+            .map(|c| c.queue.lock().expect("client queue lock").in_flight.len())
+            .sum()
     }
 
     /// The delivered-message log (empty unless
-    /// [`FaultPlan::record_log`] is set). Serializing this and diffing
-    /// across runs is the seeded-schedule reproducibility check.
+    /// [`FaultPlan::record_log`] is set): every client's log, in
+    /// client-id order. Serializing this and diffing across runs is
+    /// the seeded-schedule reproducibility check.
     pub fn delivery_log(&self) -> Vec<Message> {
-        self.state.lock().expect("router lock").log.clone()
+        self.clients
+            .iter()
+            .flat_map(|c| c.queue.lock().expect("client queue lock").log.clone())
+            .collect()
     }
 
-    /// Accepts `msg` into flight, rolling the drop / duplicate / delay
-    /// knobs.
-    pub(crate) fn send(&self, msg: Message) {
-        let mut state = self.state.lock().expect("router lock");
-        state.stats.sent += 1;
-        if self.plan.drop_permille > 0 {
-            let p = u64::from(self.plan.drop_permille);
-            if state.rng.random_range(0u64..1000) < p {
-                state.stats.dropped += 1;
-                return;
-            }
-        }
-        let copies = if self.plan.dup_permille > 0 {
-            let p = u64::from(self.plan.dup_permille);
-            if state.rng.random_range(0u64..1000) < p {
-                state.stats.duplicated += 1;
-                2
-            } else {
-                1
-            }
+    /// The messages `client`'s queue delivered, in order (empty unless
+    /// [`FaultPlan::record_log`] is set).
+    pub fn client_delivery_log(&self, client: u32) -> Vec<Message> {
+        self.queue(client).log.clone()
+    }
+
+    /// Accepts `msg` into its client's queue, deciding the drop /
+    /// duplicate / delay knobs from the message's identity. `copy` is
+    /// the copy of the request a reply answers (0 for requests).
+    pub(crate) fn send(&self, msg: Message, copy: u8) {
+        let reply = msg.to >= Message::CLIENT_BASE;
+        let (client, endpoint) = if reply {
+            (msg.to, msg.from)
         } else {
-            1
+            (msg.from, msg.to)
         };
-        for _ in 0..copies {
-            let delay = if self.plan.delay_max > 0 {
-                state
-                    .rng
-                    .random_range(0u64..u64::from(self.plan.delay_max) + 1)
+        let plan = &self.plan;
+        let roll = |salt: u64, copy: u8| {
+            let key = (u64::from(endpoint) << 16) | (u64::from(reply) << 8) | u64::from(copy);
+            mix(plan.seed ^ salt, u64::from(client), msg.op, key)
+        };
+        let dropped =
+            plan.drop_permille > 0 && roll(SALT_DROP, copy) % 1000 < u64::from(plan.drop_permille);
+        let dup = !dropped
+            && plan.dup_permille > 0
+            && roll(SALT_DUP, copy) % 1000 < u64::from(plan.dup_permille);
+        let mut q = self.queue(client);
+        q.stats.sent += 1;
+        if dropped {
+            q.stats.dropped += 1;
+            return;
+        }
+        if dup {
+            q.stats.duplicated += 1;
+        }
+        for twin in 0..=u8::from(dup) {
+            let copy = (copy << 1) | twin;
+            let delay = if plan.delay_max > 0 {
+                roll(SALT_DELAY, copy) % (u64::from(plan.delay_max) + 1)
             } else {
                 0
             };
             if delay > 0 {
-                state.stats.delayed += 1;
+                q.stats.delayed += 1;
             }
             let flight = Flight {
-                deliver_at: state.now + 1 + delay,
-                id: state.next_id,
+                deliver_at: q.now + 1 + delay,
+                id: q.next_id,
+                copy,
                 msg,
             };
-            state.next_id += 1;
-            state.in_flight.push(flight);
+            q.next_id += 1;
+            q.in_flight.push(flight);
         }
     }
 
-    /// Advances time and takes the next message to deliver, applying
-    /// partitions. Fires the step hook (outside the lock) for messages
-    /// that will reach a handler.
-    pub(crate) fn pump(&self) -> Pumped {
-        let taken = {
-            let mut state = self.state.lock().expect("router lock");
-            if state.in_flight.is_empty() {
+    /// Advances `client`'s clock and takes the next message from its
+    /// queue, applying partitions and crashes. Fires the step hook
+    /// (outside the queue lock) for messages that will be delivered.
+    pub(crate) fn pump(&self, client: u32) -> Pumped {
+        let (msg, copy) = {
+            let mut guard = self.queue(client);
+            let q = &mut *guard;
+            if q.in_flight.is_empty() {
                 return Pumped::Idle;
             }
-            state.now += 1;
-            let now = state.now;
-            let eligible: Vec<usize> = state
-                .in_flight
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| f.deliver_at <= now)
-                .map(|(i, _)| i)
-                .collect();
-            let chosen = if eligible.is_empty() {
-                // Jump time to the earliest arrival instead of spinning.
-                let (idx, at) = state
-                    .in_flight
-                    .iter()
-                    .enumerate()
-                    .map(|(i, f)| (i, f.deliver_at))
-                    .min_by_key(|&(i, at)| (at, state.in_flight[i].id))
-                    .expect("non-empty in_flight");
-                state.now = at;
-                idx
-            } else if self.plan.reorder && eligible.len() > 1 {
-                let pick = state.rng.random_range(0usize..eligible.len());
-                let fifo = *eligible
-                    .iter()
-                    .min_by_key(|&&i| {
-                        let f = &state.in_flight[i];
-                        (f.deliver_at, f.id)
-                    })
-                    .expect("non-empty eligible");
-                if eligible[pick] != fifo {
-                    state.stats.reordered += 1;
+            q.now += 1;
+            let now = q.now;
+            // One pass: the FIFO (oldest eligible) pick, the eligible
+            // count, and the earliest arrival overall.
+            let key = |f: &Flight| (f.deliver_at, f.id);
+            let mut fifo: Option<usize> = None;
+            let mut eligible = 0usize;
+            let mut earliest = 0usize;
+            for (i, f) in q.in_flight.iter().enumerate() {
+                if key(f) < key(&q.in_flight[earliest]) {
+                    earliest = i;
                 }
-                eligible[pick]
-            } else {
-                *eligible
-                    .iter()
-                    .min_by_key(|&&i| {
-                        let f = &state.in_flight[i];
-                        (f.deliver_at, f.id)
-                    })
-                    .expect("non-empty eligible")
+                if f.deliver_at <= now {
+                    eligible += 1;
+                    if fifo.is_none_or(|j| key(f) < key(&q.in_flight[j])) {
+                        fifo = Some(i);
+                    }
+                }
+            }
+            let chosen = match fifo {
+                None => {
+                    // Jump time to the earliest arrival instead of
+                    // spinning.
+                    q.now = q.in_flight[earliest].deliver_at;
+                    earliest
+                }
+                Some(fifo) if self.plan.reorder && eligible > 1 => {
+                    let pick = mix(self.plan.seed ^ SALT_REORDER, u64::from(client), now, 0)
+                        % eligible as u64;
+                    let picked = q
+                        .in_flight
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, f)| f.deliver_at <= now)
+                        .nth(pick as usize)
+                        .map(|(i, _)| i)
+                        .expect("pick < eligible");
+                    if picked != fifo {
+                        q.stats.reordered += 1;
+                    }
+                    picked
+                }
+                Some(fifo) => fifo,
             };
-            let flight = state.in_flight.swap_remove(chosen);
-            if state.crashed.contains(&flight.msg.from) || state.crashed.contains(&flight.msg.to) {
-                state.stats.crash_discarded += 1;
+            let flight = q.in_flight.swap_remove(chosen);
+            let ends = bit(flight.msg.from) | bit(flight.msg.to);
+            if self.crashed.load(Ordering::Acquire) & ends != 0 {
+                q.stats.crash_discarded += 1;
                 return Pumped::Discarded;
             }
-            let blocked = state.isolated.contains(&flight.msg.from)
-                || state.isolated.contains(&flight.msg.to);
-            if blocked {
-                state.stats.partitioned += 1;
+            if self.isolated.load(Ordering::Acquire) & ends != 0 {
+                q.stats.partitioned += 1;
                 return Pumped::Discarded;
             }
-            state.stats.delivered += 1;
+            q.stats.delivered += 1;
             if self.plan.record_log {
-                state.log.push(flight.msg);
+                q.log.push(flight.msg);
             }
-            flight.msg
+            (flight.msg, flight.copy)
         };
-        self.fire_hook(&taken);
-        Pumped::Deliver(taken)
+        self.fire_hook(&msg);
+        Pumped::Deliver(msg, copy)
     }
 }
 
@@ -472,8 +536,8 @@ mod tests {
     fn drain(router: &Router) -> Vec<u64> {
         let mut ops = Vec::new();
         loop {
-            match router.pump() {
-                Pumped::Deliver(m) => ops.push(m.op),
+            match router.pump(Message::CLIENT_BASE) {
+                Pumped::Deliver(m, _) => ops.push(m.op),
                 Pumped::Discarded => {}
                 Pumped::Idle => return ops,
             }
@@ -484,10 +548,28 @@ mod tests {
     fn fault_free_router_is_fifo() {
         let router = Router::new(FaultPlan::default());
         for op in 0..5 {
-            router.send(msg(op, 0));
+            router.send(msg(op, 0), 0);
         }
         assert_eq!(drain(&router), vec![0, 1, 2, 3, 4]);
         assert_eq!(router.stats().delivered, 5);
+    }
+
+    #[test]
+    fn client_queues_are_independent() {
+        let router = Router::new(FaultPlan::default());
+        let other = Message {
+            from: Message::CLIENT_BASE + 1,
+            ..msg(7, 0)
+        };
+        router.send(msg(0, 0), 0);
+        router.send(other, 0);
+        assert_eq!(drain(&router), vec![0], "a pump serves its own queue");
+        assert_eq!(router.in_flight(), 1, "the other client's message waits");
+        assert!(matches!(
+            router.pump(Message::CLIENT_BASE + 1),
+            Pumped::Deliver(m, 0) if m.op == 7
+        ));
+        assert_eq!(router.stats().delivered, 2, "stats sum the stripes");
     }
 
     #[test]
@@ -501,7 +583,7 @@ mod tests {
         let run = || {
             let router = Router::new(plan);
             for op in 0..20 {
-                router.send(msg(op, (op % 3) as u32));
+                router.send(msg(op, (op % 3) as u32), 0);
             }
             drain(&router)
         };
@@ -516,13 +598,13 @@ mod tests {
         let router = Router::new(FaultPlan::default());
         router.partition(&[1]);
         assert!(router.has_partition());
-        router.send(msg(0, 1));
-        router.send(msg(1, 0));
+        router.send(msg(0, 1), 0);
+        router.send(msg(1, 0), 0);
         assert_eq!(drain(&router), vec![1], "replica 1's traffic discarded");
         assert_eq!(router.stats().partitioned, 1);
         router.heal();
         assert!(!router.has_partition());
-        router.send(msg(2, 1));
+        router.send(msg(2, 1), 0);
         assert_eq!(drain(&router), vec![2]);
     }
 
@@ -535,7 +617,7 @@ mod tests {
         };
         let router = Router::new(plan);
         for op in 0..200 {
-            router.send(msg(op, 0));
+            router.send(msg(op, 0), 0);
         }
         let delivered = drain(&router).len() as u64;
         let stats = router.stats();
@@ -552,7 +634,7 @@ mod tests {
             ..FaultPlan::default()
         };
         let router = Router::new(plan);
-        router.send(msg(0, 0));
+        router.send(msg(0, 0), 0);
         assert_eq!(drain(&router), vec![0, 0]);
         assert_eq!(router.stats().duplicated, 1);
     }
@@ -563,15 +645,15 @@ mod tests {
         router.crash_endpoint(1);
         assert!(router.is_crashed(1));
         assert_eq!(router.crashed(), vec![1]);
-        assert!(!router.no_crash_fast());
-        router.send(msg(0, 1)); // to the crashed replica
-        router.send(msg(1, 0)); // unrelated traffic flows
+        assert!(router.is_blocked(1));
+        router.send(msg(0, 1), 0); // to the crashed replica
+        router.send(msg(1, 0), 0); // unrelated traffic flows
         assert_eq!(drain(&router), vec![1]);
         assert_eq!(router.stats().crash_discarded, 1);
         assert_eq!(router.stats().partitioned, 0, "crash is not a partition");
         router.restore_endpoint(1);
-        assert!(router.no_crash_fast());
-        router.send(msg(2, 1));
+        assert!(!router.is_blocked(1));
+        router.send(msg(2, 1), 0);
         assert_eq!(drain(&router), vec![2]);
     }
 
@@ -585,7 +667,7 @@ mod tests {
         };
         let router = Router::new(plan);
         for op in 0..50 {
-            router.send(msg(op, 0));
+            router.send(msg(op, 0), 0);
         }
         let delivered = drain(&router);
         assert_eq!(delivered.len(), 50);
@@ -606,7 +688,7 @@ mod tests {
             seen2.fetch_add(1, Ordering::SeqCst);
         })));
         for op in 0..3 {
-            router.send(msg(op, 0));
+            router.send(msg(op, 0), 0);
         }
         drain(&router);
         assert_eq!(seen.load(Ordering::SeqCst), 3);

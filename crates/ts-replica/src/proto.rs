@@ -124,6 +124,14 @@ impl Message {
     /// Node ids at or above this are clients; below are replicas.
     pub const CLIENT_BASE: u32 = 1 << 16;
 
+    /// Sender of the cluster's own handler calls (the rejoin resync
+    /// sweep). Above every client id, so such a call mints no client.
+    pub const CONTROLLER: u32 = u32::MAX;
+
+    /// Op id of [`Message::CONTROLLER`] calls; per-client op counters
+    /// never reach it.
+    pub const CONTROL_OP: u64 = u64::MAX;
+
     /// The stamp carried in `seq`/`writer`.
     pub fn stamp(&self) -> WriteStamp {
         WriteStamp {

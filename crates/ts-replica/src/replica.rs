@@ -1,44 +1,67 @@
-//! One quorum replica: per-register `(stamp, word)` storage plus the
+//! One quorum replica: one `(stamp, word)` cell per register plus the
 //! message handlers.
 //!
-//! A replica is passive — it owns no thread. Whoever pumps the router
-//! (or takes the fault-free direct path) applies `Replica::handle`
-//! inline under the replica's own lock. Handlers are pure state
-//! transitions: request in, reply out.
+//! A replica is passive — it owns no thread. Whoever pumps a client
+//! queue (or takes the fault-free direct path) applies
+//! `Replica::handle` inline, under the lock of the **one register
+//! cell** the message addresses: handlers on different registers never
+//! meet, and the cell is found by id in an append-only table without a
+//! lock or a shared refcount. Handlers are pure state transitions:
+//! request in, reply out.
 //!
 //! # The monotonic-register invariant
 //!
 //! The load-bearing safety property (the `MonotoneRegister` of
 //! `dist-register`, and the reason ABD read-repair is linearizable):
-//! **a replica's stored stamp for a register never decreases**. Every
-//! install re-checks it via debug-independent
-//! runtime assertions — not `debug_assert!` — so stress tests and
-//! fault schedules keep it armed in release builds too.
+//! **a replica's stored stamp for a register never decreases**. As in
+//! `dist-register`'s per-register `MonotonicRegisterInner`, the
+//! invariant lives on the cell itself: every handler step re-checks it
+//! via debug-independent runtime assertions — not `debug_assert!` — so
+//! stress tests and fault schedules keep it armed in release builds
+//! too.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
+
+use ts_register::CachePadded;
 
 use crate::proto::{Message, MsgKind, WriteStamp};
+use crate::table::SegTable;
 
-/// Per-register replica state: the highest-stamped write seen.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Slot {
-    pub(crate) stamp: WriteStamp,
-    pub(crate) word: u64,
+/// One register on one replica: the highest-stamped write seen, and
+/// the counts of the handler steps that advanced it or left it alone.
+#[derive(Debug, Default)]
+struct Cell {
+    stamp: WriteStamp,
+    word: u64,
+    /// Writes/installs that actually advanced the cell.
+    installs: u64,
+    /// Stale writes ignored (incoming stamp not above stored).
+    stale: u64,
+}
+
+impl Cell {
+    /// Lands `(stamp, word)` when `land` holds, counting the step as an
+    /// install or a stale write.
+    fn land_if(&mut self, land: bool, stamp: WriteStamp, word: u64) {
+        if land {
+            self.stamp = stamp;
+            self.word = word;
+            self.installs += 1;
+        } else {
+            self.stale += 1;
+        }
+    }
 }
 
 /// One of the cluster's `2f + 1` storage nodes.
 ///
-/// Holds a `(stamp, word)` slot per register and answers
+/// Holds a `(stamp, word)` cell per register and answers
 /// [`Message`]s; see the module docs for the handler semantics and the
 /// armed monotonicity invariant.
 pub struct Replica {
     id: u32,
-    slots: Mutex<Vec<Slot>>,
-    /// Writes/installs that actually advanced a slot.
-    installs: AtomicU64,
-    /// Stale writes ignored (incoming stamp not above stored).
-    stale: AtomicU64,
+    cells: SegTable<CachePadded<Mutex<Cell>>>,
     /// State wipes suffered (crash-with-state-loss restarts).
     wipes: AtomicU64,
 }
@@ -47,8 +70,7 @@ impl std::fmt::Debug for Replica {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Replica")
             .field("id", &self.id)
-            .field("registers", &self.slots.lock().expect("replica lock").len())
-            .field("installs", &self.installs.load(Ordering::Relaxed))
+            .field("installs", &self.installs())
             .finish()
     }
 }
@@ -58,9 +80,7 @@ impl Replica {
     pub(crate) fn new(id: u32) -> Self {
         Self {
             id,
-            slots: Mutex::new(Vec::new()),
-            installs: AtomicU64::new(0),
-            stale: AtomicU64::new(0),
+            cells: SegTable::new(),
             wipes: AtomicU64::new(0),
         }
     }
@@ -70,25 +90,35 @@ impl Replica {
         self.id
     }
 
+    fn cell(&self, reg: u32) -> MutexGuard<'_, Cell> {
+        self.cells
+            .get(reg as usize)
+            .unwrap_or_else(|| panic!("replica {}: no register {reg}", self.id))
+            .lock()
+            .expect("register cell lock")
+    }
+
+    fn sum(&self, count: impl Fn(&Cell) -> u64) -> u64 {
+        self.cells
+            .iter()
+            .map(|c| count(&c.lock().expect("register cell lock")))
+            .sum()
+    }
+
     /// Creates register `reg` seeded with `word` at
-    /// [`WriteStamp::INITIAL`], padding any gap with zeroed slots (a
-    /// concurrent allocator of a lower id will overwrite its own pad
-    /// before any traffic reaches it).
+    /// [`WriteStamp::INITIAL`]. Only this grows the cell table.
     pub(crate) fn init_register(&self, reg: u32, word: u64) {
-        let mut slots = self.slots.lock().expect("replica lock");
-        while slots.len() <= reg as usize {
-            slots.push(Slot {
-                stamp: WriteStamp::INITIAL,
-                word: 0,
-            });
-        }
-        slots[reg as usize] = Slot {
-            stamp: WriteStamp::INITIAL,
+        *self
+            .cells
+            .get_or_init(reg as usize)
+            .lock()
+            .expect("register cell lock") = Cell {
             word,
+            ..Cell::default()
         };
     }
 
-    /// Crash-with-state-loss: resets every slot to `(INITIAL, 0)`, as
+    /// Crash-with-state-loss: resets every cell to `(INITIAL, 0)`, as
     /// if the replica restarted from an empty disk.
     ///
     /// The monotonic-register invariant is **per incarnation**: it
@@ -99,12 +129,10 @@ impl Replica {
     /// through the ordinary `Write` handler — so the invariant stays
     /// armed while the replica catches back up.
     pub(crate) fn wipe(&self) {
-        let mut slots = self.slots.lock().expect("replica lock");
-        for slot in slots.iter_mut() {
-            *slot = Slot {
-                stamp: WriteStamp::INITIAL,
-                word: 0,
-            };
+        for cell in self.cells.iter() {
+            let mut cell = cell.lock().expect("register cell lock");
+            cell.stamp = WriteStamp::INITIAL;
+            cell.word = 0;
         }
         self.wipes.fetch_add(1, Ordering::Relaxed);
     }
@@ -117,19 +145,18 @@ impl Replica {
     /// The stored `(stamp, word)` for `reg` — durability probes in
     /// tests look here.
     pub fn stored(&self, reg: u32) -> (WriteStamp, u64) {
-        let slots = self.slots.lock().expect("replica lock");
-        let slot = slots[reg as usize];
-        (slot.stamp, slot.word)
+        let cell = self.cell(reg);
+        (cell.stamp, cell.word)
     }
 
-    /// Installs that advanced a slot (monotone steps taken).
+    /// Installs that advanced a cell (monotone steps taken).
     pub fn installs(&self) -> u64 {
-        self.installs.load(Ordering::Relaxed)
+        self.sum(|c| c.installs)
     }
 
-    /// Stale writes ignored without touching the slot.
+    /// Stale writes ignored without touching the cell.
     pub fn stale_writes(&self) -> u64 {
-        self.stale.load(Ordering::Relaxed)
+        self.sum(|c| c.stale)
     }
 
     /// Applies one request and returns the reply (addressed back to
@@ -137,15 +164,14 @@ impl Replica {
     /// never receive replies.
     pub(crate) fn handle(&self, msg: &Message) -> Message {
         debug_assert_eq!(msg.to, self.id, "misrouted message");
-        let mut slots = self.slots.lock().expect("replica lock");
-        let slot = &mut slots[msg.reg as usize];
-        let before = slot.stamp;
+        let mut cell = self.cell(msg.reg);
+        let before = cell.stamp;
         let reply = match msg.kind {
             MsgKind::ReadQuery => Message {
                 kind: MsgKind::ReadReply,
-                seq: slot.stamp.seq,
-                writer: slot.stamp.writer,
-                word: slot.word,
+                seq: cell.stamp.seq,
+                writer: cell.stamp.writer,
+                word: cell.word,
                 expected: 0,
                 ..reply_envelope(self.id, msg)
             },
@@ -153,17 +179,12 @@ impl Replica {
                 // Install iff strictly newer; always ack — a stale ack
                 // still means "my stamp is >= yours", which is all the
                 // writer needs for durability.
-                if msg.stamp() > slot.stamp {
-                    slot.stamp = msg.stamp();
-                    slot.word = msg.word;
-                    self.installs.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.stale.fetch_add(1, Ordering::Relaxed);
-                }
+                let newer = msg.stamp() > cell.stamp;
+                cell.land_if(newer, msg.stamp(), msg.word);
                 Message {
                     kind: MsgKind::WriteAck,
-                    seq: slot.stamp.seq,
-                    writer: slot.stamp.writer,
+                    seq: cell.stamp.seq,
+                    writer: cell.stamp.writer,
                     word: 0,
                     expected: 0,
                     ..reply_envelope(self.id, msg)
@@ -173,21 +194,16 @@ impl Replica {
                 // Conditional install (the QuorumTs CAS step): land the
                 // new word only if the stored word still equals
                 // `expected`; reply with the *prior* word either way.
-                let prior = slot.word;
-                if prior == msg.expected && msg.word > prior {
-                    slot.stamp = WriteStamp {
-                        seq: msg.seq,
-                        writer: msg.writer,
-                    };
-                    slot.word = msg.word;
-                    self.installs.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.stale.fetch_add(1, Ordering::Relaxed);
-                }
+                let prior = cell.word;
+                cell.land_if(
+                    prior == msg.expected && msg.word > prior,
+                    msg.stamp(),
+                    msg.word,
+                );
                 Message {
                     kind: MsgKind::InstallReply,
-                    seq: slot.stamp.seq,
-                    writer: slot.stamp.writer,
+                    seq: cell.stamp.seq,
+                    writer: cell.stamp.writer,
                     word: prior,
                     expected: 0,
                     ..reply_envelope(self.id, msg)
@@ -199,13 +215,13 @@ impl Replica {
         };
         // The armed invariant: no handler may regress a stored stamp.
         assert!(
-            slot.stamp >= before,
+            cell.stamp >= before,
             "monotonic-register invariant violated on replica {}: \
              register {} regressed {} -> {}",
             self.id,
             msg.reg,
             before,
-            slot.stamp,
+            cell.stamp,
         );
         reply
     }

@@ -14,7 +14,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use timestamp_suite::ts_core::{CollectMax, LongLivedTimestamp, Timestamp};
-use timestamp_suite::ts_replica::{with_cluster, Cluster, ClusterConfig, FaultPlan, QuorumBackend};
+use timestamp_suite::ts_replica::{
+    with_cluster, Cluster, ClusterConfig, FaultPlan, Message, QuorumBackend, WriteStamp,
+};
 
 /// Rotates single-replica partitions (always a minority for f >= 1)
 /// until `done` flips, healing between victims.
@@ -197,5 +199,144 @@ fn concurrent_register_storm_observes_monotone_stamps() {
     assert!(
         final_word >= OPS * WRITERS as u64,
         "final word {final_word} is stale"
+    );
+}
+
+/// Client A's scripted program: write-then-read rounds on its own
+/// register, yielding between rounds so a neighbour gets the CPU.
+fn scripted_client(cluster: &Cluster, reg: u32) {
+    for v in 1..=60u64 {
+        cluster.abd_write(reg, v);
+        assert_eq!(cluster.abd_read(reg).1, v, "read your own write");
+        std::thread::yield_now();
+    }
+}
+
+/// Runs client A's program on a fresh seeded lossy cluster, alone or
+/// while client B hammers a different register from another thread.
+/// Returns A's delivery log and the final replica states of A's
+/// register.
+fn client_a_run(with_neighbour: bool) -> (Vec<Message>, Vec<(WriteStamp, u64)>) {
+    let plan = FaultPlan {
+        seed: 0x0a11_a1de,
+        drop_permille: 80,
+        dup_permille: 40,
+        delay_max: 3,
+        reorder: true,
+        record_log: true,
+    };
+    let cluster = Cluster::new(ClusterConfig::new(1).with_plan(plan));
+    let (a_reg, b_reg) = (cluster.alloc_register(0), cluster.alloc_register(0));
+    let a_minted = std::sync::Barrier::new(2);
+    let (done, b_ops) = (AtomicBool::new(false), AtomicU64::new(0));
+    let a_client = std::thread::scope(|s| {
+        if with_neighbour {
+            s.spawn(|| {
+                // B starts only once A holds its client id, so A's id
+                // (part of every fault decision) is the same in both
+                // runs.
+                a_minted.wait();
+                let mut v = 0;
+                while !done.load(Ordering::Relaxed) {
+                    v += 1;
+                    cluster.abd_write(b_reg, v);
+                    cluster.abd_read(b_reg);
+                    b_ops.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+        let a = s.spawn(|| {
+            let me = cluster.client_id();
+            if with_neighbour {
+                a_minted.wait();
+                while b_ops.load(Ordering::Relaxed) < 10 {
+                    std::thread::yield_now();
+                }
+            }
+            let before = b_ops.load(Ordering::Relaxed);
+            scripted_client(&cluster, a_reg);
+            if with_neighbour {
+                assert!(
+                    b_ops.load(Ordering::Relaxed) > before,
+                    "B kept running while A ran"
+                );
+            }
+            me
+        });
+        let a_client = a.join().expect("client A");
+        done.store(true, Ordering::Relaxed);
+        a_client
+    });
+    assert_eq!(a_client, Message::CLIENT_BASE, "A is the first client");
+    let finals = (0..cluster.replicas())
+        .map(|r| cluster.replica(r).stored(a_reg))
+        .collect();
+    (cluster.router().client_delivery_log(a_client), finals)
+}
+
+/// Per-client queues and hashed fault decisions isolate clients: A's
+/// whole network schedule — every message its queue delivered, in
+/// order — and its register's final replica states are the same
+/// whether or not another client is busy on the same cluster.
+#[test]
+fn a_clients_schedule_is_independent_of_other_clients() {
+    let (log_alone, finals_alone) = client_a_run(false);
+    let (log_shared, finals_shared) = client_a_run(true);
+    assert!(!log_alone.is_empty(), "A's run sends messages");
+    assert_eq!(log_alone, log_shared, "B changed A's delivery log");
+    assert_eq!(finals_alone, finals_shared, "B changed A's replica states");
+}
+
+/// The per-client counter stripes sum to exact totals under
+/// concurrency: every round is counted once, and every message sent is
+/// accounted for as dropped, delivered, discarded or still in flight.
+#[test]
+fn quorum_and_network_counts_are_exact_under_concurrency() {
+    const THREADS: u64 = 4;
+    const OPS: u64 = 400;
+    let plan = FaultPlan {
+        seed: 0xc0_4e75,
+        drop_permille: 60,
+        dup_permille: 60,
+        delay_max: 3,
+        reorder: true,
+        ..FaultPlan::default()
+    };
+    let cluster = Cluster::new(ClusterConfig::new(1).with_plan(plan));
+    // Two registers shared by every thread, so reads see divergent
+    // replicas and repair.
+    let regs = [cluster.alloc_register(0), cluster.alloc_register(0)];
+    let (writes, reads) = (AtomicU64::new(0), AtomicU64::new(0));
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (cluster, writes, reads) = (&cluster, &writes, &reads);
+            s.spawn(move || {
+                for i in 0..OPS {
+                    let reg = regs[(i % 2) as usize];
+                    if (i + t) % 3 == 0 {
+                        cluster.try_abd_write(reg, t * OPS + i).expect("no faults");
+                        writes.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        cluster.try_abd_read(reg).expect("no faults");
+                        reads.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+        }
+    });
+    let (writes, reads) = (writes.into_inner(), reads.into_inner());
+    assert_eq!(writes + reads, THREADS * OPS);
+    assert_eq!(
+        cluster.quorum_rounds(),
+        2 * writes + reads + cluster.quorum_repairs(),
+        "one query round per op, one install per write and per repair"
+    );
+    assert!(cluster.quorum_retries() > 0, "the plan forced retries");
+    let net = cluster.net_stats();
+    let in_flight = cluster.router().in_flight() as u64;
+    assert_eq!(
+        net.sent - net.dropped + net.duplicated,
+        net.delivered + net.partitioned + net.crash_discarded + in_flight,
+        "{net:?}, {in_flight} in flight"
     );
 }
