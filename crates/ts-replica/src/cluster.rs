@@ -657,7 +657,10 @@ impl Cluster {
     /// (`2^min(attempt, CAP)` steps plus deterministic jitter hashed
     /// from `(plan seed, client, op, attempt)`). The waiting ticks pump
     /// only this client's queue, so its late duplicates drain; other
-    /// clients never depend on it to move their traffic.
+    /// clients never depend on it to move their traffic. The client
+    /// yields its thread between attempts only while fewer than `need`
+    /// replicas are reachable, since then only a restart or heal on
+    /// another thread can end the wait.
     fn quorum_rpc(
         &self,
         client: u32,
@@ -752,7 +755,11 @@ impl Cluster {
                     Pumped::Idle => break,
                 }
             }
-            std::thread::yield_now();
+            // Only a restart or heal on another thread can bring back
+            // a quorum; drops, delays and wipes retry without yielding.
+            if self.router.reachable(n) < need {
+                std::thread::yield_now();
+            }
         }
     }
 

@@ -345,6 +345,15 @@ impl Router {
             != 0
     }
 
+    /// How many of replicas `0..replicas` are neither crashed nor
+    /// isolated.
+    pub(crate) fn reachable(&self, replicas: usize) -> usize {
+        let blocked = self.isolated.load(Ordering::Acquire) | self.crashed.load(Ordering::Acquire);
+        (0..replicas as u32)
+            .filter(|&r| blocked & bit(r) == 0)
+            .count()
+    }
+
     /// The currently isolated replica ids (sorted).
     pub fn isolated(&self) -> Vec<u32> {
         ids(self.isolated.load(Ordering::Acquire))
@@ -655,6 +664,24 @@ mod tests {
         assert!(!router.is_blocked(1));
         router.send(msg(2, 1), 0);
         assert_eq!(drain(&router), vec![2]);
+    }
+
+    #[test]
+    fn reachable_counts_replicas_neither_crashed_nor_isolated() {
+        let router = Router::new(FaultPlan::default());
+        assert_eq!(router.reachable(3), 3);
+        router.crash_endpoint(0);
+        router.partition(&[2]);
+        assert_eq!(router.reachable(3), 1);
+        router.partition(&[0]);
+        assert_eq!(
+            router.reachable(3),
+            1,
+            "a crashed and isolated replica counts once"
+        );
+        router.restore_endpoint(0);
+        router.heal();
+        assert_eq!(router.reachable(3), 3);
     }
 
     #[test]
