@@ -16,16 +16,51 @@
 //! discovers every register invalid, scans, opens phase `k` by writing
 //! `R[k]` and returns `(k, 0)`.
 //!
+//! # Registers as words
+//!
+//! Each admitted call takes a *writer index*: its value of the
+//! admission counter that enforces the budget, so indices are `0..M`
+//! and unique per call. A register is one packed word
+//! ([`PackedBackend`](ts_register::PackedBackend)) holding `0` for `⊥`,
+//! or `rnd` and `writer + 1` side by side. The sequence a line-15 write
+//! carries lives in a write-once cell of the writing call, one cell per
+//! admitted call, freed with the object. The cell is published before
+//! the register store, so a reader that sees the word sees the cell. No
+//! write allocates except an opener's one cell, and no access pins an
+//! epoch or defers a free. Two facts make this the paper's algorithm
+//! and not an approximation of it.
+//!
+//! - **Writer indices stand in for getTS-ids on lines 7–9.** A call
+//!   writes each register at most once: each `j < myrnd` at most once
+//!   on lines 8–11, plus `R[myrnd + 1]` on line 15. So a (register,
+//!   writer) pair names one write, and "`last(R[j])` equals
+//!   `r[myrnd].seq[j]`" holds exactly when the writer indices are
+//!   equal. Only the writer field of a word is ever compared, so the
+//!   caller's [`GetTsId`] plays no part and need not be unique.
+//! - **Line 7 needs no branch.** An invalidation write to `R[j]` comes
+//!   from a call whose lines 1–4 found `R[1..myrnd′]` non-`⊥` with
+//!   `j < myrnd′`, so its writer had already read `R[j + 1]` non-`⊥`.
+//!   A call that reads `R[myrnd]` and then `R[myrnd + 1] = ⊥` therefore
+//!   cannot have read an invalidation write in `R[myrnd]`, because
+//!   registers never return to `⊥`. So the `R[myrnd]` read of lines
+//!   1–4 holds a line-15 value, the one with `rnd == myrnd`, and
+//!   `r[myrnd].seq` is one cell lookup, checked with `expect`.
+//!
+//! The word is `[rnd : 12][writer + 1 : 20]`, which caps the budget at
+//! [`BoundedTimestamp::MAX_BUDGET`]; `rnd < m ≤ 2048` then always fits.
+//!
 //! This module also carries the paper's accounting instrumentation
 //! (Section 6.3): phases, invalidation writes, and register usage are
 //! counted so the bounds `Φ < 2√M` (Lemma 6.5) and `≤ 2M` invalidation
 //! writes (Claim 6.13) can be checked against real executions.
+//! [`Slot`] is the paper's register value as a type, used by the model
+//! twin and by [`GrowableTimestamp`](crate::GrowableTimestamp).
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use ts_register::{reclaim, RegisterArray, SpaceMeter};
+use ts_register::{CachePadded, PackedRegisterArray, SpaceMeter};
 use ts_snapshot::double_collect_scan;
 
 use crate::error::GetTsError;
@@ -108,11 +143,11 @@ pub enum OverwritePolicy {
     Never,
 }
 
+/// The Section 6.3 counters [`PhaseStats`] reports beyond the meter's
+/// (writes and registers written come from the [`SpaceMeter`]).
 #[derive(Debug)]
 struct Accounting {
-    total_writes: AtomicU64,
     invalidation_writes: AtomicU64,
-    line15_writes: AtomicU64,
     early_returns: AtomicU64,
     turn_returns: AtomicU64,
     scans: AtomicU64,
@@ -125,9 +160,7 @@ struct Accounting {
 impl Accounting {
     fn new(m: usize) -> Self {
         Self {
-            total_writes: AtomicU64::new(0),
             invalidation_writes: AtomicU64::new(0),
-            line15_writes: AtomicU64::new(0),
             early_returns: AtomicU64::new(0),
             turn_returns: AtomicU64::new(0),
             scans: AtomicU64::new(0),
@@ -137,9 +170,7 @@ impl Accounting {
     }
 
     fn record_write(&self, paper_index: usize, opens_phase: bool) {
-        self.total_writes.fetch_add(1, Ordering::Relaxed);
         let epoch = if opens_phase {
-            self.line15_writes.fetch_add(1, Ordering::Relaxed);
             // Racing scanners may both open the same phase k by writing
             // R[k]; the phase number is the highest register opened, not
             // the number of opening writes.
@@ -223,15 +254,22 @@ impl PhaseStats {
 /// assert!(Timestamp::compare(&a, &b));
 /// ```
 pub struct BoundedTimestamp {
-    regs: RegisterArray<Slot>,
+    /// `R[1..m]` as words: `0` for `⊥`, else `rnd` over `writer + 1`.
+    regs: PackedRegisterArray<u32>,
+    /// `r.seq` of each admitted call's line-15 write, by writer index:
+    /// the writer fields of `R[1..myrnd]` in the opening scan. The
+    /// call's own id, `last(seq)`, is the written word's writer field.
+    line15: Box<[OnceLock<Box<[u32]>>]>,
     meter: SpaceMeter,
     m: usize,
     budget: usize,
     policy: OverwritePolicy,
-    invocations: AtomicU64,
+    /// Padded, like `accounting`, so the counters every call bumps do
+    /// not share a line with the fields every call reads.
+    invocations: CachePadded<AtomicU64>,
     /// One-shot guard, present when built with [`BoundedTimestamp::one_shot`].
     used: Option<Vec<AtomicBool>>,
-    accounting: Accounting,
+    accounting: CachePadded<Accounting>,
 }
 
 /// `⌈2√M⌉` computed exactly: the least `m` with `m² ≥ 4M`.
@@ -247,13 +285,36 @@ pub(crate) fn registers_for_budget(budget: usize) -> usize {
     m as usize
 }
 
+/// Low bits of a register word holding `writer + 1`; `rnd` sits above.
+const WRITER_BITS: u32 = 20;
+const WRITER_MASK: u32 = (1 << WRITER_BITS) - 1;
+/// The register word of `⊥`.
+const BOT: u32 = 0;
+
+/// The register word of a write by `writer` in round `rnd`.
+fn word(rnd: usize, writer: u32) -> u32 {
+    ((rnd as u32) << WRITER_BITS) | (writer + 1)
+}
+
+/// The `rnd` field of a register word.
+fn rnd_of(word: u32) -> usize {
+    (word >> WRITER_BITS) as usize
+}
+
 impl BoundedTimestamp {
+    /// The largest accepted budget `M`: a register word keeps `writer + 1`
+    /// for writer indices `0..M` in 20 bits, and `rnd < ⌈2√M⌉ ≤ 2048` in
+    /// the 12 above them.
+    pub const MAX_BUDGET: usize = WRITER_MASK as usize;
+
     /// Creates an object accepting at most `budget` `getTS()` calls,
-    /// from any processes, identified by caller-supplied [`GetTsId`]s.
+    /// from any processes, labelled by caller-supplied [`GetTsId`]s.
     ///
     /// # Panics
     ///
-    /// Panics if `budget == 0`.
+    /// Panics if `budget == 0` or `budget >
+    /// BoundedTimestamp::MAX_BUDGET` (2²⁰ − 1 calls): each register is
+    /// one 32-bit word that must name any call's write.
     pub fn with_budget(budget: usize) -> Self {
         Self::with_budget_and_policy(budget, OverwritePolicy::Paper)
     }
@@ -263,23 +324,31 @@ impl BoundedTimestamp {
     ///
     /// # Panics
     ///
-    /// Panics if `budget == 0`.
+    /// Panics if `budget == 0` or `budget >
+    /// BoundedTimestamp::MAX_BUDGET`.
     pub fn with_budget_and_policy(budget: usize, policy: OverwritePolicy) -> Self {
         assert!(budget > 0, "budget must be positive");
+        assert!(
+            budget <= Self::MAX_BUDGET,
+            "budget {budget} exceeds BoundedTimestamp::MAX_BUDGET = {}: \
+             writer indices must fit a register word's {WRITER_BITS}-bit field",
+            Self::MAX_BUDGET
+        );
         // One extra sentinel beyond the writable range is already part of
         // ⌈2√M⌉ (Φ < 2√M), but guard the degenerate tiny budgets where
         // the ceiling equals the phase count.
         let m = registers_for_budget(budget).max(2);
         let meter = SpaceMeter::new(m);
         Self {
-            regs: RegisterArray::with_meter(m, Slot::Bot, meter.clone()),
+            regs: PackedRegisterArray::with_backend_and_meter(m, BOT, meter.clone()),
+            line15: (0..budget).map(|_| OnceLock::new()).collect(),
             meter,
             m,
             budget,
             policy,
-            invocations: AtomicU64::new(0),
+            invocations: CachePadded::new(AtomicU64::new(0)),
             used: None,
-            accounting: Accounting::new(m),
+            accounting: CachePadded::new(Accounting::new(m)),
         }
     }
 
@@ -288,7 +357,8 @@ impl BoundedTimestamp {
     ///
     /// # Panics
     ///
-    /// Panics if `processes == 0`.
+    /// Panics if `processes == 0` or `processes >
+    /// BoundedTimestamp::MAX_BUDGET`.
     pub fn one_shot(processes: usize) -> Self {
         Self::one_shot_with_policy(processes, OverwritePolicy::Paper)
     }
@@ -297,7 +367,8 @@ impl BoundedTimestamp {
     ///
     /// # Panics
     ///
-    /// Panics if `processes == 0`.
+    /// Panics if `processes == 0` or `processes >
+    /// BoundedTimestamp::MAX_BUDGET`.
     pub fn one_shot_with_policy(processes: usize, policy: OverwritePolicy) -> Self {
         let mut obj = Self::with_budget_and_policy(processes, policy);
         obj.used = Some((0..processes).map(|_| AtomicBool::new(false)).collect());
@@ -321,6 +392,7 @@ impl BoundedTimestamp {
 
     /// A snapshot of the phase accounting (Section 6.3 quantities).
     pub fn phase_stats(&self) -> PhaseStats {
+        let meter = self.meter.snapshot();
         PhaseStats {
             m: self.m,
             budget: self.budget,
@@ -330,31 +402,35 @@ impl BoundedTimestamp {
                 .min(self.budget as u64),
             phases: self.accounting.epoch.load(Ordering::Relaxed),
             invalidation_writes: self.accounting.invalidation_writes.load(Ordering::Relaxed),
-            total_writes: self.accounting.total_writes.load(Ordering::Relaxed),
+            total_writes: meter.total_writes(),
             scans: self.accounting.scans.load(Ordering::Relaxed),
             early_returns: self.accounting.early_returns.load(Ordering::Relaxed),
             turn_returns: self.accounting.turn_returns.load(Ordering::Relaxed),
-            registers_written: self.meter.snapshot().registers_written(),
+            registers_written: meter.registers_written(),
         }
     }
 
-    /// Applies `f` to register `R[j]` in place (paper's 1-based
-    /// indexing): one metered read, no clone of the slot.
-    fn read_with<R>(&self, j: usize, f: impl FnOnce(&Slot) -> R) -> R {
+    /// Reads register `R[j]` (paper's 1-based indexing): one metered
+    /// load.
+    fn read(&self, j: usize) -> u32 {
         self.regs
-            .read_with(j - 1, f)
+            .read(j - 1)
             .expect("paper register index within the array")
     }
 
     /// Writes register `R[j]` (paper's 1-based indexing).
-    fn write(&self, j: usize, value: Slot, opens_phase: bool) {
+    fn write(&self, j: usize, value: u32, opens_phase: bool) {
         self.accounting.record_write(j, opens_phase);
         self.regs
             .write(j - 1, value)
             .expect("paper register index within the array");
     }
 
-    /// Algorithm 4 `getTS(ID)` for an explicit getTS-id.
+    /// Algorithm 4 `getTS(ID)`.
+    ///
+    /// `id` is a label for the caller's own records: the object keys
+    /// each call by its admission order instead (see the module docs),
+    /// so stamps stay correct even when callers reuse ids.
     ///
     /// # Errors
     ///
@@ -366,40 +442,31 @@ impl BoundedTimestamp {
     /// Panics if an execution exceeds the proven space bound (which
     /// would falsify Lemma 6.5) — this is an internal invariant check,
     /// not an expected failure mode.
-    pub fn get_ts_with_id(&self, id: GetTsId) -> Result<Timestamp, GetTsError> {
+    pub fn get_ts_with_id(&self, _id: GetTsId) -> Result<Timestamp, GetTsError> {
         let admitted = self.invocations.fetch_add(1, Ordering::AcqRel);
         if admitted >= self.budget as u64 {
             return Err(GetTsError::BudgetExhausted {
                 budget: self.budget,
             });
         }
-        Ok(self.get_ts_inner(id))
+        Ok(self.get_ts_inner(admitted as u32))
     }
 
-    fn get_ts_inner(&self, id: GetTsId) -> Timestamp {
+    /// Algorithm 4 for the call with writer index `me`.
+    fn get_ts_inner(&self, me: u32) -> Timestamp {
         let m = self.m;
-        // One epoch pin for the whole call: the register accesses below
-        // pin again, but a nested pin only bumps a thread-local count.
-        let _pin = reclaim::pin();
 
         // Lines 1–4: find the non-⊥ prefix R[1..myrnd]. Of the values
-        // r[1..myrnd] the paper records, only r[myrnd].seq is used again
-        // (line 7), so each probe copies out just its register's seq and
-        // the last copy stands.
-        let mut seq: Vec<GetTsId> = Vec::with_capacity(m);
+        // r[1..myrnd] the paper records, only r[myrnd] is used again
+        // (line 7), so the last word read stands for them.
+        let mut last = BOT;
         let mut j = 1usize;
         loop {
-            let written = self.read_with(j, |v| match v {
-                Slot::Bot => false,
-                Slot::Val(v) => {
-                    seq.clear();
-                    seq.extend_from_slice(&v.seq);
-                    true
-                }
-            });
-            if !written {
+            let cur = self.read(j);
+            if cur == BOT {
                 break;
             }
+            last = cur;
             j += 1;
             assert!(
                 j <= m,
@@ -408,38 +475,48 @@ impl BoundedTimestamp {
         }
         let myrnd = j - 1;
 
+        // r[myrnd].seq: R[myrnd] holds the line-15 write opening phase
+        // myrnd (see the module docs), whose cell was published before
+        // the word this call read.
+        let seq: &[u32] = if myrnd == 0 {
+            &[]
+        } else {
+            (rnd_of(last) == myrnd)
+                .then(|| self.line15[((last & WRITER_MASK) - 1) as usize].get())
+                .flatten()
+                .expect("R[myrnd] holds the line-15 write opening phase myrnd")
+        };
+
         // Lines 5–12: look for the first valid register among R[1..myrnd-1].
         for j in 1..myrnd {
             // Line 6: has the next phase opened?
-            if !self.read_with(myrnd + 1, Slot::is_bot) {
+            if self.read(myrnd + 1) != BOT {
                 // Line 12.
                 self.accounting
                     .early_returns
                     .fetch_add(1, Ordering::Relaxed);
                 return Timestamp::new((myrnd + 1) as u64, 0);
             }
-            // Lines 7–11: one in-place read of R[j] serves both the
-            // validity test and the staleness test.
-            let (last, rnd) = self.read_with(j, |cur| (cur.last(), cur.rnd()));
-            let expected = seq.get(j - 1).copied(); // r[myrnd].seq[j]
-            if expected.is_some() && last == expected {
+            // Lines 7–11: one read of R[j] serves both the validity
+            // test (same writer as in r[myrnd].seq[j]) and the
+            // staleness test.
+            let cur = self.read(j);
+            if cur & WRITER_MASK == seq[j - 1] {
                 // Lines 8–9: R[j] is valid — invalidate it, take turn j.
-                self.write(j, Slot::val(vec![id], myrnd as u64), false);
+                self.write(j, word(myrnd, me), false);
                 self.accounting.turn_returns.fetch_add(1, Ordering::Relaxed);
                 return Timestamp::new(myrnd as u64, j as u64);
             }
             let overwrite = match self.policy {
-                OverwritePolicy::Paper => {
-                    // Line 10: only a write from an *older* phase can
-                    // spuriously re-validate later; pin it down.
-                    rnd.is_some_and(|rnd| rnd < myrnd as u64)
-                }
+                // Line 10: only a write from an *older* phase can
+                // spuriously re-validate later; pin it down.
+                OverwritePolicy::Paper => rnd_of(cur) < myrnd,
                 OverwritePolicy::Always => true,
                 OverwritePolicy::Never => false,
             };
             if overwrite {
                 // Line 11.
-                self.write(j, Slot::val(vec![id], myrnd as u64), false);
+                self.write(j, word(myrnd, me), false);
             }
         }
 
@@ -448,22 +525,28 @@ impl BoundedTimestamp {
         let view = double_collect_scan(&self.regs);
 
         // Line 14: r[myrnd + 1] == ⊥ ? (1-based paper index → 0-based array)
-        if view[myrnd].value.is_bot() {
-            // Line 15: open phase myrnd + 1.
+        if view[myrnd].value == BOT {
+            // Line 15: open phase myrnd + 1. The cell goes first, so
+            // whoever reads the word below finds it.
             assert!(
                 myrnd + 1 < m,
                 "space bound violated: writing sentinel register R[{m}]"
             );
-            let mut seq = Vec::with_capacity(myrnd + 1);
-            for jj in 1..=myrnd {
-                let last = view[jj - 1]
-                    .value
-                    .last()
-                    .expect("scanned prefix registers are non-⊥ (Claim 6.1)");
-                seq.push(last);
-            }
-            seq.push(id);
-            self.write(myrnd + 1, Slot::val(seq, (myrnd + 1) as u64), true);
+            let seq: Box<[u32]> = view.entries()[..myrnd]
+                .iter()
+                .map(|e| {
+                    assert_ne!(
+                        e.value, BOT,
+                        "scanned prefix registers are non-⊥ (Claim 6.1)"
+                    );
+                    e.value & WRITER_MASK
+                })
+                .collect();
+            assert!(
+                self.line15[me as usize].set(seq).is_ok(),
+                "a call opens at most one phase"
+            );
+            self.write(myrnd + 1, word(myrnd + 1, me), true);
         }
         // Line 16.
         Timestamp::new((myrnd + 1) as u64, 0)
@@ -579,6 +662,43 @@ mod tests {
         assert_eq!(stats.turn_returns, 6);
         assert_eq!(stats.total_writes, 10);
         assert_eq!(stats.registers_written, 4);
+    }
+
+    #[test]
+    fn reused_caller_ids_still_get_increasing_stamps() {
+        // Calls are keyed by admission order, not by the caller's id:
+        // ten sequential calls under one id follow the same walkthrough.
+        let ts = BoundedTimestamp::with_budget(10);
+        let mut last: Option<Timestamp> = None;
+        for k in 0..10 {
+            let t = ts.get_ts_with_id(GetTsId::new(0, 0)).unwrap();
+            if let Some(prev) = last {
+                assert!(Timestamp::compare(&prev, &t), "call {k}: {prev} !< {t}");
+            }
+            last = Some(t);
+        }
+        assert_eq!(last, Some(Timestamp::new(4, 3)));
+    }
+
+    #[test]
+    fn largest_budget_fits_the_register_word() {
+        let m = registers_for_budget(BoundedTimestamp::MAX_BUDGET);
+        assert_eq!(m, 2048);
+        // The highest round and the last writer index both fit.
+        let top = word(m - 1, BoundedTimestamp::MAX_BUDGET as u32 - 1);
+        assert_eq!(rnd_of(top), m - 1);
+        assert_eq!(top & WRITER_MASK, BoundedTimestamp::MAX_BUDGET as u32);
+        let ts = BoundedTimestamp::with_budget(BoundedTimestamp::MAX_BUDGET);
+        assert_eq!(ts.registers(), m);
+        let a = ts.get_ts_with_id(GetTsId::new(0, 0)).unwrap();
+        let b = ts.get_ts_with_id(GetTsId::new(0, 1)).unwrap();
+        assert!(Timestamp::compare(&a, &b));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds BoundedTimestamp::MAX_BUDGET")]
+    fn smallest_oversized_budget_is_rejected() {
+        BoundedTimestamp::with_budget(BoundedTimestamp::MAX_BUDGET + 1);
     }
 
     #[test]

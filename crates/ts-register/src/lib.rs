@@ -27,8 +27,8 @@
 //! `{0, 1, 2}` slots, collect-max counters): it bypasses allocation and
 //! reclamation entirely, which is worth an order of magnitude under
 //! contention (see `bench_contention` in `ts-bench`). Keep
-//! `EpochBackend` for unbounded contents such as Algorithm 4's
-//! `⟨seq, rnd⟩` sequences. [`RegisterArray`] and the `ts-snapshot` scan
+//! `EpochBackend` for unbounded contents such as the growable
+//! timestamp object's `⟨seq, rnd⟩` sequences. [`RegisterArray`] and the `ts-snapshot` scan
 //! are generic over the choice; `ts-core` constructors expose it.
 //!
 //! # Contention-aware layout

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use timestamp_suite::ts_core::{
     BoundedTimestamp, CollectMax, GetTsId, GrowableTimestamp, LongLivedTimestamp, OneShotTimestamp,
-    SimpleOneShot, Timestamp,
+    OverwritePolicy, SimpleOneShot, Timestamp,
 };
 
 fn assert_rounds_ordered(rounds: &[Vec<Timestamp>]) {
@@ -80,6 +80,45 @@ fn bounded_oneshot_rounds_and_bounds() {
     assert!(stats.space_bound_holds(), "{stats:?}");
     assert!(stats.phase_bound_holds(), "{stats:?}");
     assert!(stats.invalidation_bound_holds(), "{stats:?}");
+}
+
+#[test]
+fn bounded_budgeted_rounds_under_sound_policies() {
+    // 1024 calls (m = 64 registers, rounds up to 63 in the packed rnd
+    // field) from 4 threads, in rounds split by scope joins: every
+    // stamp of a round must precede every stamp of the later rounds.
+    let (budget, threads, rounds_n) = (1024, 4, 16);
+    let per_thread = budget / (threads * rounds_n);
+    for policy in [OverwritePolicy::Paper, OverwritePolicy::Always] {
+        let ts = BoundedTimestamp::with_budget_and_policy(budget, policy);
+        let mut rounds = Vec::new();
+        for r in 0..rounds_n {
+            let outs: Vec<Timestamp> = crossbeam::thread::scope(|s| {
+                let hs: Vec<_> = (0..threads)
+                    .map(|t| {
+                        let ts = &ts;
+                        s.spawn(move |_| {
+                            (0..per_thread)
+                                .map(|k| {
+                                    let id = GetTsId::new(t as u32, (r * per_thread + k) as u32);
+                                    ts.get_ts_with_id(id).unwrap()
+                                })
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                hs.into_iter().flat_map(|h| h.join().unwrap()).collect()
+            })
+            .unwrap();
+            rounds.push(outs);
+        }
+        assert_rounds_ordered(&rounds);
+        let stats = ts.phase_stats();
+        assert_eq!(stats.calls, budget as u64, "{policy:?}");
+        assert!(stats.space_bound_holds(), "{policy:?}: {stats:?}");
+        assert!(stats.phase_bound_holds(), "{policy:?}: {stats:?}");
+        assert!(stats.invalidation_bound_holds(), "{policy:?}: {stats:?}");
+    }
 }
 
 #[test]
