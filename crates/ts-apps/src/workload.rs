@@ -14,50 +14,34 @@
 
 use std::hint::black_box;
 
-use ts_core::workload::{OpHistory, WorkloadOp, WorkloadTarget, WorkloadWorker};
+use ts_core::workload::{StampSource, StampWorker, StepGate, WorkloadTarget, WorkloadWorker};
 use ts_core::RegisterBackend;
 
 use crate::fcfs_lock::FcfsLock;
 use crate::kexclusion::KExclusion;
 
-struct FcfsLockWorker<'a, B: RegisterBackend<u64>> {
-    lock: &'a FcfsLock<B>,
-    slot: usize,
-    history: OpHistory<u64>,
-}
+impl<B: RegisterBackend<u64>> StampSource for FcfsLock<B> {
+    type State<'a> = usize;
+    type Stamp = u64;
 
-impl<B: RegisterBackend<u64>> WorkloadWorker for FcfsLockWorker<'_, B> {
-    fn step(&mut self, op: WorkloadOp) -> WorkloadOp {
-        match op {
-            WorkloadOp::GetTs => {
-                let guard = self.lock.lock(self.slot);
-                let ticket = self.lock.ticket_of(self.slot);
-                drop(guard);
-                if let Some(prev) = self.history.last() {
-                    // Our previous cycle finished before this one began:
-                    // FCFS demands a strictly larger ticket.
-                    assert!(
-                        prev < ticket,
-                        "fcfs ticket went backwards: {prev} -> {ticket}"
-                    );
-                }
-                self.history.push(ticket);
-                WorkloadOp::GetTs
-            }
-            WorkloadOp::Scan => {
-                for q in 0..self.lock.processes() {
-                    black_box(self.lock.ticket_of(q));
-                }
-                WorkloadOp::Scan
-            }
-            WorkloadOp::Compare => match self.history.pair() {
-                Some((a, b)) => {
-                    assert!(black_box(a < b), "ticket history out of order: {a} !< {b}");
-                    WorkloadOp::Compare
-                }
-                None => self.step(WorkloadOp::GetTs),
-            },
+    fn issue(&self, slot: &mut usize, _gate: Option<&StepGate>) -> (u64, u64) {
+        let guard = self.lock(*slot);
+        let ticket = self.ticket_of(*slot);
+        drop(guard);
+        (ticket, ticket)
+    }
+
+    fn observe(&self, _slot: &usize) -> bool {
+        for q in 0..self.processes() {
+            black_box(self.ticket_of(q));
         }
+        true
+    }
+
+    /// A worker's previous cycle finished before its next one began:
+    /// FCFS demands a strictly larger ticket.
+    fn checked(&self) -> bool {
+        true
     }
 }
 
@@ -76,46 +60,31 @@ impl<B: RegisterBackend<u64>> WorkloadTarget for FcfsLock<B> {
 
     fn worker<'a>(&'a self, slot: usize) -> Box<dyn WorkloadWorker + 'a> {
         assert!(slot < self.processes(), "slot {slot} out of range");
-        Box::new(FcfsLockWorker {
-            lock: self,
-            slot,
-            history: OpHistory::new(),
-        })
+        Box::new(StampWorker::new(self, slot))
     }
 }
 
-struct KExclusionWorker<'a, B: RegisterBackend<u64>> {
-    pool: &'a KExclusion<B>,
-    slot: usize,
-    /// Local cycle numbers (`active` is cleared on release, and
-    /// k-exclusion admits overtaking, so unlike FCFS no cross-cycle
-    /// ticket assertion holds — Compare only measures cost).
-    history: OpHistory<u64>,
-    cycles: u64,
-}
+impl<B: RegisterBackend<u64>> StampSource for KExclusion<B> {
+    /// The worker's slot and its local cycle count.
+    type State<'a> = (usize, u64);
+    type Stamp = u64;
 
-impl<B: RegisterBackend<u64>> WorkloadWorker for KExclusionWorker<'_, B> {
-    fn step(&mut self, op: WorkloadOp) -> WorkloadOp {
-        match op {
-            WorkloadOp::GetTs => {
-                let guard = self.pool.acquire(self.slot);
-                drop(guard);
-                self.cycles += 1;
-                self.history.push(self.cycles);
-                WorkloadOp::GetTs
-            }
-            WorkloadOp::Scan => {
-                black_box(self.pool.competing());
-                WorkloadOp::Scan
-            }
-            WorkloadOp::Compare => match self.history.pair() {
-                Some((a, b)) => {
-                    black_box(a < b);
-                    WorkloadOp::Compare
-                }
-                None => self.step(WorkloadOp::GetTs),
-            },
-        }
+    fn issue(&self, (slot, cycles): &mut (usize, u64), _gate: Option<&StepGate>) -> (u64, u64) {
+        drop(self.acquire(*slot));
+        *cycles += 1;
+        (*cycles, *cycles)
+    }
+
+    fn observe(&self, _state: &(usize, u64)) -> bool {
+        black_box(self.competing());
+        true
+    }
+
+    /// The stamps are local cycle numbers (`active` is cleared on
+    /// release, and k-exclusion admits overtaking, so unlike FCFS no
+    /// cross-cycle ticket order holds): `Compare` only measures cost.
+    fn checked(&self) -> bool {
+        false
     }
 }
 
@@ -134,29 +103,15 @@ impl<B: RegisterBackend<u64>> WorkloadTarget for KExclusion<B> {
 
     fn worker<'a>(&'a self, slot: usize) -> Box<dyn WorkloadWorker + 'a> {
         assert!(slot < self.processes(), "slot {slot} out of range");
-        Box::new(KExclusionWorker {
-            pool: self,
-            slot,
-            history: OpHistory::new(),
-            cycles: 0,
-        })
+        Box::new(StampWorker::new(self, (slot, 0)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ts_core::workload::WorkloadOp;
     use ts_core::PackedBackend;
-
-    #[test]
-    fn fcfs_lock_worker_cycles_and_orders_tickets() {
-        let lock: FcfsLock<PackedBackend> = FcfsLock::new(2);
-        let mut w = lock.worker(0);
-        assert_eq!(w.step(WorkloadOp::GetTs), WorkloadOp::GetTs);
-        assert_eq!(w.step(WorkloadOp::Scan), WorkloadOp::Scan);
-        assert_eq!(w.step(WorkloadOp::Compare), WorkloadOp::GetTs); // needs 2 tickets
-        assert_eq!(w.step(WorkloadOp::Compare), WorkloadOp::Compare);
-    }
 
     #[test]
     fn kexclusion_worker_cycles() {

@@ -65,7 +65,7 @@ pub use timestamp::{ShardedTimestamp, Timestamp};
 pub use traits::{LongLivedTimestamp, OneShotTimestamp};
 pub use workload::{
     CollectMaxFast, GateError, GateProgress, GrowableWorkload, HelpingScanWorkload, OneShotPool,
-    OpHistory, ReplayGranularity, ScanMode, StepGate, VpidAllocator, WorkloadOp, WorkloadTarget,
+    ReplayGranularity, ScanMode, StepGate, VpidAllocator, WorkloadOp, WorkloadTarget,
     WorkloadWorker,
 };
 

@@ -19,11 +19,23 @@
 //!   that cannot honor a kind substitutes `GetTs` and reports what it
 //!   actually did, so op accounting stays truthful.
 //!
+//! Almost every object's `GetTs` takes a stamp, so one generic worker,
+//! [`StampWorker`], drives them all: each object implements
+//! [`StampSource`] (per-worker state, how an op issues its stamps, an
+//! optional scan, whether its stamps are checked and reported to
+//! replay) and the worker supplies the op skeleton once.
+//!
 //! This module provides targets for the `ts-core` objects:
-//! [`CollectMax`] and [`GrowableWorkload`] (long-lived), and
-//! [`OneShotPool`] (any [`OneShotTimestamp`] made long-runnable by
-//! cycling pools of fresh objects). The `ts-apps` crate adds targets
-//! for its lock consumers.
+//! [`CollectMax`] and [`CollectMaxFast`] (the same object replayed along
+//! its classic or its cached-max path), [`GrowableWorkload`]
+//! (long-lived, unbounded), [`OneShotPool`] (any [`OneShotTimestamp`]
+//! made long-runnable by cycling pools of fresh objects), the
+//! replay-only canary [`BrokenCounter`], and [`HelpingScanWorkload`].
+//! The last keeps two bespoke workers: its scanner only scans, and a
+//! storming writer runs a paced store ungated but a collect-max `getTS`
+//! gated. The `ts-apps`, `ts-replica` and `ts-workloads` crates add
+//! stamp sources for the lock consumers, the quorum timestamp and the
+//! sharded service.
 //!
 //! Workers double as cheap invariant checkers: where two operations by
 //! the same worker are guaranteed ordered (long-lived objects, same
@@ -140,20 +152,17 @@ impl WorkloadOp {
 }
 
 /// Two-deep history of values produced by a worker's operations — the
-/// operands for [`WorkloadOp::Compare`].
-///
-/// Every worker keeps one: `Compare` needs the last two results, and
-/// until both exist the convention (shared by all adapters) is to
-/// substitute a `GetTs` op and report what actually ran.
+/// operands for [`WorkloadOp::Compare`]. `Compare` needs the last two
+/// results, and until both exist the worker substitutes a `GetTs` op
+/// and reports what actually ran.
 #[derive(Debug, Clone, Copy)]
-pub struct OpHistory<T> {
+struct OpHistory<T> {
     prev2: Option<T>,
     prev: Option<T>,
 }
 
 impl<T: Copy> OpHistory<T> {
-    /// Empty history.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self {
             prev2: None,
             prev: None,
@@ -161,26 +170,19 @@ impl<T: Copy> OpHistory<T> {
     }
 
     /// Records the newest value, shifting the previous one down.
-    pub fn push(&mut self, value: T) {
+    fn push(&mut self, value: T) {
         self.prev2 = self.prev;
         self.prev = Some(value);
     }
 
     /// The most recent value, if any.
-    pub fn last(&self) -> Option<T> {
+    fn last(&self) -> Option<T> {
         self.prev
     }
 
-    /// The `Compare` operands `(older, newer)` once two values exist;
-    /// `None` means the worker must substitute `GetTs`.
-    pub fn pair(&self) -> Option<(T, T)> {
+    /// The `Compare` operands `(older, newer)` once two values exist.
+    fn pair(&self) -> Option<(T, T)> {
         self.prev2.zip(self.prev)
-    }
-}
-
-impl<T: Copy> Default for OpHistory<T> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -429,9 +431,10 @@ pub trait WorkloadWorker {
     /// The default implementation announces exactly one sub-step — the
     /// op-start pause — and then runs [`step`](WorkloadWorker::step)
     /// unpaused, which is the [`ReplayGranularity::Op`] contract.
-    /// Workers for objects that expose their shared-memory phases (e.g.
-    /// `CollectMax::get_ts_paused`) override this to announce one
-    /// sub-step per access.
+    /// [`StampWorker`] overrides it to hand the gate to
+    /// [`StampSource::issue`], so objects that expose their
+    /// shared-memory phases (e.g. `CollectMax::get_ts_paused`) announce
+    /// one sub-step per access.
     fn step_gated(&mut self, op: WorkloadOp, gate: &StepGate) -> WorkloadOp {
         gate.pause();
         self.step(op)
@@ -485,74 +488,166 @@ pub trait WorkloadTarget: Send + Sync {
 }
 
 // ---------------------------------------------------------------------
-// CollectMax: the long-lived baseline, driven directly.
+// The generic stamp worker: one op skeleton for every object whose
+// mutating op takes a stamp.
 // ---------------------------------------------------------------------
 
-struct CollectMaxWorker<'a, B: RegisterBackend<u64>> {
-    obj: &'a CollectMax<B>,
-    slot: usize,
-    history: OpHistory<Timestamp>,
+/// An object that [`StampWorker`] can drive. Every object whose
+/// `GetTs` takes a stamp implements it in a few lines, and the worker
+/// supplies the shared op skeleton: the timestamp-property assert on
+/// the worker's own calls, the `Scan` and `Compare` fallbacks to
+/// `GetTs`, and the op-start pause of gated ops.
+pub trait StampSource {
+    /// What one worker keeps between ops: a slot, a session, a pool
+    /// view.
+    type State<'a>
+    where
+        Self: 'a;
+
+    /// What one `GetTs` produces. Its `Ord` is the stamp order: for
+    /// [`Timestamp`] that is exactly Algorithm 3's
+    /// [`compare`](Timestamp::compare).
+    type Stamp: Copy + Ord + std::fmt::Debug + std::fmt::Display;
+
+    /// Runs one `GetTs` and returns the first and last stamp it issued
+    /// (the same stamp unless the op issues a batch). With a `gate`,
+    /// the object pauses at it before every shared-memory access it
+    /// exposes; the worker has already announced the op-start pause.
+    fn issue(
+        &self,
+        state: &mut Self::State<'_>,
+        gate: Option<&StepGate>,
+    ) -> (Self::Stamp, Self::Stamp);
+
+    /// Runs one read-only observation pass. `false` means the object
+    /// has none, and the worker substitutes `GetTs`.
+    fn observe(&self, _state: &Self::State<'_>) -> bool {
+        false
+    }
+
+    /// Whether a worker's own stamps are asserted ordered, on `GetTs`
+    /// and on `Compare`. Deliberately broken objects and objects whose
+    /// stamps carry no cross-call order opt out.
+    fn checked(&self) -> bool;
+
+    /// The timestamp `last_ts` reports to replay for `stamp`. `None`
+    /// (the default) opts out of the replay output check.
+    fn replay_ts(_stamp: Self::Stamp) -> Option<Timestamp> {
+        None
+    }
 }
 
-impl<B: RegisterBackend<u64>> WorkloadWorker for CollectMaxWorker<'_, B> {
+/// The one [`WorkloadWorker`] over any [`StampSource`].
+///
+/// `GetTs` issues through [`StampSource::issue`] and, for a checked
+/// source, asserts that the op's first stamp follows the previous op's
+/// last one: non-overlapping calls by one worker must be ordered.
+/// `Compare` orders the last two recorded stamps, and `Scan` runs
+/// [`StampSource::observe`]; each substitutes `GetTs` when it cannot
+/// run. Gated, every op announces the op-start pause, and only `GetTs`
+/// hands the gate on, so a gated `Scan` or `Compare` announces exactly
+/// one pause, also when it falls back to `GetTs`.
+pub struct StampWorker<'a, S: StampSource> {
+    source: &'a S,
+    state: S::State<'a>,
+    history: OpHistory<S::Stamp>,
+}
+
+impl<S: StampSource> std::fmt::Debug for StampWorker<'_, S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StampWorker")
+            .field("source", &std::any::type_name::<S>())
+            .field("history", &self.history)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'a, S: StampSource> StampWorker<'a, S> {
+    /// A fresh worker over `source`, starting from `state`.
+    pub fn new(source: &'a S, state: S::State<'a>) -> Self {
+        Self {
+            source,
+            state,
+            history: OpHistory::new(),
+        }
+    }
+
+    fn get_ts(&mut self, gate: Option<&StepGate>) -> WorkloadOp {
+        let (first, last) = self.source.issue(&mut self.state, gate);
+        // Non-overlapping calls by one worker: the timestamp property
+        // orders this op's first stamp after the previous op's last.
+        if let Some(prev) = self.history.last().filter(|_| self.source.checked()) {
+            assert!(
+                prev < first,
+                "{} violated the timestamp property: {prev} !< {first}",
+                std::any::type_name::<S>()
+            );
+        }
+        self.history.push(last);
+        WorkloadOp::GetTs
+    }
+}
+
+impl<S: StampSource> WorkloadWorker for StampWorker<'_, S> {
     fn step(&mut self, op: WorkloadOp) -> WorkloadOp {
-        match op {
-            WorkloadOp::GetTs => {
-                let t = self.obj.get_ts(self.slot).expect("slot < processes");
-                if let Some(p) = self.history.last() {
-                    // Non-overlapping calls by one process: the
-                    // timestamp property must order them.
-                    assert!(
-                        Timestamp::compare(&p, &t),
-                        "collect_max violated the timestamp property: {p} !< {t}"
-                    );
-                }
-                self.history.push(t);
-                WorkloadOp::GetTs
+        match (op, self.history.pair()) {
+            (WorkloadOp::Scan, _) if self.source.observe(&self.state) => WorkloadOp::Scan,
+            (WorkloadOp::Compare, Some((a, b))) => {
+                let ordered = black_box(a < b);
+                assert!(
+                    ordered || !self.source.checked(),
+                    "{} history out of order: {a} !< {b}",
+                    std::any::type_name::<S>()
+                );
+                WorkloadOp::Compare
             }
-            WorkloadOp::Scan => {
-                black_box(self.obj.read_max());
-                WorkloadOp::Scan
-            }
-            WorkloadOp::Compare => match self.history.pair() {
-                Some((a, b)) => {
-                    assert!(
-                        black_box(Timestamp::compare(&a, &b)),
-                        "collect_max history out of order: {a} !< {b}"
-                    );
-                    WorkloadOp::Compare
-                }
-                None => self.step(WorkloadOp::GetTs),
-            },
+            _ => self.get_ts(None),
         }
     }
 
     fn step_gated(&mut self, op: WorkloadOp, gate: &StepGate) -> WorkloadOp {
+        gate.pause(); // op start
         match op {
-            WorkloadOp::GetTs => {
-                gate.pause(); // op start
-                let t = self
-                    .obj
-                    .get_ts_paused(self.slot, || gate.pause())
-                    .expect("slot < processes");
-                if let Some(p) = self.history.last() {
-                    assert!(
-                        Timestamp::compare(&p, &t),
-                        "collect_max violated the timestamp property: {p} !< {t}"
-                    );
-                }
-                self.history.push(t);
-                WorkloadOp::GetTs
-            }
-            other => {
-                gate.pause();
-                self.step(other)
-            }
+            WorkloadOp::GetTs => self.get_ts(Some(gate)),
+            other => self.step(other),
         }
     }
 
     fn last_ts(&self) -> Option<Timestamp> {
-        self.history.last()
+        self.history.last().and_then(S::replay_ts)
+    }
+}
+
+// ---------------------------------------------------------------------
+// CollectMax: the long-lived baseline, driven directly.
+// ---------------------------------------------------------------------
+
+impl<B: RegisterBackend<u64>> StampSource for CollectMax<B> {
+    type State<'a> = usize;
+    type Stamp = Timestamp;
+
+    /// Ungated: the cached-max fast path. Gated: the classic collect,
+    /// which the model twin and the checked-in traces follow.
+    fn issue(&self, slot: &mut usize, gate: Option<&StepGate>) -> (Timestamp, Timestamp) {
+        let t = match gate {
+            None => self.get_ts(*slot),
+            Some(gate) => self.get_ts_paused(*slot, || gate.pause()),
+        };
+        let t = t.expect("slot < processes");
+        (t, t)
+    }
+
+    fn observe(&self, _slot: &usize) -> bool {
+        black_box(self.read_max());
+        true
+    }
+
+    fn checked(&self) -> bool {
+        true
+    }
+
+    fn replay_ts(t: Timestamp) -> Option<Timestamp> {
+        Some(t)
     }
 }
 
@@ -584,11 +679,7 @@ impl<B: RegisterBackend<u64>> WorkloadTarget for CollectMax<B> {
 
     fn worker<'a>(&'a self, slot: usize) -> Box<dyn WorkloadWorker + 'a> {
         assert!(slot < self.slots(), "slot {slot} out of range");
-        Box::new(CollectMaxWorker {
-            obj: self,
-            slot,
-            history: OpHistory::new(),
-        })
+        Box::new(StampWorker::new(self, slot))
     }
 
     fn replay_granularity(&self) -> ReplayGranularity {
@@ -630,69 +721,30 @@ impl<B: RegisterBackend<u64>> CollectMaxFast<B> {
     }
 }
 
-struct CollectMaxFastWorker<'a, B: RegisterBackend<u64>> {
-    obj: &'a CollectMax<B>,
-    slot: usize,
-    history: OpHistory<Timestamp>,
-}
+impl<B: RegisterBackend<u64>> StampSource for CollectMaxFast<B> {
+    type State<'a> = usize;
+    type Stamp = Timestamp;
 
-impl<B: RegisterBackend<u64>> WorkloadWorker for CollectMaxFastWorker<'_, B> {
-    fn step(&mut self, op: WorkloadOp) -> WorkloadOp {
-        match op {
-            WorkloadOp::GetTs => {
-                let t = self.obj.get_ts(self.slot).expect("slot < processes");
-                if let Some(p) = self.history.last() {
-                    assert!(
-                        Timestamp::compare(&p, &t),
-                        "collect_max_fast violated the timestamp property: {p} !< {t}"
-                    );
-                }
-                self.history.push(t);
-                WorkloadOp::GetTs
-            }
-            WorkloadOp::Scan => {
-                black_box(self.obj.read_max());
-                WorkloadOp::Scan
-            }
-            WorkloadOp::Compare => match self.history.pair() {
-                Some((a, b)) => {
-                    assert!(
-                        black_box(Timestamp::compare(&a, &b)),
-                        "collect_max_fast history out of order: {a} !< {b}"
-                    );
-                    WorkloadOp::Compare
-                }
-                None => self.step(WorkloadOp::GetTs),
-            },
-        }
+    fn issue(&self, slot: &mut usize, gate: Option<&StepGate>) -> (Timestamp, Timestamp) {
+        let t = match gate {
+            None => self.0.get_ts(*slot),
+            Some(gate) => self.0.get_ts_fast_paused(*slot, || gate.pause()),
+        };
+        let t = t.expect("slot < processes");
+        (t, t)
     }
 
-    fn step_gated(&mut self, op: WorkloadOp, gate: &StepGate) -> WorkloadOp {
-        match op {
-            WorkloadOp::GetTs => {
-                gate.pause(); // op start
-                let t = self
-                    .obj
-                    .get_ts_fast_paused(self.slot, || gate.pause())
-                    .expect("slot < processes");
-                if let Some(p) = self.history.last() {
-                    assert!(
-                        Timestamp::compare(&p, &t),
-                        "collect_max_fast violated the timestamp property: {p} !< {t}"
-                    );
-                }
-                self.history.push(t);
-                WorkloadOp::GetTs
-            }
-            other => {
-                gate.pause();
-                self.step(other)
-            }
-        }
+    fn observe(&self, _slot: &usize) -> bool {
+        black_box(self.0.read_max());
+        true
     }
 
-    fn last_ts(&self) -> Option<Timestamp> {
-        self.history.last()
+    fn checked(&self) -> bool {
+        true
+    }
+
+    fn replay_ts(t: Timestamp) -> Option<Timestamp> {
+        Some(t)
     }
 }
 
@@ -711,11 +763,7 @@ impl<B: RegisterBackend<u64>> WorkloadTarget for CollectMaxFast<B> {
 
     fn worker<'a>(&'a self, slot: usize) -> Box<dyn WorkloadWorker + 'a> {
         assert!(slot < self.slots(), "slot {slot} out of range");
-        Box::new(CollectMaxFastWorker {
-            obj: &self.0,
-            slot,
-            history: OpHistory::new(),
-        })
+        Box::new(StampWorker::new(self, slot))
     }
 
     fn replay_granularity(&self) -> ReplayGranularity {
@@ -1071,47 +1119,27 @@ impl GrowableWorkload {
     }
 }
 
-struct GrowableWorker<'a> {
-    obj: &'a GrowableTimestamp,
-    vpid: u32,
-    turn: u32,
-    history: OpHistory<Timestamp>,
-}
+impl StampSource for GrowableTimestamp {
+    type State<'a> = GetTsId;
+    type Stamp = Timestamp;
 
-impl WorkloadWorker for GrowableWorker<'_> {
-    fn step(&mut self, op: WorkloadOp) -> WorkloadOp {
-        match op {
-            WorkloadOp::GetTs => {
-                let t = self.obj.get_ts_with_id(GetTsId::new(self.vpid, self.turn));
-                self.turn += 1;
-                if let Some(p) = self.history.last() {
-                    assert!(
-                        Timestamp::compare(&p, &t),
-                        "growable violated the timestamp property: {p} !< {t}"
-                    );
-                }
-                self.history.push(t);
-                WorkloadOp::GetTs
-            }
-            WorkloadOp::Scan => {
-                black_box(self.obj.probe_round());
-                WorkloadOp::Scan
-            }
-            WorkloadOp::Compare => match self.history.pair() {
-                Some((a, b)) => {
-                    assert!(
-                        black_box(Timestamp::compare(&a, &b)),
-                        "growable history out of order: {a} !< {b}"
-                    );
-                    WorkloadOp::Compare
-                }
-                None => self.step(WorkloadOp::GetTs),
-            },
-        }
+    fn issue(&self, id: &mut GetTsId, _gate: Option<&StepGate>) -> (Timestamp, Timestamp) {
+        let t = self.get_ts_with_id(*id);
+        id.seq += 1;
+        (t, t)
     }
 
-    fn last_ts(&self) -> Option<Timestamp> {
-        self.history.last()
+    fn observe(&self, _id: &GetTsId) -> bool {
+        black_box(self.probe_round());
+        true
+    }
+
+    fn checked(&self) -> bool {
+        true
+    }
+
+    fn replay_ts(t: Timestamp) -> Option<Timestamp> {
+        Some(t)
     }
 }
 
@@ -1133,12 +1161,7 @@ impl WorkloadTarget for GrowableWorkload {
 
     fn worker<'a>(&'a self, _slot: usize) -> Box<dyn WorkloadWorker + 'a> {
         let vpid = self.vpids.next();
-        Box::new(GrowableWorker {
-            obj: &self.inner,
-            vpid,
-            turn: 0,
-            history: OpHistory::new(),
-        })
+        Box::new(StampWorker::new(&self.inner, GetTsId::new(vpid, 0)))
     }
 }
 
@@ -1228,23 +1251,18 @@ impl<T: OneShotTimestamp> OneShotPool<T> {
         self
     }
 
-    fn refresh(&self, seen_generation: u64) -> PoolView<T> {
+    /// `slot`'s view of the current generation. `exhausted` names a
+    /// generation the caller has used up; it is swapped for a fresh one
+    /// unless another worker already did.
+    fn view(&self, slot: usize, exhausted: Option<u64>) -> PoolView<T> {
         let mut state = self.state.lock().expect("pool lock");
-        if state.generation == seen_generation {
+        if exhausted == Some(state.generation) {
             state.objects = Arc::new((0..self.pool_size).map(|_| (self.make)()).collect());
             state.cursors = Arc::new((0..self.slots).map(|_| AtomicUsize::new(0)).collect());
             state.generation += 1;
         }
         PoolView {
-            generation: state.generation,
-            objects: Arc::clone(&state.objects),
-            cursors: Arc::clone(&state.cursors),
-        }
-    }
-
-    fn current(&self) -> PoolView<T> {
-        let state = self.state.lock().expect("pool lock");
-        PoolView {
+            slot,
             generation: state.generation,
             objects: Arc::clone(&state.objects),
             cursors: Arc::clone(&state.cursors),
@@ -1252,11 +1270,22 @@ impl<T: OneShotTimestamp> OneShotPool<T> {
     }
 }
 
-/// A worker's snapshot of one pool generation.
-struct PoolView<T> {
+/// One worker's snapshot of a [`OneShotPool`] generation: the state its
+/// [`StampWorker`] keeps.
+#[derive(Debug)]
+pub struct PoolView<T> {
+    slot: usize,
     generation: u64,
     objects: Arc<Vec<T>>,
     cursors: Arc<Vec<AtomicUsize>>,
+}
+
+impl<T> PoolView<T> {
+    /// This slot's progress through the generation (shared with churn
+    /// successors; only the slot's live worker writes it).
+    fn cursor(&self) -> usize {
+        self.cursors[self.slot].load(Ordering::Relaxed)
+    }
 }
 
 impl<T: OneShotTimestamp> std::fmt::Debug for OneShotPool<T> {
@@ -1269,30 +1298,23 @@ impl<T: OneShotTimestamp> std::fmt::Debug for OneShotPool<T> {
     }
 }
 
-struct PoolWorker<'a, T> {
-    pool: &'a OneShotPool<T>,
-    slot: usize,
-    view: PoolView<T>,
-    history: OpHistory<Timestamp>,
-}
+impl<T: OneShotTimestamp> StampSource for OneShotPool<T> {
+    type State<'a>
+        = PoolView<T>
+    where
+        Self: 'a;
+    type Stamp = Timestamp;
 
-impl<T: OneShotTimestamp> PoolWorker<'_, T> {
-    /// This slot's progress through the current generation (shared with
-    /// churn successors; only this worker writes it while alive).
-    fn cursor(&self) -> usize {
-        self.view.cursors[self.slot].load(Ordering::Relaxed)
-    }
-
-    fn get_ts(&mut self) -> Timestamp {
+    fn issue(&self, view: &mut PoolView<T>, _gate: Option<&StepGate>) -> (Timestamp, Timestamp) {
         loop {
-            let cursor = self.cursor();
-            if cursor >= self.view.objects.len() {
-                self.view = self.pool.refresh(self.view.generation);
+            let cursor = view.cursor();
+            if cursor >= view.objects.len() {
+                *view = self.view(view.slot, Some(view.generation));
                 continue;
             }
-            self.view.cursors[self.slot].store(cursor + 1, Ordering::Relaxed);
-            match self.view.objects[cursor].get_ts(self.slot) {
-                Ok(t) => return t,
+            view.cursors[view.slot].store(cursor + 1, Ordering::Relaxed);
+            match view.objects[cursor].get_ts(view.slot) {
+                Ok(t) => return (t, t),
                 // Unreachable while the shared cursor is advanced only
                 // by this slot's worker; kept as a safety net so a
                 // bookkeeping bug degrades to a skip, not a panic.
@@ -1301,39 +1323,21 @@ impl<T: OneShotTimestamp> PoolWorker<'_, T> {
             }
         }
     }
-}
 
-impl<T: OneShotTimestamp> WorkloadWorker for PoolWorker<'_, T> {
-    fn step(&mut self, op: WorkloadOp) -> WorkloadOp {
-        match op {
-            WorkloadOp::GetTs => {
-                let t = self.get_ts();
-                self.history.push(t);
-                WorkloadOp::GetTs
-            }
-            WorkloadOp::Scan => match &self.pool.scan {
-                Some(scan) => {
-                    let idx = self.cursor().min(self.view.objects.len() - 1);
-                    scan(&self.view.objects[idx]);
-                    WorkloadOp::Scan
-                }
-                None => self.step(WorkloadOp::GetTs),
-            },
-            WorkloadOp::Compare => match self.history.pair() {
-                Some((a, b)) => {
-                    // Timestamps come from different pooled objects, so
-                    // only the comparison's cost is measured; its result
-                    // carries no cross-object meaning.
-                    black_box(Timestamp::compare(&a, &b));
-                    WorkloadOp::Compare
-                }
-                None => self.step(WorkloadOp::GetTs),
-            },
-        }
+    fn observe(&self, view: &PoolView<T>) -> bool {
+        let Some(scan) = &self.scan else {
+            return false;
+        };
+        scan(&view.objects[view.cursor().min(view.objects.len() - 1)]);
+        true
     }
 
-    // Pool timestamps come from different objects and are mutually
-    // incomparable, so `last_ts` stays `None`: replay checks order only.
+    // Timestamps come from different pooled objects, so only the
+    // comparison's cost is measured; its result carries no cross-object
+    // meaning, and `last_ts` stays `None`: replay checks order only.
+    fn checked(&self) -> bool {
+        false
+    }
 }
 
 impl<T: OneShotTimestamp> WorkloadTarget for OneShotPool<T> {
@@ -1351,12 +1355,7 @@ impl<T: OneShotTimestamp> WorkloadTarget for OneShotPool<T> {
 
     fn worker<'a>(&'a self, slot: usize) -> Box<dyn WorkloadWorker + 'a> {
         assert!(slot < self.slots, "slot {slot} out of range");
-        Box::new(PoolWorker {
-            pool: self,
-            slot,
-            view: self.current(),
-            history: OpHistory::new(),
-        })
+        Box::new(StampWorker::new(self, self.view(slot, None)))
     }
 }
 
@@ -1369,57 +1368,33 @@ impl<T: OneShotTimestamp> WorkloadTarget for OneShotPool<T> {
 // through `OneShotPool`'s fresh-object cycling), this target is
 // replay-only: each slot supports exactly ONE `GetTs`, mirroring its
 // one-shot model twin (`ops_per_process = Some(1)`), and a second op
-// panics with a clear message. Traces built from the twin can never
-// request a second op per process (the model refuses to invoke one),
-// so the panic is reachable only by driving this target outside the
-// replay harness — wrap it in `OneShotPool` for scenario use instead.
+// panics with a clear message (a `Scan`, or a `Compare` that lacks two
+// stamps, substitutes a second `GetTs`). Traces built from the twin can
+// never request a second op per process (the model refuses to invoke
+// one), so the panic is reachable only by driving this target outside
+// the replay harness — wrap it in `OneShotPool` for scenario use
+// instead.
 // ---------------------------------------------------------------------
 
-struct BrokenCounterWorker<'a> {
-    obj: &'a BrokenCounter,
-    pid: usize,
-    history: OpHistory<Timestamp>,
-}
+impl StampSource for BrokenCounter {
+    type State<'a> = usize;
+    type Stamp = Timestamp;
 
-impl BrokenCounterWorker<'_> {
-    fn get_ts(&mut self, pause: impl FnMut()) {
-        let t = self.obj.get_ts_paused(self.pid, pause).expect(
+    fn issue(&self, pid: &mut usize, gate: Option<&StepGate>) -> (Timestamp, Timestamp) {
+        let t = self.get_ts_paused(*pid, || gate.map_or((), StepGate::pause));
+        let t = t.expect(
             "broken_counter is a replay-only one-shot target: each slot supports exactly \
              one GetTs (wrap it in OneShotPool for scenario-engine use)",
         );
-        self.history.push(t);
-    }
-}
-
-impl WorkloadWorker for BrokenCounterWorker<'_> {
-    fn step(&mut self, op: WorkloadOp) -> WorkloadOp {
-        match op {
-            WorkloadOp::GetTs => {
-                self.get_ts(|| {});
-                WorkloadOp::GetTs
-            }
-            // No read-only observation or meaningful comparison exists;
-            // substitute GetTs like the other adapters.
-            WorkloadOp::Scan | WorkloadOp::Compare => self.step(WorkloadOp::GetTs),
-        }
+        (t, t)
     }
 
-    fn step_gated(&mut self, op: WorkloadOp, gate: &StepGate) -> WorkloadOp {
-        match op {
-            WorkloadOp::GetTs => {
-                gate.pause(); // op start
-                self.get_ts(|| gate.pause());
-                WorkloadOp::GetTs
-            }
-            other => {
-                gate.pause();
-                self.step(other)
-            }
-        }
+    fn checked(&self) -> bool {
+        false
     }
 
-    fn last_ts(&self) -> Option<Timestamp> {
-        self.history.last()
+    fn replay_ts(t: Timestamp) -> Option<Timestamp> {
+        Some(t)
     }
 }
 
@@ -1439,11 +1414,7 @@ impl WorkloadTarget for BrokenCounter {
 
     fn worker<'a>(&'a self, slot: usize) -> Box<dyn WorkloadWorker + 'a> {
         assert!(slot < self.slots(), "slot {slot} out of range");
-        Box::new(BrokenCounterWorker {
-            obj: self,
-            pid: slot,
-            history: OpHistory::new(),
-        })
+        Box::new(StampWorker::new(self, slot))
     }
 
     fn replay_granularity(&self) -> ReplayGranularity {
@@ -1455,18 +1426,6 @@ impl WorkloadTarget for BrokenCounter {
 mod tests {
     use super::*;
     use crate::{PackedBackend, SimpleOneShot};
-
-    #[test]
-    fn collect_max_worker_runs_every_op_kind() {
-        let obj = CollectMax::new(2);
-        let mut w = obj.worker(0);
-        assert_eq!(w.step(WorkloadOp::GetTs), WorkloadOp::GetTs);
-        assert_eq!(w.step(WorkloadOp::Scan), WorkloadOp::Scan);
-        // First compare lacks two timestamps and substitutes GetTs.
-        assert_eq!(w.step(WorkloadOp::Compare), WorkloadOp::GetTs);
-        assert_eq!(w.step(WorkloadOp::Compare), WorkloadOp::Compare);
-        assert_eq!(obj.calls(), 2);
-    }
 
     #[test]
     fn growable_workers_get_unique_vpids_across_lives() {
@@ -1497,7 +1456,7 @@ mod tests {
             assert_eq!(w.step(WorkloadOp::GetTs), WorkloadOp::GetTs);
         }
         assert!(
-            pool.current().generation >= 2,
+            pool.view(0, None).generation >= 2,
             "pool generation never advanced"
         );
     }
@@ -1520,17 +1479,17 @@ mod tests {
         }
         // Replacement on the same slot resumes at object 3 — exactly 5
         // objects remain, consumed without triggering a refresh.
-        assert_eq!(pool.current().cursors[0].load(Ordering::Relaxed), 3);
+        assert_eq!(pool.view(0, None).cursors[0].load(Ordering::Relaxed), 3);
         let mut w = pool.worker(0);
         for _ in 0..5 {
             assert_eq!(w.step(WorkloadOp::GetTs), WorkloadOp::GetTs);
         }
         assert_eq!(
-            pool.current().generation,
+            pool.view(0, None).generation,
             0,
             "no refresh needed within one pool"
         );
-        assert_eq!(pool.current().cursors[0].load(Ordering::Relaxed), 8);
+        assert_eq!(pool.view(0, None).cursors[0].load(Ordering::Relaxed), 8);
     }
 
     #[test]
@@ -1690,47 +1649,6 @@ mod tests {
     }
 
     #[test]
-    fn default_step_gated_announces_one_substep_per_op() {
-        let obj = GrowableWorkload::new();
-        let gate = StepGate::new();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let mut w = obj.worker(0);
-                for _ in 0..3 {
-                    w.step_gated(WorkloadOp::GetTs, &gate);
-                }
-                gate.finish();
-            });
-            for _ in 0..3 {
-                gate.release_next(GATE_TIMEOUT).unwrap();
-            }
-        });
-        assert_eq!(gate.progress().announced, 3);
-        assert_eq!(obj.inner().calls(), 3);
-    }
-
-    #[test]
-    fn collect_max_gated_step_announces_every_memory_access() {
-        let n = 3;
-        let obj = CollectMax::new(n);
-        assert_eq!(obj.replay_granularity(), ReplayGranularity::MemoryAccess);
-        let gate = StepGate::new();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let mut w = obj.worker(0);
-                w.step_gated(WorkloadOp::GetTs, &gate);
-                gate.finish();
-            });
-            // 1 op-start + n reads + 1 write.
-            for _ in 0..(n + 2) {
-                gate.release_next(GATE_TIMEOUT).unwrap();
-            }
-        });
-        assert_eq!(gate.progress().announced, (n + 2) as u64);
-        assert_eq!(obj.calls(), 1);
-    }
-
-    #[test]
     fn helping_scan_target_steps_by_slot_role() {
         // Slot 0 scans whatever the mix deals it; writer slots storm.
         let obj =
@@ -1801,27 +1719,5 @@ mod tests {
         });
         assert_eq!(gate.progress().announced, 4);
         assert_eq!(obj.scans(), 1);
-    }
-
-    #[test]
-    fn broken_counter_target_exposes_access_granularity() {
-        let obj = BrokenCounter::new(2);
-        assert_eq!(obj.replay_granularity(), ReplayGranularity::MemoryAccess);
-        assert_eq!(obj.object(), "broken_counter");
-        assert_eq!(obj.slots(), 2);
-        let gate = StepGate::new();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let mut w = obj.worker(0);
-                w.step_gated(WorkloadOp::GetTs, &gate);
-                assert_eq!(w.last_ts(), Some(Timestamp::scalar(1)));
-                gate.finish();
-            });
-            // op start + read + write.
-            for _ in 0..3 {
-                gate.release_next(GATE_TIMEOUT).unwrap();
-            }
-        });
-        assert_eq!(gate.progress().announced, 3);
     }
 }

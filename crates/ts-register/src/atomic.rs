@@ -16,10 +16,12 @@ use crate::traits::Register;
 /// reads at the pointer load.
 ///
 /// This is the executable stand-in for the paper's base object: registers
-/// `r_1, ..., r_m` whose contents can be unbounded (Algorithm 4 stores a
-/// sequence of getTS-ids plus a round number in each register). Values are
-/// cloned out on read, so `T` is typically either small or cheaply
-/// clonable (e.g. contains an `Arc`).
+/// `r_1, ..., r_m` whose contents the model allows to be unbounded. Through
+/// [`StampedRegister`](crate::StampedRegister) it holds the contents that
+/// outgrow a word: the growable timestamp's `⟨seq, rnd⟩` sequences and
+/// `ts-snapshot`'s help records and snapshot cells. Values are cloned out
+/// on read, so `T` is typically either small or cheaply clonable (e.g.
+/// contains an `Arc`).
 ///
 /// # Example
 ///

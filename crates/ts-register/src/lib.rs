@@ -2,11 +2,14 @@
 //!
 //! The algorithms of Helmi, Higham, Pacheco and Woelfel (PODC 2011) are
 //! expressed over *atomic registers*: shared cells supporting linearizable
-//! `read` and `write` of arbitrarily large values (the registers of
-//! Algorithm 4 hold sequences of getTS-ids). Hardware atomics only cover
-//! word-sized values, so this crate provides a wait-free, linearizable
-//! register of any `T: Clone` built from an atomic pointer swap with
-//! epoch-based memory reclamation.
+//! `read` and `write`, and the paper's model allows them to be unbounded.
+//! Hardware atomics only cover word-sized values, so this crate also
+//! provides a wait-free, linearizable register of any `T: Clone` built
+//! from an atomic pointer swap with epoch-based memory reclamation. Its
+//! users are the objects whose register contents outgrow a word:
+//! `GrowableTimestamp`'s `⟨seq, rnd⟩` sequences and `ts-snapshot`'s help
+//! board and snapshot. (`BoundedTimestamp`, Algorithm 4, keeps its
+//! registers in packed words and its sequences in per-call cells.)
 //!
 //! The crate also provides the measurement machinery the paper's results
 //! are *about*: [`SpaceMeter`] tracks which registers an execution reads

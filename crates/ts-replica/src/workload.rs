@@ -17,9 +17,9 @@
 
 use std::sync::Arc;
 
-use ts_core::workload::StepGate;
+use ts_core::workload::{StampSource, StampWorker, StepGate};
 use ts_core::{
-    CollectMax, OpHistory, ReplayGranularity, ServiceStats, Timestamp, WorkloadOp, WorkloadTarget,
+    CollectMax, ReplayGranularity, ServiceStats, Timestamp, WorkloadOp, WorkloadTarget,
     WorkloadWorker,
 };
 
@@ -31,9 +31,10 @@ use crate::net::FaultPlan;
 /// sub-step per replica interaction.
 ///
 /// The broken variant keeps the same step grammar but skips the
-/// per-worker timestamp-property assertion — replaying the explorer's
-/// counterexample *observes* the violation (the replayer checks
-/// outputs), it must not crash the worker.
+/// per-worker timestamp-property assertions, on `GetTs` and on
+/// `Compare` alike — replaying the explorer's counterexample *observes*
+/// the violation (the replayer checks outputs), it must not crash the
+/// worker.
 #[derive(Debug)]
 pub struct QuorumTsTarget {
     ts: QuorumTs,
@@ -64,68 +65,29 @@ impl QuorumTsTarget {
     }
 }
 
-struct QuorumTsWorker<'a> {
-    ts: &'a QuorumTs,
-    slot: usize,
-    history: OpHistory<Timestamp>,
-}
+impl StampSource for QuorumTs {
+    type State<'a> = usize;
+    type Stamp = Timestamp;
 
-impl QuorumTsWorker<'_> {
-    fn record(&mut self, t: Timestamp) {
-        if self.ts.is_correct() {
-            if let Some(p) = self.history.last() {
-                assert!(
-                    Timestamp::compare(&p, &t),
-                    "quorum_ts violated the timestamp property: {p} !< {t}"
-                );
-            }
-        }
-        self.history.push(t);
-    }
-}
-
-impl WorkloadWorker for QuorumTsWorker<'_> {
-    fn step(&mut self, op: WorkloadOp) -> WorkloadOp {
-        match op {
-            WorkloadOp::GetTs => {
-                let t = self.ts.get_ts(self.slot);
-                self.record(t);
-                WorkloadOp::GetTs
-            }
-            WorkloadOp::Scan => {
-                std::hint::black_box(self.ts.read_max());
-                WorkloadOp::Scan
-            }
-            WorkloadOp::Compare => match self.history.pair() {
-                Some((a, b)) => {
-                    assert!(
-                        std::hint::black_box(Timestamp::compare(&a, &b)),
-                        "quorum_ts history out of order: {a} !< {b}"
-                    );
-                    WorkloadOp::Compare
-                }
-                None => self.step(WorkloadOp::GetTs),
-            },
-        }
+    fn issue(&self, slot: &mut usize, gate: Option<&StepGate>) -> (Timestamp, Timestamp) {
+        let t = match gate {
+            None => self.get_ts(*slot),
+            Some(gate) => self.get_ts_paused(*slot, || gate.pause()),
+        };
+        (t, t)
     }
 
-    fn step_gated(&mut self, op: WorkloadOp, gate: &StepGate) -> WorkloadOp {
-        match op {
-            WorkloadOp::GetTs => {
-                gate.pause(); // op start
-                let t = self.ts.get_ts_paused(self.slot, || gate.pause());
-                self.record(t);
-                WorkloadOp::GetTs
-            }
-            other => {
-                gate.pause();
-                self.step(other)
-            }
-        }
+    fn observe(&self, _slot: &usize) -> bool {
+        std::hint::black_box(self.read_max());
+        true
     }
 
-    fn last_ts(&self) -> Option<Timestamp> {
-        self.history.last()
+    fn checked(&self) -> bool {
+        self.is_correct()
+    }
+
+    fn replay_ts(t: Timestamp) -> Option<Timestamp> {
+        Some(t)
     }
 }
 
@@ -148,11 +110,7 @@ impl WorkloadTarget for QuorumTsTarget {
 
     fn worker<'a>(&'a self, slot: usize) -> Box<dyn WorkloadWorker + 'a> {
         assert!(slot < self.processes, "slot {slot} out of range");
-        Box::new(QuorumTsWorker {
-            ts: &self.ts,
-            slot,
-            history: OpHistory::new(),
-        })
+        Box::new(StampWorker::new(&self.ts, slot))
     }
 
     fn replay_granularity(&self) -> ReplayGranularity {
@@ -265,11 +223,7 @@ impl WorkloadTarget for QuorumTsCrashTarget {
                 victim: self.victim,
             });
         }
-        Box::new(QuorumTsWorker {
-            ts: &self.ts,
-            slot,
-            history: OpHistory::new(),
-        })
+        Box::new(StampWorker::new(&self.ts, slot))
     }
 
     fn replay_granularity(&self) -> ReplayGranularity {
@@ -495,15 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn broken_target_reports_its_own_object_label() {
-        let target = QuorumTsTarget::broken(2, 1);
-        assert_eq!(target.object(), "quorum_ts_broken");
-        let mut w = target.worker(1);
-        w.step(WorkloadOp::GetTs);
-        assert!(w.last_ts().is_some());
-    }
-
-    #[test]
     fn replicated_collect_max_issues_through_quorums() {
         let target = ReplicatedCollectMax::new(2, 1, "replicated_f1");
         assert_eq!(target.object(), "replicated_f1");
@@ -581,27 +526,5 @@ mod tests {
             "the adversary restarts what it crashes"
         );
         assert_eq!(cluster.resynced_registers(), 0, "resync was skipped");
-    }
-
-    #[test]
-    fn gated_quorum_ts_announces_message_steps() {
-        let target = Arc::new(QuorumTsTarget::new(1, 1));
-        let gate = Arc::new(StepGate::new());
-        let t2 = Arc::clone(&target);
-        let g2 = Arc::clone(&gate);
-        let handle = std::thread::spawn(move || {
-            let mut w = t2.worker(0);
-            w.step_gated(WorkloadOp::GetTs, &g2);
-            g2.finish();
-        });
-        // Op start + 2 reads + 2 installs = 5 announced sub-steps.
-        for step in 1..=5 {
-            gate.release_next(std::time::Duration::from_secs(5))
-                .unwrap_or_else(|e| panic!("release {step}: {e}"));
-        }
-        handle.join().expect("worker thread");
-        let progress = gate.progress();
-        assert_eq!(progress.announced, 5, "one pause per message step");
-        assert!(progress.done);
     }
 }

@@ -38,7 +38,7 @@
 
 use std::hint::black_box;
 
-use ts_core::workload::{OpHistory, WorkloadOp, WorkloadTarget, WorkloadWorker};
+use ts_core::workload::{StampSource, StampWorker, StepGate, WorkloadTarget, WorkloadWorker};
 use ts_core::{PackedBackend, RegisterBackend, ServiceStats, ShardedTimestamp};
 use ts_service::{ClientSession, IssueMode, ServiceConfig, ShardedCollectMax};
 
@@ -102,59 +102,40 @@ impl<B: RegisterBackend<u64>> ServiceTarget<B> {
     }
 }
 
-struct ServiceWorker<'a, B: RegisterBackend<u64>> {
-    session: ClientSession<'a, B>,
-    service: &'a ShardedCollectMax<B>,
-    mode: IssueMode,
-    history: OpHistory<ShardedTimestamp>,
-}
+impl<B: RegisterBackend<u64>> StampSource for ServiceTarget<B> {
+    type State<'a> = ClientSession<'a, B>;
+    type Stamp = ShardedTimestamp;
 
-impl<B: RegisterBackend<u64>> WorkloadWorker for ServiceWorker<'_, B> {
-    fn step(&mut self, op: WorkloadOp) -> WorkloadOp {
-        match op {
-            WorkloadOp::GetTs => {
-                let (first, last) = match self.mode {
-                    IssueMode::Single => {
-                        let t = self.session.get_ts();
-                        (t, t)
-                    }
-                    IssueMode::Batch(k) => {
-                        let batch = self.session.get_ts_batch(k);
-                        (batch.first_stamp(), batch.last_stamp())
-                    }
-                };
-                if let Some(p) = self.history.last() {
-                    // The service's per-client guarantee: every stamp a
-                    // session obtains exceeds its previous one, across
-                    // batches and migrations.
-                    assert!(
-                        ShardedTimestamp::compare(&p, &first),
-                        "service violated per-client monotonicity: {p} !< {first}"
-                    );
-                }
-                self.history.push(last);
-                WorkloadOp::GetTs
+    fn issue(
+        &self,
+        session: &mut ClientSession<'_, B>,
+        _gate: Option<&StepGate>,
+    ) -> (ShardedTimestamp, ShardedTimestamp) {
+        match self.mode {
+            IssueMode::Single => {
+                let t = session.get_ts();
+                (t, t)
             }
-            WorkloadOp::Scan => {
-                black_box(self.service.read_max());
-                WorkloadOp::Scan
+            IssueMode::Batch(k) => {
+                let batch = session.get_ts_batch(k);
+                (batch.first_stamp(), batch.last_stamp())
             }
-            WorkloadOp::Compare => match self.history.pair() {
-                Some((a, b)) => {
-                    assert!(
-                        black_box(ShardedTimestamp::compare(&a, &b)),
-                        "service history out of order: {a} !< {b}"
-                    );
-                    WorkloadOp::Compare
-                }
-                None => self.step(WorkloadOp::GetTs),
-            },
         }
     }
 
-    // Cross-client, cross-shard ordering is exactly what the service
-    // relaxes, so `last_ts` stays `None`: replay controllers check
-    // order, not outputs.
+    fn observe(&self, _session: &ClientSession<'_, B>) -> bool {
+        black_box(self.service.read_max());
+        true
+    }
+
+    /// The service's per-client guarantee: every stamp a session
+    /// obtains exceeds its previous one, across batches and migrations.
+    /// Cross-client, cross-shard ordering is exactly what the service
+    /// relaxes, so `last_ts` stays `None`: replay checks order, not
+    /// outputs.
+    fn checked(&self) -> bool {
+        true
+    }
 }
 
 impl<B: RegisterBackend<u64>> WorkloadTarget for ServiceTarget<B> {
@@ -174,12 +155,7 @@ impl<B: RegisterBackend<u64>> WorkloadTarget for ServiceTarget<B> {
     }
 
     fn worker<'a>(&'a self, _slot: usize) -> Box<dyn WorkloadWorker + 'a> {
-        Box::new(ServiceWorker {
-            session: self.service.session(),
-            service: &self.service,
-            mode: self.mode,
-            history: OpHistory::new(),
-        })
+        Box::new(StampWorker::new(self, self.service.session()))
     }
 
     fn service_stats(&self) -> Option<ServiceStats> {
@@ -192,6 +168,7 @@ mod tests {
     use super::*;
     use crate::engine::{run_scenario, RunConfig};
     use crate::scenario::{Arrival, Churn, OpMix, Scenario};
+    use ts_core::workload::WorkloadOp;
 
     fn target(shards: usize, slots: usize, mode: IssueMode) -> ServiceTarget {
         ServiceTarget::new("sharded_test", ServiceConfig::new(shards, slots), mode)

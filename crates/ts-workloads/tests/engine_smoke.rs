@@ -1,12 +1,16 @@
 //! Engine behavior tests: op accounting, arrival modes, churn lives,
 //! and target coverage across backends.
 
-use ts_core::workload::WorkloadOp;
+use ts_core::workload::{StepGate, WorkloadOp, WorkloadTarget};
 use ts_core::{
-    BoundedTimestamp, CollectMax, EpochBackend, GrowableWorkload, OneShotPool, PackedBackend,
-    SimpleOneShot,
+    BoundedTimestamp, BrokenCounter, CollectMax, CollectMaxFast, EpochBackend, GrowableWorkload,
+    OneShotPool, PackedBackend, SimpleOneShot,
 };
-use ts_workloads::{catalog, run_scenario, Arrival, Churn, OpMix, RunConfig, Scenario};
+use ts_replica::QuorumTsTarget;
+use ts_service::{IssueMode, ServiceConfig};
+use ts_workloads::{
+    catalog, run_scenario, Arrival, Churn, OpMix, RunConfig, Scenario, ServiceTarget,
+};
 
 fn closed(name: &'static str, mix: OpMix) -> Scenario {
     Scenario {
@@ -178,4 +182,69 @@ fn too_many_threads_for_target_is_rejected() {
         seed: 0,
     };
     let _ = run_scenario(&target, &closed("closed_getts", OpMix::get_ts_only()), &cfg);
+}
+
+type MakeTarget = fn() -> Box<dyn WorkloadTarget>;
+
+/// Pauses `op` announces when run gated on a fresh worker of a fresh
+/// target (the gate is released up front, so nothing blocks).
+fn gated_pauses(make: MakeTarget, op: WorkloadOp) -> u64 {
+    let gate = StepGate::new();
+    gate.release_all();
+    make().worker(0).step_gated(op, &gate);
+    gate.progress().announced
+}
+
+#[test]
+fn every_stamp_adapter_keeps_its_op_kinds_outputs_and_pauses() {
+    use ts_core::ReplayGranularity::{MemoryAccess as Access, Op};
+    use WorkloadOp::{Compare, GetTs, Scan};
+    let full = [Some(GetTs), Some(GetTs), Some(Compare), Some(Scan)];
+    let pool: MakeTarget = || {
+        let make = Box::new(|| SimpleOneShot::<PackedBackend>::with_backend(2));
+        let pool = OneShotPool::new("simple_oneshot", "packed", 2, 4, make);
+        Box::new(pool.with_scan(Box::new(|o| {
+            std::hint::black_box(o.observed_sum());
+        })))
+    };
+    let service: MakeTarget = || {
+        let config = ServiceConfig::new(2, 2);
+        Box::new(ServiceTarget::new("sharded", config, IssueMode::Batch(4)))
+    };
+    // Replay-only one-shot: the history-starved Compare substitutes a
+    // second GetTs, which the object refuses.
+    let once = [Some(GetTs), None, None, None];
+    // Object label, fresh target, replay granularity, the op kinds a
+    // fresh worker returns for `GetTs, Compare, Compare, Scan` (`None`:
+    // the op panics), whether `last_ts` then reports a stamp, and the
+    // pauses a fresh worker's gated `GetTs` announces (the broken quorum
+    // installs at one replica instead of two).
+    #[rustfmt::skip]
+    let rows: [(_, MakeTarget, _, _, _, _); 10] = [
+        ("collect_max", || Box::new(CollectMax::new(3)), Access, full, true, 3 + 2),
+        ("collect_max_fast", || Box::new(<CollectMaxFast>::new(2)), Access, full, true, 4),
+        ("growable", || Box::new(GrowableWorkload::new()), Op, full, true, 1),
+        ("simple_oneshot", pool, Op, full, false, 1),
+        ("broken_counter", || Box::new(BrokenCounter::new(2)), Access, once, true, 3),
+        ("quorum_ts", || Box::new(QuorumTsTarget::new(2, 1)), Access, full, true, 5),
+        ("quorum_ts_broken", || Box::new(QuorumTsTarget::broken(2, 1)), Access, full, true, 4),
+        ("sharded", service, Op, full, false, 1),
+        ("fcfs_lock", || Box::new(<ts_apps::FcfsLock>::new(2)), Op, full, false, 1),
+        ("k_exclusion", || Box::new(<ts_apps::KExclusion>::new(2, 1)), Op, full, false, 1),
+    ];
+    for (name, make, granularity, ops, reports_last_ts, get_ts_pauses) in rows {
+        let target = make();
+        assert_eq!(target.object(), name);
+        assert_eq!(target.replay_granularity(), granularity, "{name}");
+        let mut worker = target.worker(0);
+        for (op, expected) in [GetTs, Compare, Compare, Scan].into_iter().zip(ops) {
+            let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker.step(op)));
+            assert_eq!(ran.ok(), expected, "{name}: {op:?}");
+        }
+        assert_eq!(worker.last_ts().is_some(), reports_last_ts, "{name}");
+        assert_eq!(gated_pauses(make, GetTs), get_ts_pauses, "{name}");
+        // A gated Compare announces only the op-start pause, also when a
+        // fresh worker substitutes GetTs for it.
+        assert_eq!(gated_pauses(make, Compare), 1, "{name}");
+    }
 }
