@@ -8,10 +8,8 @@
 //!   register (`AtomicRegister<u64>` vs `PackedRegister<u64>`); this is
 //!   the raw cost of the epoch machinery vs a hardware atomic.
 //! - **scan** — `double_collect_scan` over an 8-register array while
-//!   `threads − 1` writers interfere, epoch vs packed arrays. Arrays are
-//!   cache-line padded by default; the `scan_unpadded` rows rerun the
-//!   same workload on the compact layout, so the baseline records the
-//!   false-sharing cost the padding removes.
+//!   `threads − 1` writers interfere, epoch vs packed arrays (one
+//!   register per cache line, one block dirty word).
 //! - **getTS** — `SimpleOneShot` (fresh objects, every thread takes its
 //!   one-shot timestamp on each) and `CollectMax` (one long-lived
 //!   object), packed default vs `EpochBackend` variants.
@@ -39,7 +37,7 @@ use ts_core::{
     CollectMax, EpochBackend, LongLivedTimestamp, OneShotTimestamp, PackedBackend, RegisterBackend,
     SimpleOneShot,
 };
-use ts_register::{ArrayLayout, AtomicRegister, PackedRegister, RegisterArray};
+use ts_register::{AtomicRegister, PackedRegister, RegisterArray};
 use ts_snapshot::double_collect_scan;
 
 /// One measured configuration.
@@ -143,8 +141,8 @@ where
 
 /// One scanner performing `scans` double collects while `threads - 1`
 /// writers hammer the array.
-fn bench_scan<B: RegisterBackend<u64>>(threads: usize, scans: u64, layout: ArrayLayout) -> f64 {
-    let array: RegisterArray<u64, B> = RegisterArray::with_layout(8, 0, layout);
+fn bench_scan<B: RegisterBackend<u64>>(threads: usize, scans: u64) -> f64 {
+    let array: RegisterArray<u64, B> = RegisterArray::with_backend(8, 0);
     let stop = AtomicBool::new(false);
     let start = Instant::now();
     crossbeam::scope(|s| {
@@ -250,20 +248,12 @@ fn main() {
             row("register_rw", "packed", t, rw_ops, secs)
         })));
         results.push(best(Box::new(|| {
-            let secs = bench_scan::<EpochBackend>(t, scans, ArrayLayout::Padded);
+            let secs = bench_scan::<EpochBackend>(t, scans);
             row("scan", "epoch", t, scans, secs)
         })));
         results.push(best(Box::new(|| {
-            let secs = bench_scan::<PackedBackend>(t, scans, ArrayLayout::Padded);
+            let secs = bench_scan::<PackedBackend>(t, scans);
             row("scan", "packed", t, scans, secs)
-        })));
-        results.push(best(Box::new(|| {
-            let secs = bench_scan::<EpochBackend>(t, scans, ArrayLayout::Compact);
-            row("scan_unpadded", "epoch", t, scans, secs)
-        })));
-        results.push(best(Box::new(|| {
-            let secs = bench_scan::<PackedBackend>(t, scans, ArrayLayout::Compact);
-            row("scan_unpadded", "packed", t, scans, secs)
         })));
         results.push(best(Box::new(|| {
             let (ops, secs) = bench_simple_oneshot::<EpochBackend>(t, oneshot_objects);
@@ -299,8 +289,7 @@ fn main() {
     table.emit();
     ts_bench::note(
         "expectations: packed >> epoch on every workload; epoch register reads must\n\
-         scale (not collapse) with threads now that pin/defer are lock-free; scan >=\n\
-         scan_unpadded under writers (padding + the summary short-circuit); collect_max\n\
+         scale (not collapse) with threads now that pin/defer are lock-free; collect_max\n\
          getTS rides the cached-max fast path (diff against an old baseline with\n\
          bench_compare).",
     );

@@ -8,9 +8,6 @@
 //! `k_exclusion`), on both register backends where the object is
 //! generic, under every scenario in the `ts-workloads` catalog
 //! (closed loop, Zipf-skewed mixes, bursty open loop, thread churn).
-//! `collect_max` additionally runs on the compact register layout
-//! (backend label `packed_unpadded`), so every scenario doubles as a
-//! padded-vs-unpadded A/B cell.
 //!
 //! The `ts-service` layer joins the grid as `sharded_s{S}_{mode}` cells
 //! (`S ∈ {1,4,16}` shard domains × `{single, batch16}` issue modes)
@@ -77,8 +74,8 @@ use ts_apps::{FcfsLock, KExclusion};
 use ts_bench::Table;
 use ts_core::workload::WorkloadTarget;
 use ts_core::{
-    ArrayLayout, BoundedTimestamp, CollectMax, EpochBackend, GrowableWorkload, HelpingScanWorkload,
-    OneShotPool, PackedBackend, ScanMode, ServiceStats, SimpleOneShot,
+    BoundedTimestamp, CollectMax, EpochBackend, GrowableWorkload, HelpingScanWorkload, OneShotPool,
+    PackedBackend, ScanMode, ServiceStats, SimpleOneShot,
 };
 use ts_replica::{ClusterConfig, FaultPlan, ReplicatedCollectMax, ReplicatedTryRegisters};
 use ts_service::{IssueMode, ServiceConfig};
@@ -321,13 +318,6 @@ fn targets(threads: usize, pool_size: usize) -> Vec<Box<dyn WorkloadTarget>> {
         )),
         Box::new(CollectMax::<PackedBackend>::with_backend(threads)),
         Box::new(CollectMax::<EpochBackend>::with_backend(threads)),
-        // The same object on the compact (unpadded) register layout:
-        // its cells report backend "packed_unpadded", making the
-        // padded-vs-unpadded contention gap a first-class grid row.
-        Box::new(CollectMax::<PackedBackend>::with_layout(
-            threads,
-            ArrayLayout::Compact,
-        )),
         Box::new(GrowableWorkload::new()),
         Box::new(FcfsLock::<PackedBackend>::with_backend(threads)),
         Box::new(FcfsLock::<EpochBackend>::with_backend(threads)),

@@ -46,8 +46,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ts_register::{
-    ArrayLayout, CachePadded, EpochBackend, PackedBackend, RegisterArray, RegisterBackend,
-    SpaceMeter,
+    CachePadded, EpochBackend, PackedBackend, RegisterArray, RegisterBackend, SpaceMeter,
 };
 
 use crate::error::GetTsError;
@@ -190,41 +189,25 @@ impl CollectMax<PackedBackend> {
 
 impl<B: RegisterBackend<u64>> CollectMax<B> {
     /// Creates an object for `processes` processes using `n` registers on
-    /// the backend `B`, in the default padded layout.
+    /// the backend `B`.
     ///
     /// # Panics
     ///
     /// Panics if `processes == 0`.
     pub fn with_backend(processes: usize) -> Self {
-        Self::with_layout(processes, ArrayLayout::Padded)
-    }
-
-    /// Creates an object with an explicit register [`ArrayLayout`]
-    /// (compact exists for the padded-vs-unpadded contention
-    /// comparison in `ts-workloads`/`ts-bench`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `processes == 0`.
-    pub fn with_layout(processes: usize, layout: ArrayLayout) -> Self {
         assert!(processes > 0, "need at least one process");
         let meter = SpaceMeter::new(processes);
         Self {
             // The array meters its own register traffic, so the
             // explicit record_* calls of the pre-array implementation
             // are gone from the getTS paths.
-            registers: RegisterArray::with_layout_and_meter(processes, 0, layout, meter.clone())
+            registers: RegisterArray::with_backend_and_meter(processes, 0, meter.clone())
                 .without_scan_words(),
             cached_max: CachePadded::new(AtomicU64::new(0)),
             meter,
             counters: SlotCounters::new(processes),
             scan_recollects: CachePadded::new(AtomicU64::new(0)),
         }
-    }
-
-    /// The register memory layout this object was built with.
-    pub fn layout(&self) -> ArrayLayout {
-        self.registers.layout()
     }
 
     fn register_count(&self) -> usize {
@@ -575,7 +558,6 @@ impl<B: RegisterBackend<u64>> fmt::Debug for CollectMax<B> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CollectMax")
             .field("processes", &self.register_count())
-            .field("layout", &self.layout())
             .field("calls", &self.calls())
             .field("fast_path_hits", &self.fast_path_hits())
             .finish()
@@ -616,15 +598,6 @@ mod tests {
             last = t;
         }
         assert_eq!(ts.calls(), 6);
-    }
-
-    #[test]
-    fn compact_layout_behaves_identically() {
-        let ts = CollectMax::<PackedBackend>::with_layout(2, ArrayLayout::Compact);
-        assert_eq!(ts.layout(), ArrayLayout::Compact);
-        let a = ts.get_ts(0).unwrap();
-        let b = ts.get_ts(1).unwrap();
-        assert!(Timestamp::compare(&a, &b));
     }
 
     #[test]

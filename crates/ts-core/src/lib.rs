@@ -69,6 +69,6 @@ pub use workload::{
     WorkloadWorker,
 };
 
-// Re-exported so downstream constructors can name backends and layouts
-// without a direct `ts-register` dependency.
-pub use ts_register::{ArrayLayout, CachePadded, EpochBackend, PackedBackend, RegisterBackend};
+// Re-exported so downstream constructors can name backends without a
+// direct `ts-register` dependency.
+pub use ts_register::{CachePadded, EpochBackend, PackedBackend, RegisterBackend};

@@ -71,7 +71,7 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use ts_register::{ArrayLayout, CachePadded, RegisterBackend};
+use ts_register::{CachePadded, RegisterBackend};
 
 use crate::broken::BrokenCounter;
 use crate::collectmax::CollectMax;
@@ -651,26 +651,13 @@ impl<B: RegisterBackend<u64>> StampSource for CollectMax<B> {
     }
 }
 
-/// Report label for a backend × register-layout pair: the plain backend
-/// name for the default padded layout, a `_unpadded` suffix for the
-/// compact one (so padded-vs-unpadded cells are distinguishable in the
-/// workload grid).
-fn layout_label(backend: &'static str, layout: ArrayLayout) -> &'static str {
-    match (backend, layout) {
-        (_, ArrayLayout::Padded) => backend,
-        ("packed", ArrayLayout::Compact) => "packed_unpadded",
-        ("epoch", ArrayLayout::Compact) => "epoch_unpadded",
-        (_, ArrayLayout::Compact) => "custom_unpadded",
-    }
-}
-
 impl<B: RegisterBackend<u64>> WorkloadTarget for CollectMax<B> {
     fn object(&self) -> &'static str {
         "collect_max"
     }
 
     fn backend(&self) -> &'static str {
-        layout_label(B::NAME, self.layout())
+        B::NAME
     }
 
     fn slots(&self) -> usize {
@@ -754,7 +741,7 @@ impl<B: RegisterBackend<u64>> WorkloadTarget for CollectMaxFast<B> {
     }
 
     fn backend(&self) -> &'static str {
-        layout_label(B::NAME, self.0.layout())
+        B::NAME
     }
 
     fn slots(&self) -> usize {

@@ -12,38 +12,14 @@ use crate::pad::CachePadded;
 use crate::stamped::{Stamp, Stamped};
 use crate::traits::Register;
 
-/// How a [`RegisterArray`] lays its registers out in memory.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum ArrayLayout {
-    /// One register per cache line ([`CachePadded`]): writers to
-    /// different registers never invalidate each other's lines. The
-    /// default — the paper's algorithms assign one writer per register,
-    /// which is exactly the false-sharing pattern padding removes.
-    #[default]
-    Padded,
-    /// Registers packed contiguously. Smaller, but neighbouring
-    /// registers share cache lines; kept for memory-tight arrays and as
-    /// the A/B baseline the contention benchmarks compare against.
-    Compact,
-}
-
-impl ArrayLayout {
-    /// Short label for benchmark rows ("padded" / "compact").
-    pub fn label(self) -> &'static str {
-        match self {
-            ArrayLayout::Padded => "padded",
-            ArrayLayout::Compact => "compact",
-        }
-    }
-}
-
-/// Snapshot of a [`RegisterArray`]'s write-summary word.
+/// Snapshot of one of a [`RegisterArray`]'s block dirty words.
 ///
-/// The array maintains one `AtomicU64` beside the registers, packing
-/// two 32-bit counts: writes **begun** (high half, bumped immediately
-/// before the register store) and writes **completed** (low half,
-/// bumped immediately after). Two summary reads bracketing a collect
-/// let a reader prove the collect saw a quiescent array — see
+/// The array keeps one `AtomicU64` per block of [`BLOCK_REGISTERS`]
+/// registers, packing two 32-bit counts: writes to the block **begun**
+/// (high half, bumped immediately before the register store) and
+/// writes **completed** (low half, bumped immediately after). Two reads
+/// of every block word bracketing a collect let a reader prove the
+/// collect saw a quiescent array — see
 /// [`WriteSummary::no_writes_during`] — which is what lets the
 /// `ts-snapshot` scan skip its second collect in the uncontended case.
 ///
@@ -70,7 +46,7 @@ impl WriteSummary {
         self.raw as u32
     }
 
-    /// The array's write generation: total completed writes, mod 2³².
+    /// The block's write generation: total completed writes, mod 2³².
     /// Never decreases (modulo the 32-bit wrap).
     pub fn generation(self) -> u32 {
         self.completed()
@@ -82,12 +58,13 @@ impl WriteSummary {
     ///
     /// Since `completed <= begun` at all times, the single equality
     /// pins all four counts: nothing began, completed, or was in flight
-    /// inside the window. A collect bracketed by such a pair therefore
-    /// read a quiescent array and is trivially linearizable.
+    /// inside the window. A collect bracketed by such a pair on every
+    /// block therefore read a quiescent array and is trivially
+    /// linearizable.
     ///
     /// Wrap caveat (same class as the packed stamp wrap): the counts
     /// are 32-bit, so the check could be fooled only by ~2³² write
-    /// *begins* landing between the two summary reads — unreachable in
+    /// *begins* landing between the two word reads — unreachable in
     /// any real schedule. Both halves stay exact mod 2³² across wraps:
     /// the begun bump wraps off the top of the word, and the writer
     /// that wraps the completed half immediately cancels the carry it
@@ -98,98 +75,30 @@ impl WriteSummary {
     }
 }
 
-/// One `begun` tick in the packed summary word (high half).
+/// One `begun` tick in a packed block word (high half).
 const SUMMARY_BEGUN_ONE: u64 = 1 << 32;
 
 /// Registers covered by one block dirty word (see
 /// [`RegisterArray::block_summary`]): a retrying scanner narrows its
 /// recollect to the registers of blocks whose dirty word moved, so the
 /// block size trades recollect precision (smaller blocks) against
-/// per-write bump traffic and summary-sweep length (larger blocks).
+/// block-word sweep length (larger blocks).
 /// 64 keeps a 4096-register array's dirty sweep at 64 one-word loads.
 pub const BLOCK_REGISTERS: usize = 64;
 
-/// Bumps the `begun` half of a summary word (immediately before a
+/// Bumps the `begun` half of a block word (immediately before a
 /// register store). The bump wraps off the top of the word cleanly.
 fn bump_begun(word: &AtomicU64) {
     word.fetch_add(SUMMARY_BEGUN_ONE, Ordering::SeqCst);
 }
 
-/// Bumps the `completed` half of a summary word (immediately after a
+/// Bumps the `completed` half of a block word (immediately after a
 /// register store), cancelling the carry when the low half wraps —
 /// see the comment in [`RegisterArray::write`].
 fn bump_completed(word: &AtomicU64) {
     let prev = word.fetch_add(1, Ordering::SeqCst);
     if prev as u32 == u32::MAX {
         word.fetch_sub(SUMMARY_BEGUN_ONE, Ordering::SeqCst);
-    }
-}
-
-/// A fixed run of slots stored per an [`ArrayLayout`]: one slot per
-/// cache line ([`CachePadded`]) or packed contiguously.
-///
-/// This is the backing store of [`RegisterArray`], exported so other
-/// per-slot-contended structures (e.g. `ts-core`'s collect-max
-/// registers) share one layout-dispatch implementation instead of
-/// re-deriving it.
-pub enum Slots<T> {
-    /// One slot per cache line.
-    Padded(Vec<CachePadded<T>>),
-    /// Slots packed contiguously.
-    Compact(Vec<T>),
-}
-
-impl<T> Slots<T> {
-    /// Builds `capacity` slots with `mk(index)` under `layout`.
-    pub fn new(layout: ArrayLayout, capacity: usize, mut mk: impl FnMut(usize) -> T) -> Self {
-        match layout {
-            ArrayLayout::Padded => {
-                Slots::Padded((0..capacity).map(|i| CachePadded::new(mk(i))).collect())
-            }
-            ArrayLayout::Compact => Slots::Compact((0..capacity).map(mk).collect()),
-        }
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        match self {
-            Slots::Padded(v) => v.len(),
-            Slots::Compact(v) => v.len(),
-        }
-    }
-
-    /// Whether there are zero slots.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The layout this run was built with.
-    pub fn layout(&self) -> ArrayLayout {
-        match self {
-            Slots::Padded(_) => ArrayLayout::Padded,
-            Slots::Compact(_) => ArrayLayout::Compact,
-        }
-    }
-
-    /// Borrows slot `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= len()`.
-    pub fn get(&self, index: usize) -> &T {
-        match self {
-            Slots::Padded(v) => &v[index],
-            Slots::Compact(v) => &v[index],
-        }
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for Slots<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Slots")
-            .field("layout", &self.layout())
-            .field("len", &self.len())
-            .finish()
     }
 }
 
@@ -202,25 +111,25 @@ impl<T: fmt::Debug> fmt::Debug for Slots<T> {
 /// read of each register in index order), the building block of the
 /// double-collect scan.
 ///
-/// # Memory layout and the write summary
+/// # Memory layout and the block dirty words
 ///
 /// Two contention-aware features live at the array level (see the
 /// "Hot paths & memory layout" section of `ARCHITECTURE.md`):
 ///
-/// - registers are laid out **one per cache line** by default
-///   ([`ArrayLayout::Padded`]); [`with_layout`](RegisterArray::with_layout)
-///   opts into the compact layout for memory-tight arrays;
-/// - every write brackets its register store with bumps of a shared
-///   **write-summary word** (one padded `AtomicU64`), so readers can
-///   prove "nothing changed while I collected" from two one-word loads
-///   — see [`WriteSummary`] and [`RegisterArray::summary`]. The
+/// - registers are laid out **one per cache line** ([`CachePadded`]),
+///   since the paper's algorithms give each register its own writer;
+/// - every write brackets its register store with bumps of its block's
+///   **dirty word** (one padded `AtomicU64` per [`BLOCK_REGISTERS`]
+///   registers), so readers can prove "nothing changed while I
+///   collected" from one load of each block word before and after —
+///   see [`WriteSummary`] and [`RegisterArray::block_summary`]. The
 ///   `ts-snapshot` scan uses this to skip its second collect whenever
-///   the array is quiescent.
+///   the array is quiescent, and to re-read only moved blocks when not.
 ///
-/// The summary and block dirty words (the *scan words*) are shared by
-/// every writer, so each write pays four `SeqCst` RMWs on two
-/// contended cache lines for them. An array whose writes are hot and
-/// whose scans are rare drops them with
+/// The block words (the *scan words*) are shared by every writer of a
+/// block, so each write pays two `SeqCst` RMWs on one contended cache
+/// line for them. An array whose writes are hot and whose scans are
+/// rare drops them with
 /// [`without_scan_words`](RegisterArray::without_scan_words): its
 /// writes then touch only the written register, and scans of it fall
 /// back to stamp-validated double collects.
@@ -241,7 +150,7 @@ impl<T: fmt::Debug> fmt::Debug for Slots<T> {
 /// assert_eq!(array.read(1).unwrap(), Some(42));
 /// let view = array.collect();
 /// assert_eq!(view.len(), 3);
-/// assert_eq!(array.summary().generation(), 1);
+/// assert_eq!(array.block_summary(0).generation(), 1);
 ///
 /// // Same API, word-inlined storage:
 /// let packed: PackedRegisterArray<u32> = RegisterArray::new_packed(3, 0);
@@ -249,27 +158,15 @@ impl<T: fmt::Debug> fmt::Debug for Slots<T> {
 /// assert_eq!(packed.read(2).unwrap(), 7);
 /// ```
 pub struct RegisterArray<T, B: RegisterBackend<T> = EpochBackend> {
-    registers: Slots<B::Reg>,
-    /// `None` once [`without_scan_words`](RegisterArray::without_scan_words)
-    /// dropped them.
-    scan_words: Option<ScanWords>,
+    registers: Box<[CachePadded<B::Reg>]>,
+    /// The block dirty words a write brackets its store with, one per
+    /// [`BLOCK_REGISTERS`] registers, for the benefit of scanners (see
+    /// [`RegisterArray::block_summary`]); `None` once
+    /// [`without_scan_words`](RegisterArray::without_scan_words) dropped
+    /// them.
+    scan_words: Option<Box<[CachePadded<AtomicU64>]>>,
     meter: Option<SpaceMeter>,
     _value: PhantomData<fn(T) -> T>,
-}
-
-/// The auxiliary words a [`RegisterArray`] write brackets its store
-/// with, for the benefit of scanners.
-struct ScanWords {
-    /// Packed begun/completed write counts; padded so summary bumps
-    /// never contend with register lines.
-    summary: CachePadded<AtomicU64>,
-    /// Per-block dirty words, one per [`BLOCK_REGISTERS`] registers,
-    /// with the same begun/completed packing as `summary`. A write
-    /// brackets its store with bumps of *both* its block word and the
-    /// global word, so a retrying scanner can localize interference to
-    /// blocks instead of re-sweeping the whole array — see
-    /// [`RegisterArray::block_summary`].
-    blocks: Box<[CachePadded<AtomicU64>]>,
 }
 
 /// A [`RegisterArray`] of word-inlined [`PackedBackend`] registers.
@@ -303,50 +200,44 @@ impl<T: Packable> RegisterArray<T, PackedBackend> {
 
 impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
     /// Creates an array of `capacity` registers, all holding `initial`,
-    /// on the backend `B`, in the default cache-padded layout.
+    /// on the backend `B`.
     pub fn with_backend(capacity: usize, initial: T) -> Self {
-        Self::with_layout(capacity, initial, ArrayLayout::Padded)
-    }
-
-    /// Creates an array on the backend `B` with an explicit
-    /// [`ArrayLayout`].
-    pub fn with_layout(capacity: usize, initial: T, layout: ArrayLayout) -> Self {
-        let block_count = capacity.div_ceil(BLOCK_REGISTERS);
         Self {
-            registers: Slots::new(layout, capacity, |_| B::Reg::with_initial(initial.clone())),
-            scan_words: Some(ScanWords {
-                summary: CachePadded::new(AtomicU64::new(0)),
-                blocks: (0..block_count)
+            registers: (0..capacity)
+                .map(|_| CachePadded::new(B::Reg::with_initial(initial.clone())))
+                .collect(),
+            scan_words: Some(
+                (0..capacity.div_ceil(BLOCK_REGISTERS))
                     .map(|_| CachePadded::new(AtomicU64::new(0)))
                     .collect(),
-            }),
+            ),
             meter: None,
             _value: PhantomData,
         }
     }
 
-    /// Drops the write-summary and block dirty words: afterwards a
-    /// write is one metered store to its register and nothing else.
+    /// Drops the block dirty words: afterwards a write is one metered
+    /// store to its register and nothing else.
     ///
     /// For arrays written on a hot path and scanned rarely or never
     /// (`ts-core`'s `CollectMax`). Scans stay correct: the `ts-snapshot`
     /// scan validates such an array by re-reading every register's
     /// stamp until a sweep confirms them all, the classic double
     /// collect. What is lost is its one-sweep quiescent rung and its
-    /// dirty-block narrowing. [`summary`](RegisterArray::summary) and
-    /// the block-word accessors panic on such an array.
+    /// dirty-block narrowing. The block-word accessors panic on such an
+    /// array.
     pub fn without_scan_words(mut self) -> Self {
         self.scan_words = None;
         self
     }
 
-    /// Whether writes maintain the write-summary and block dirty words
-    /// (true unless built [`without_scan_words`](RegisterArray::without_scan_words)).
+    /// Whether writes maintain the block dirty words (true unless built
+    /// [`without_scan_words`](RegisterArray::without_scan_words)).
     pub fn has_scan_words(&self) -> bool {
         self.scan_words.is_some()
     }
 
-    fn scan_words(&self) -> &ScanWords {
+    fn scan_words(&self) -> &[CachePadded<AtomicU64>] {
         self.scan_words
             .as_ref()
             .expect("array was built without scan words")
@@ -359,27 +250,12 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
     ///
     /// Panics if `meter.capacity() != capacity`.
     pub fn with_backend_and_meter(capacity: usize, initial: T, meter: SpaceMeter) -> Self {
-        Self::with_layout_and_meter(capacity, initial, ArrayLayout::Padded, meter)
-    }
-
-    /// Creates a metered array on the backend `B` with an explicit
-    /// [`ArrayLayout`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `meter.capacity() != capacity`.
-    pub fn with_layout_and_meter(
-        capacity: usize,
-        initial: T,
-        layout: ArrayLayout,
-        meter: SpaceMeter,
-    ) -> Self {
         assert_eq!(
             meter.capacity(),
             capacity,
             "meter capacity must match array capacity"
         );
-        let mut array = Self::with_layout(capacity, initial, layout);
+        let mut array = Self::with_backend(capacity, initial);
         array.meter = Some(meter);
         array
     }
@@ -389,29 +265,9 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
         self.registers.len()
     }
 
-    /// The memory layout this array was built with.
-    pub fn layout(&self) -> ArrayLayout {
-        self.registers.layout()
-    }
-
     /// Returns the meter attached to this array, if any.
     pub fn meter(&self) -> Option<&SpaceMeter> {
         self.meter.as_ref()
-    }
-
-    /// Reads the write-summary word (one `SeqCst` load).
-    ///
-    /// See [`WriteSummary`] for what two of these prove about a collect
-    /// bracketed between them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the array was built
-    /// [`without_scan_words`](RegisterArray::without_scan_words).
-    pub fn summary(&self) -> WriteSummary {
-        WriteSummary {
-            raw: self.scan_words().summary.load(Ordering::SeqCst),
-        }
     }
 
     /// Number of register blocks (`ceil(capacity / BLOCK_REGISTERS)`),
@@ -438,14 +294,14 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
     }
 
     /// Reads the dirty word of `block` (one `SeqCst` load, unmetered —
-    /// like [`summary`](RegisterArray::summary), the dirty words are
-    /// auxiliary state, not one of the array's registers).
+    /// the dirty words are auxiliary state, not one of the array's
+    /// registers).
     ///
     /// Two of these bracketing a window prove, via
     /// [`WriteSummary::no_writes_during`], that no store to any register
-    /// of that block executed inside the window — the per-block
-    /// refinement of the global summary that lets a retrying scanner
-    /// re-read only the registers of blocks that actually moved.
+    /// of that block executed inside the window. Clean pairs on every
+    /// block prove the whole array quiescent; otherwise a retrying
+    /// scanner re-reads only the registers of blocks that moved.
     ///
     /// # Panics
     ///
@@ -453,7 +309,7 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
     /// [`without_scan_words`](RegisterArray::without_scan_words).
     pub fn block_summary(&self, block: usize) -> WriteSummary {
         WriteSummary {
-            raw: self.scan_words().blocks[block].load(Ordering::SeqCst),
+            raw: self.scan_words()[block].load(Ordering::SeqCst),
         }
     }
 
@@ -499,7 +355,7 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
         if let Some(meter) = &self.meter {
             meter.record_read(index);
         }
-        Ok(self.registers.get(index).read_stamped())
+        Ok(self.registers[index].read_stamped())
     }
 
     /// Applies `f` to the value of register `index` in place, without
@@ -513,7 +369,7 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
         if let Some(meter) = &self.meter {
             meter.record_read(index);
         }
-        Ok(self.registers.get(index).read_with(f))
+        Ok(self.registers[index].read_with(f))
     }
 
     /// Reads just the write stamp of register `index` — the cheapest
@@ -528,11 +384,11 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
         if let Some(meter) = &self.meter {
             meter.record_read(index);
         }
-        Ok(self.registers.get(index).stamp())
+        Ok(self.registers[index].stamp())
     }
 
     /// Writes `value` to register `index`, bracketed by the
-    /// begun/completed bumps of the write-summary word (unless the
+    /// begun/completed bumps of its block's dirty word (unless the
     /// array has no scan words).
     ///
     /// # Errors
@@ -543,14 +399,10 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
         if let Some(meter) = &self.meter {
             meter.record_write(index);
         }
-        // `SeqCst` bumps so summary loads, register accesses and these
-        // RMWs order consistently; see the ordering contract in
+        // `SeqCst` bumps so block-word loads, register accesses and
+        // these RMWs order consistently; see the ordering contract in
         // `crate::backend`. The begun bump (high half) wraps off the
-        // top of the word cleanly. The store is bracketed twice — by
-        // the global word and by its block's dirty word — so readers
-        // can prove quiescence at either granularity; the brackets
-        // nest (global begun, block begun, store, block completed,
-        // global completed) but each word's proof stands alone.
+        // top of the word cleanly.
         //
         // On the completed bump, when the low half wraps its +1 carries
         // into the begun half; `bump_completed` cancels the carry so
@@ -559,18 +411,16 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
         // spurious "write in flight" only costs a validation sweep,
         // never a false quiescence claim). Without this, one wrap would
         // leave `begun == completed + 1` at quiescence *forever*,
-        // permanently disabling the scan's summary short-circuit after
-        // 2³² writes.
+        // permanently disabling the scan's quiescent short-circuit
+        // after 2³² writes to the block.
         let Some(words) = &self.scan_words else {
-            self.registers.get(index).write(value);
+            self.registers[index].write(value);
             return Ok(());
         };
-        let block = &words.blocks[Self::block_of(index)];
-        bump_begun(&words.summary);
+        let block = &words[Self::block_of(index)];
         bump_begun(block);
-        self.registers.get(index).write(value);
+        self.registers[index].write(value);
         bump_completed(block);
-        bump_completed(&words.summary);
         Ok(())
     }
 
@@ -579,13 +429,14 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
     ///
     /// A single collect is *not* a linearizable view of the whole array
     /// (writes may interleave between the per-register reads) — unless
-    /// [`summary`](RegisterArray::summary) reads bracketing it satisfy
-    /// [`WriteSummary::no_writes_during`]. The `ts-snapshot` scan
-    /// packages that check; use it when an atomic view is required.
+    /// [`block_summaries`](RegisterArray::block_summaries) read before
+    /// and after it satisfy [`WriteSummary::no_writes_during`] on every
+    /// block. The `ts-snapshot` scan packages that check; use it when an
+    /// atomic view is required.
     pub fn collect(&self) -> Vec<Stamped<T>> {
         self.record_sweep();
         (0..self.capacity())
-            .map(|i| self.registers.get(i).read_stamped())
+            .map(|i| self.registers[i].read_stamped())
             .collect()
     }
 
@@ -597,7 +448,7 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
         self.record_sweep();
         for i in 0..self.capacity() {
             pause();
-            visit(self.registers.get(i).read());
+            visit(self.registers[i].read());
         }
     }
 
@@ -615,7 +466,7 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
     pub fn collect_stamps(&self) -> Vec<Stamp> {
         self.record_sweep();
         (0..self.capacity())
-            .map(|i| self.registers.get(i).stamp())
+            .map(|i| self.registers[i].stamp())
             .collect()
     }
 }
@@ -628,7 +479,6 @@ where
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RegisterArray")
             .field("capacity", &self.capacity())
-            .field("layout", &self.layout())
             .field("values", &self.collect())
             .finish()
     }
@@ -641,7 +491,6 @@ mod tests {
     #[test]
     fn new_array_holds_initial_everywhere() {
         let array: RegisterArray<u32> = RegisterArray::new(4, 7);
-        assert_eq!(array.layout(), ArrayLayout::Padded);
         for i in 0..4 {
             assert_eq!(array.read(i).unwrap(), 7);
         }
@@ -653,16 +502,6 @@ mod tests {
         for i in 0..4 {
             assert_eq!(array.read(i).unwrap(), 7);
         }
-    }
-
-    #[test]
-    fn compact_layout_behaves_identically() {
-        let array: RegisterArray<u32> = RegisterArray::with_layout(3, 0, ArrayLayout::Compact);
-        assert_eq!(array.layout(), ArrayLayout::Compact);
-        assert_eq!(ArrayLayout::Compact.label(), "compact");
-        array.write(1, 9).unwrap();
-        assert_eq!(array.read(1).unwrap(), 9);
-        assert_eq!(array.summary().generation(), 1);
     }
 
     #[test]
@@ -709,41 +548,19 @@ mod tests {
     #[test]
     fn summary_counts_writes_and_detects_quiescence() {
         let array: RegisterArray<u32> = RegisterArray::new(3, 0);
-        let s0 = array.summary();
+        let s0 = array.block_summary(0);
         assert_eq!(s0.begun(), 0);
         assert_eq!(s0.completed(), 0);
-        let s1 = array.summary();
+        let s1 = array.block_summary(0);
         assert!(WriteSummary::no_writes_during(s0, s1));
 
         array.write(0, 1).unwrap();
         array.write(1, 2).unwrap();
-        let s2 = array.summary();
+        let s2 = array.block_summary(0);
         assert_eq!(s2.begun(), 2);
         assert_eq!(s2.generation(), 2);
         assert!(!WriteSummary::no_writes_during(s0, s2));
-        assert!(WriteSummary::no_writes_during(s2, array.summary()));
-    }
-
-    #[test]
-    fn summary_survives_the_completed_half_wrap() {
-        // Seed the word at begun == completed == u32::MAX (4 billion
-        // quiescent writes ago) and cross the wrap: the carry the
-        // completed bump pushes into begun must be cancelled, so the
-        // quiescence check keeps working on the far side.
-        let array: PackedRegisterArray<u32> = RegisterArray::new_packed(1, 0);
-        let seeded = (u64::from(u32::MAX) << 32) | u64::from(u32::MAX);
-        array.scan_words().summary.store(seeded, Ordering::SeqCst);
-        array.write(0, 7).unwrap();
-        let s = array.summary();
-        assert_eq!(s.begun(), 0, "begun must wrap cleanly");
-        assert_eq!(s.completed(), 0, "completed must wrap cleanly");
-        assert!(
-            WriteSummary::no_writes_during(s, array.summary()),
-            "quiescence detection must survive the 2^32 wrap"
-        );
-        // And writes keep counting normally afterwards.
-        array.write(0, 8).unwrap();
-        assert_eq!(array.summary().generation(), 1);
+        assert!(WriteSummary::no_writes_during(s2, array.block_summary(0)));
     }
 
     #[test]
@@ -786,21 +603,19 @@ mod tests {
             "block 1 must record the write"
         );
         assert_eq!(post[1].generation(), 1);
-        // The global summary still sees every write.
-        assert_eq!(array.summary().generation(), 1);
         assert_eq!(PackedRegisterArray::<u32>::block_of(64), 1);
         assert_eq!(PackedRegisterArray::<u32>::block_of(63), 0);
     }
 
     #[test]
     fn block_summary_survives_the_completed_half_wrap() {
-        // Same carry-cancel regression as the global summary word
-        // (`summary_survives_the_completed_half_wrap`), on a block
-        // dirty word: seed it at begun == completed == u32::MAX and
-        // cross the wrap.
+        // Seed the block word at begun == completed == u32::MAX (4
+        // billion quiescent writes ago) and cross the wrap: the carry
+        // the completed bump pushes into begun must be cancelled, so
+        // the quiescence check keeps working on the far side.
         let array: PackedRegisterArray<u32> = RegisterArray::new_packed(1, 0);
         let seeded = (u64::from(u32::MAX) << 32) | u64::from(u32::MAX);
-        array.scan_words().blocks[0].store(seeded, Ordering::SeqCst);
+        array.scan_words()[0].store(seeded, Ordering::SeqCst);
         array.write(0, 7).unwrap();
         let s = array.block_summary(0);
         assert_eq!(s.begun(), 0, "block begun must wrap cleanly");
@@ -821,7 +636,7 @@ mod tests {
         // and cross the wrap. Block 0 must stay untouched throughout.
         let array: PackedRegisterArray<u32> = RegisterArray::new_packed(65, 0);
         let seeded = (u64::from(u32::MAX) << 32) | u64::from(u32::MAX);
-        array.scan_words().blocks[1].store(seeded, Ordering::SeqCst);
+        array.scan_words()[1].store(seeded, Ordering::SeqCst);
         let block0_before = array.block_summary(0);
         array.write(64, 7).unwrap();
         let s = array.block_summary(1);
@@ -844,11 +659,10 @@ mod tests {
         let meter = SpaceMeter::new(3);
         let array = RegisterArray::with_meter(3, 0u32, meter.clone());
         let _ = array.block_summaries();
-        let _ = array.summary();
         assert_eq!(
             meter.snapshot().total_reads(),
             0,
-            "summary words are auxiliary state, not registers"
+            "block words are auxiliary state, not registers"
         );
     }
 
@@ -863,15 +677,10 @@ mod tests {
     #[test]
     fn padded_registers_sit_on_distinct_cache_lines() {
         let array: PackedRegisterArray<u32> = RegisterArray::new_packed(4, 0);
-        match &array.registers {
-            Slots::Padded(regs) => {
-                for pair in regs.windows(2) {
-                    let a = (&*pair[0]) as *const _ as usize;
-                    let b = (&*pair[1]) as *const _ as usize;
-                    assert!(b - a >= 128, "registers {a:#x}/{b:#x} share a line");
-                }
-            }
-            Slots::Compact(_) => panic!("default layout must be padded"),
+        for pair in array.registers.windows(2) {
+            let a = (&*pair[0]) as *const _ as usize;
+            let b = (&*pair[1]) as *const _ as usize;
+            assert!(b - a >= 128, "registers {a:#x}/{b:#x} share a line");
         }
     }
 
@@ -948,7 +757,7 @@ mod tests {
     #[should_panic(expected = "without scan words")]
     fn summary_of_an_array_without_scan_words_panics() {
         let array: PackedRegisterArray<u32> = RegisterArray::new_packed(2, 0).without_scan_words();
-        let _ = array.summary();
+        let _ = array.block_summary(0);
     }
 
     #[test]

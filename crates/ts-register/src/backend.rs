@@ -63,10 +63,10 @@
 //! stamps only register-wise and only through this accessor.
 //!
 //! Two pieces sit deliberately *outside* the Acquire/Release budget:
-//! the per-array write-summary word
-//! ([`RegisterArray::summary`](crate::RegisterArray::summary)) uses
-//! `SeqCst` bumps and loads, because its quiescence proof counts
-//! events across *different* threads' writes and must not let summary
+//! the per-block dirty words
+//! ([`RegisterArray::block_summary`](crate::RegisterArray::block_summary))
+//! use `SeqCst` bumps and loads, because their quiescence proof counts
+//! events across *different* threads' writes and must not let the
 //! bumps reorder around the bracketed register accesses; and the
 //! collect-max cached maximum (`ts-core`) uses CAS/fetch-max RMWs,
 //! whose read-modify-write atomicity — not ordering — carries its

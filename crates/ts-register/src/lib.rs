@@ -37,12 +37,13 @@
 //! # Contention-aware layout
 //!
 //! [`CachePadded`] puts contended state on its own cache line(s);
-//! [`RegisterArray`] lays registers out one-per-line by default
-//! ([`ArrayLayout`]) and maintains a [`WriteSummary`] word — begun and
-//! completed write counts in one `AtomicU64` — that lets the
-//! `ts-snapshot` scan prove "nothing changed while I collected" from
-//! two one-word loads and skip its second collect; arrays that are
-//! written hot and scanned rarely drop those words
+//! [`RegisterArray`] lays registers out one per line and keeps a
+//! dirty word per block of [`BLOCK_REGISTERS`] registers — begun and
+//! completed write counts in one `AtomicU64` ([`WriteSummary`]) — that
+//! lets the `ts-snapshot` scan prove "nothing changed while I
+//! collected" from one load of each block word before and after, and
+//! skip its second collect; arrays that are written hot and scanned
+//! rarely drop those words
 //! ([`RegisterArray::without_scan_words`]). The memory-ordering
 //! contract every backend obeys lives in the [`backend`] module docs.
 //!
@@ -72,9 +73,7 @@ mod swap;
 mod traits;
 mod word;
 
-pub use array::{
-    ArrayLayout, PackedRegisterArray, RegisterArray, Slots, WriteSummary, BLOCK_REGISTERS,
-};
+pub use array::{PackedRegisterArray, RegisterArray, WriteSummary, BLOCK_REGISTERS};
 pub use atomic::AtomicRegister;
 pub use backend::{BackendRegister, EpochBackend, PackedBackend, RegisterBackend};
 pub use error::CapacityError;

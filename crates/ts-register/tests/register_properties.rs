@@ -4,9 +4,8 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use ts_register::{
-    ArrayLayout, AtomicRegister, EpochBackend, PackedBackend, PackedRegister, Register,
-    RegisterArray, RegisterBackend, SpaceMeter, StampedRegister, SwapRegister, WordRegister,
-    WriteSummary,
+    AtomicRegister, EpochBackend, PackedBackend, PackedRegister, Register, RegisterArray,
+    RegisterBackend, SpaceMeter, StampedRegister, SwapRegister, WordRegister, WriteSummary,
 };
 
 proptest! {
@@ -184,21 +183,20 @@ proptest! {
 }
 
 proptest! {
-    /// The write-summary word, sequentially: the generation never
-    /// decreases, counts begun == completed at quiescence, equals the
-    /// number of writes applied, and is layout-independent.
+    /// A block dirty word, sequentially: the generation never
+    /// decreases, counts begun == completed at quiescence, and equals
+    /// the number of writes applied to the block (here the whole
+    /// one-block array).
     #[test]
-    fn summary_generation_is_monotone_and_exact(
+    fn dirty_words_generation_is_monotone_and_exact(
         ops in proptest::collection::vec((0usize..6, any::<u32>()), 0..80),
-        compact in any::<bool>(),
     ) {
-        let layout = if compact { ArrayLayout::Compact } else { ArrayLayout::Padded };
-        let array: RegisterArray<u32, PackedBackend> = RegisterArray::with_layout(6, 0, layout);
-        let mut last_generation = array.summary().generation();
+        let array: RegisterArray<u32, PackedBackend> = RegisterArray::with_backend(6, 0);
+        let mut last_generation = array.block_summary(0).generation();
         prop_assert_eq!(last_generation, 0);
         for (applied, &(idx, v)) in ops.iter().enumerate() {
             array.write(idx, v).unwrap();
-            let s = array.summary();
+            let s = array.block_summary(0);
             prop_assert!(
                 s.generation() >= last_generation,
                 "generation went backwards: {} after {}",
@@ -211,11 +209,12 @@ proptest! {
         }
     }
 
-    /// Summary mismatch ⇒ some register stamp changed (and conversely,
-    /// an unchanged summary over a quiescent window ⇒ no stamp moved):
-    /// the two change-detection mechanisms of the scan agree.
+    /// Block-word mismatch ⇒ some register stamp changed (and
+    /// conversely, an unchanged block word over a quiescent window ⇒ no
+    /// stamp moved): the two change-detection mechanisms of the scan
+    /// agree.
     #[test]
-    fn summary_mismatch_implies_a_stamp_changed(
+    fn dirty_words_mismatch_implies_a_stamp_changed(
         before_ops in proptest::collection::vec((0usize..5, any::<u32>()), 0..20),
         after_ops in proptest::collection::vec((0usize..5, any::<u32>()), 0..20),
     ) {
@@ -223,19 +222,17 @@ proptest! {
         for &(idx, v) in &before_ops {
             array.write(idx, v).unwrap();
         }
-        let s0 = array.summary();
+        let s0 = array.block_summary(0);
         let stamps0 = array.collect_stamps();
         for &(idx, v) in &after_ops {
             array.write(idx, v).unwrap();
         }
-        let s1 = array.summary();
+        let s1 = array.block_summary(0);
         let stamps1 = array.collect_stamps();
         if !WriteSummary::no_writes_during(s0, s1) {
-            // The summary said "something changed": a per-register
+            // The block word said "something changed": a per-register
             // stamp must agree (packed stamps are exact per register).
             prop_assert!(!after_ops.is_empty());
-            // (The summary said "something changed": a per-register
-            // stamp must agree — packed stamps are exact per register.)
             prop_assert_ne!(stamps0, stamps1);
         } else {
             prop_assert!(after_ops.is_empty());
@@ -243,11 +240,11 @@ proptest! {
         }
     }
 
-    /// Concurrent writers: the summary's begun count observed after the
-    /// storm equals the total writes, and every intermediate observation
-    /// is monotone in both halves.
+    /// Concurrent writers: the block word's begun count observed after
+    /// the storm equals the total writes, and every intermediate
+    /// observation is monotone in both halves.
     #[test]
-    fn summary_counts_are_monotone_under_concurrency(
+    fn dirty_words_counts_are_monotone_under_concurrency(
         writers in 1usize..4,
         writes_each in 1u64..300,
     ) {
@@ -263,9 +260,9 @@ proptest! {
             }
             let array = Arc::clone(&array);
             s.spawn(move |_| {
-                let mut last = array.summary();
+                let mut last = array.block_summary(0);
                 for _ in 0..200 {
-                    let s = array.summary();
+                    let s = array.block_summary(0);
                     assert!(s.begun() >= last.begun(), "begun went backwards");
                     assert!(s.completed() >= last.completed(), "completed went backwards");
                     assert!(s.begun() >= s.completed(), "completed overtook begun");
@@ -274,22 +271,19 @@ proptest! {
             });
         })
         .unwrap();
-        let end = array.summary();
+        let end = array.block_summary(0);
         prop_assert_eq!(end.begun() as u64, writers as u64 * writes_each);
         prop_assert_eq!(end.completed(), end.begun());
     }
 
-    /// `read_with` torn/stale properties hold on padded and compact
-    /// array layouts alike: a single-writer register's values are
-    /// observed monotonically through the array API, and the final
-    /// value is the last write.
+    /// `read_with` torn/stale properties hold on padded arrays: a
+    /// single-writer register's values are observed monotonically
+    /// through the array API, and the final value is the last write.
     #[test]
     fn read_with_properties_hold_on_padded_arrays(
         rounds in 1u32..1_500,
-        compact in any::<bool>(),
     ) {
-        let layout = if compact { ArrayLayout::Compact } else { ArrayLayout::Padded };
-        let array = Arc::new(RegisterArray::<u32, PackedBackend>::with_layout(2, 0, layout));
+        let array = Arc::new(RegisterArray::<u32, PackedBackend>::with_backend(2, 0));
         crossbeam::scope(|s| {
             {
                 let array = Arc::clone(&array);
@@ -316,7 +310,7 @@ proptest! {
         })
         .unwrap();
         prop_assert_eq!(array.read(0).unwrap(), rounds);
-        prop_assert_eq!(array.summary().generation(), rounds);
+        prop_assert_eq!(array.block_summary(0).generation(), rounds);
     }
 }
 
@@ -334,10 +328,9 @@ proptest! {
 ///   set; under concurrency it may only over-approximate).
 fn check_dirty_word_soundness<B: RegisterBackend<u32>>(
     capacity: usize,
-    layout: ArrayLayout,
     writes: &[(usize, u32)],
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    let array: RegisterArray<u32, B> = RegisterArray::with_layout(capacity, 0, layout);
+    let array: RegisterArray<u32, B> = RegisterArray::with_backend(capacity, 0);
     let pre = array.block_summaries();
     let stamps_pre = array.collect_stamps();
     let mut written_blocks = std::collections::HashSet::new();
@@ -376,19 +369,17 @@ fn check_dirty_word_soundness<B: RegisterBackend<u32>>(
 proptest! {
     /// Dirty-word soundness across the block boundary capacities
     /// (63 = one partial block, 64 = one exact block, 65 = a full
-    /// block plus a one-register tail), both backends, both layouts:
+    /// block plus a one-register tail), both backends:
     /// a clear bitmap window implies no stamp in that block moved,
     /// and every written block is flagged.
     #[test]
     fn dirty_words_are_sound_and_complete(
         size_sel in 0usize..3,
-        compact in any::<bool>(),
         writes in proptest::collection::vec((0usize..65, any::<u32>()), 0..60),
     ) {
         let capacity = [63usize, 64, 65][size_sel];
-        let layout = if compact { ArrayLayout::Compact } else { ArrayLayout::Padded };
-        check_dirty_word_soundness::<PackedBackend>(capacity, layout, &writes)?;
-        check_dirty_word_soundness::<EpochBackend>(capacity, layout, &writes)?;
+        check_dirty_word_soundness::<PackedBackend>(capacity, &writes)?;
+        check_dirty_word_soundness::<EpochBackend>(capacity, &writes)?;
     }
 
     /// Block dirty words observed concurrently are monotone in both

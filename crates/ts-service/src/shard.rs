@@ -27,9 +27,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ts_core::SlotCounters;
-use ts_register::{
-    ArrayLayout, BackendRegister, CachePadded, Register, RegisterBackend, Slots, SpaceMeter,
-};
+use ts_register::{BackendRegister, CachePadded, Register, RegisterBackend, SpaceMeter};
 
 use crate::pool::SlotPool;
 
@@ -84,9 +82,9 @@ pub(crate) struct Shard<B: RegisterBackend<u64>> {
     /// the word is published as an `(epoch, local)` *pair* — see
     /// [`Shard::publish`] for the write ordering that keeps observed
     /// pairs from over-reporting the frontier.
-    locals: Slots<B::Reg>,
+    locals: Box<[CachePadded<B::Reg>]>,
     /// Single-writer `epoch` registers, paired with `locals`.
-    epochs: Slots<B::Reg>,
+    epochs: Box<[CachePadded<B::Reg>]>,
     meter: SpaceMeter,
     /// Slot leases: slot `i`'s registers have one writer at a time.
     pub(crate) pool: SlotPool,
@@ -98,10 +96,15 @@ pub(crate) struct Shard<B: RegisterBackend<u64>> {
 impl<B: RegisterBackend<u64>> Shard<B> {
     pub(crate) fn new(slots: usize) -> Self {
         assert!(slots >= 1, "need at least one slot");
+        let registers = || {
+            (0..slots)
+                .map(|_| CachePadded::new(B::Reg::with_initial(0)))
+                .collect()
+        };
         Self {
             word: CachePadded::new(AtomicU64::new(0)),
-            locals: Slots::new(ArrayLayout::Padded, slots, |_| B::Reg::with_initial(0)),
-            epochs: Slots::new(ArrayLayout::Padded, slots, |_| B::Reg::with_initial(0)),
+            locals: registers(),
+            epochs: registers(),
             // Meter indexes: `slot` for the local register, `slots +
             // slot` for its epoch partner.
             meter: SpaceMeter::new(2 * slots),
@@ -166,21 +169,21 @@ impl<B: RegisterBackend<u64>> Shard<B> {
     fn publish(&self, slot: usize, word: u64) {
         let (epoch, local) = (word >> 32, word & LOCAL_MAX);
         self.meter.record_read(self.locals.len() + slot);
-        let cur_epoch = Register::read(self.epochs.get(slot));
+        let cur_epoch = self.epochs[slot].read();
         if cur_epoch > epoch {
             return;
         }
         if cur_epoch == epoch {
             self.meter.record_read(slot);
-            if Register::read(self.locals.get(slot)) >= local {
+            if self.locals[slot].read() >= local {
                 return;
             }
         }
         self.meter.record_write(slot);
-        Register::write(self.locals.get(slot), local);
+        self.locals[slot].write(local);
         if cur_epoch < epoch {
             self.meter.record_write(self.locals.len() + slot);
-            Register::write(self.epochs.get(slot), epoch);
+            self.epochs[slot].write(epoch);
         }
     }
 
@@ -202,9 +205,9 @@ impl<B: RegisterBackend<u64>> Shard<B> {
         let mut max = 0;
         for slot in 0..self.locals.len() {
             self.meter.record_read(self.locals.len() + slot);
-            let epoch = Register::read(self.epochs.get(slot));
+            let epoch = self.epochs[slot].read();
             self.meter.record_read(slot);
-            let local = Register::read(self.locals.get(slot));
+            let local = self.locals[slot].read();
             max = max.max((epoch << 32) | local);
         }
         (max > 0).then_some(max)

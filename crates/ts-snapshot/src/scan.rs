@@ -1,5 +1,5 @@
 //! The double-collect scan of Afek et al. (1993), with a
-//! summary-validated fast path and dirty-block adaptive retries.
+//! block-word-validated fast path and dirty-block adaptive retries.
 
 use std::error::Error;
 use std::fmt;
@@ -37,7 +37,7 @@ impl Error for ScanInterrupted {}
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanOutcome {
     /// Dirty-block retry passes performed (0 = the first collect
-    /// validated, via the summary short-circuit or clean block words).
+    /// validated, because every block word was clean around it).
     pub recollect_passes: u64,
     /// Registers re-read and patched across all retry passes — the
     /// O(dirty) work a full-recollect loop would have multiplied by
@@ -57,21 +57,19 @@ pub struct ScanOutcome {
 /// # The ladder, and why each rung is linearizable
 ///
 /// **Rung 1 (quiescent short-circuit).** The initial collect is
-/// bracketed by reads of the global write-summary word; if
-/// [`WriteSummary::no_writes_during`] holds, the array was quiescent
-/// for the whole window and the collect is returned after one value
-/// sweep and two one-word loads.
+/// bracketed by reads of every block dirty word, one per
+/// [`BLOCK_REGISTERS`](ts_register::BLOCK_REGISTERS) registers. Blocks
+/// whose word pair fails [`WriteSummary::no_writes_during`] are
+/// *flagged*. If none is, no store landed anywhere in the window: the
+/// array was quiescent and the collect is returned after one value
+/// sweep and two block-word sweeps.
 ///
-/// **Rung 2 (dirty-block passes).** Otherwise the scanner keeps, per
-/// block of [`BLOCK_REGISTERS`](ts_register::BLOCK_REGISTERS)
-/// registers, the block dirty word it read *before* the collect, and
-/// re-reads all block words after it. Blocks whose word pair fails
-/// `no_writes_during` are *flagged*; each retry pass re-reads only the
-/// stamps of registers in flagged blocks, patching entries whose stamp
-/// moved, then re-reads the block words to compute the next flag set.
-/// The pass windows tile: each pass reuses the previous pass's block
-/// readings as its starting bracket, so no store can fall between
-/// windows undetected.
+/// **Rung 2 (dirty-block passes).** Otherwise each retry pass re-reads
+/// only the stamps of registers in flagged blocks, patching entries
+/// whose stamp moved, then re-reads the block words to compute the
+/// next flag set. The pass windows tile: each pass reuses the previous
+/// pass's block readings as its starting bracket, so no store can fall
+/// between windows undetected.
 ///
 /// The scan returns when a pass patches nothing (every flagged
 /// block's registers re-confirmed their stamps) or when the fresh
@@ -116,41 +114,29 @@ where
     /// validation; check [`is_validated`](Self::is_validated) before
     /// stepping.
     pub fn new(array: &'a RegisterArray<T, B>) -> Self {
-        if !array.has_scan_words() {
-            let flagged: Vec<usize> = (0..array.block_count()).collect();
-            return Self {
-                array,
-                entries: array.collect(),
-                window: Vec::new(),
-                validated: flagged.is_empty(),
-                flagged,
-                passes: 0,
-                patched: 0,
-            };
-        }
-        let before_global = array.summary();
-        let before_blocks = array.block_summaries();
-        let entries = array.collect();
-        let mut scanner = Self {
+        let (entries, window, flagged) = if array.has_scan_words() {
+            let mut window = array.block_summaries();
+            let entries = array.collect();
+            let mut flagged = Vec::new();
+            advance_window(array, &mut window, &mut flagged);
+            (entries, window, flagged)
+        } else {
+            (
+                array.collect(),
+                Vec::new(),
+                (0..array.block_count()).collect(),
+            )
+        };
+        Self {
             array,
             entries,
-            window: Vec::new(),
-            flagged: Vec::new(),
+            window,
+            // Rung 1: no block word moved around the collect.
+            validated: flagged.is_empty(),
+            flagged,
             passes: 0,
             patched: 0,
-            validated: false,
-        };
-        if WriteSummary::no_writes_during(before_global, array.summary()) {
-            scanner.validated = true; // rung 1: quiescent window
-            return scanner;
         }
-        scanner.window = scanner.array.block_summaries();
-        scanner.flagged = dirty_blocks(&before_blocks, &scanner.window);
-        // The global word saw traffic but every block window was
-        // clean: the interfering stores fell outside the (slightly
-        // narrower) block windows bracketing the collect.
-        scanner.validated = scanner.flagged.is_empty();
-        scanner
     }
 
     /// Whether the current entries form a validated (linearizable)
@@ -190,9 +176,7 @@ where
         if !self.array.has_scan_words() {
             return; // every block stays flagged for the next sweep
         }
-        let next = self.array.block_summaries();
-        self.flagged = dirty_blocks(&self.window, &next);
-        self.window = next;
+        advance_window(self.array, &mut self.window, &mut self.flagged);
         // No store overlapped the window the patches were read in.
         self.validated = self.flagged.is_empty();
     }
@@ -208,14 +192,26 @@ where
     }
 }
 
-fn dirty_blocks(before: &[WriteSummary], after: &[WriteSummary]) -> Vec<usize> {
-    before
-        .iter()
-        .zip(after)
-        .enumerate()
-        .filter(|(_, (b, a))| !WriteSummary::no_writes_during(**b, **a))
-        .map(|(i, _)| i)
-        .collect()
+/// Re-reads every block word once, in block order, replacing
+/// `flagged` with the blocks whose word moved since its reading in
+/// `window`, and `window` with the fresh readings (the opening bracket
+/// of the next window).
+fn advance_window<T, B>(
+    array: &RegisterArray<T, B>,
+    window: &mut [WriteSummary],
+    flagged: &mut Vec<usize>,
+) where
+    T: Clone + Send + Sync,
+    B: RegisterBackend<T>,
+{
+    flagged.clear();
+    for (block, before) in window.iter_mut().enumerate() {
+        let now = array.block_summary(block);
+        if !WriteSummary::no_writes_during(*before, now) {
+            flagged.push(block);
+        }
+        *before = now;
+    }
 }
 
 /// Repeatedly collects `array` until a collect is validated, and returns
@@ -225,17 +221,18 @@ fn dirty_blocks(before: &[WriteSummary], after: &[WriteSummary]) -> Vec<usize> {
 ///
 /// Each round climbs as little of this ladder as contention forces:
 ///
-/// 1. **Summary short-circuit** — read the array's write-summary word,
-///    collect once, re-read the summary. If
-///    [`WriteSummary::no_writes_during`] holds, no register store
-///    executed anywhere in the window: the collect read a quiescent
-///    array and is returned after *one* value sweep and two one-word
-///    loads. This is the common case for quiescent and low-contention
-///    arrays (and on oversubscribed hosts, where interfering writers
-///    are mostly descheduled).
-/// 2. **Dirty-block recollect** — otherwise, compare the per-block
-///    dirty words read before and after the collect and re-read only
-///    the *stamps* of registers in blocks that moved, patching entries
+/// 1. **Quiescent short-circuit** — read the array's block dirty
+///    words, collect once, re-read the block words. If
+///    [`WriteSummary::no_writes_during`] holds for every block, no
+///    register store executed anywhere in the window: the collect read
+///    a quiescent array and is returned after *one* value sweep and two
+///    block-word sweeps (one load per
+///    [`BLOCK_REGISTERS`](ts_register::BLOCK_REGISTERS) registers).
+///    This is the common case for quiescent and low-contention arrays
+///    (and on oversubscribed hosts, where interfering writers are
+///    mostly descheduled).
+/// 2. **Dirty-block recollect** — otherwise, re-read only the *stamps*
+///    of registers in blocks whose word moved, patching entries
 ///    whose stamp changed. Each retry pass costs O(blocks) one-word
 ///    loads plus O(registers in dirty blocks) stamp reads — not the
 ///    O(capacity) full sweep of the classic recollect loop — and the
@@ -348,7 +345,7 @@ where
 /// # Panics
 ///
 /// Panics if `max_collects < 2` (the stamp-validation rung needs two
-/// sweeps; the summary rung can succeed after one, but a budget below
+/// sweeps; the quiescent rung can succeed after one, but a budget below
 /// two could not guarantee *any* validation under interference).
 pub fn try_scan<T, B>(
     array: &RegisterArray<T, B>,
@@ -394,23 +391,32 @@ mod tests {
 
     #[test]
     fn quiescent_scan_short_circuits_to_one_collect() {
-        // The summary rung must validate the first sweep: a metered
+        // The quiescent rung must validate the first sweep: a metered
         // quiescent array records exactly `capacity` reads per scan,
-        // not the 2×capacity of an unconditional double collect.
-        let meter = SpaceMeter::new(4);
-        let array = RegisterArray::with_meter(4, 0u64, meter.clone());
-        array.write(1, 9).unwrap();
-        let reads_before = meter.snapshot().total_reads();
-        let (view, outcome) = adaptive_scan(&array);
-        assert_eq!(view.values(), vec![0, 9, 0, 0]);
-        assert_eq!(
-            meter.snapshot().total_reads() - reads_before,
-            4,
-            "quiescent scan must validate with the summary word, not a second sweep"
-        );
-        assert_eq!(outcome.recollect_passes, 0);
-        assert_eq!(outcome.patched_registers, 0);
-        assert!(!outcome.helped);
+        // not the 2×capacity of an unconditional double collect — on a
+        // one-block array and on a three-block one (64 + 64 + 2), where
+        // the rung reads every block word.
+        for capacity in [4usize, 130] {
+            let meter = SpaceMeter::new(capacity);
+            let array = RegisterArray::with_meter(capacity, 0u64, meter.clone());
+            assert_eq!(array.block_count(), capacity.div_ceil(64));
+            array.write(1, 9).unwrap();
+            array.write(capacity - 1, 5).unwrap();
+            let reads_before = meter.snapshot().total_reads();
+            let (view, outcome) = adaptive_scan(&array);
+            let mut expected = vec![0; capacity];
+            expected[1] = 9;
+            expected[capacity - 1] = 5;
+            assert_eq!(view.values(), expected);
+            assert_eq!(
+                meter.snapshot().total_reads() - reads_before,
+                capacity as u64,
+                "quiescent scan must validate with the block words, not a second sweep"
+            );
+            assert_eq!(outcome.recollect_passes, 0);
+            assert_eq!(outcome.patched_registers, 0);
+            assert!(!outcome.helped);
+        }
     }
 
     #[test]
@@ -548,40 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_layout_scans_are_equally_exact() {
-        // The validation ladder is layout-independent; hammer the
-        // compact (unpadded) layout the same way.
-        let array = Arc::new(RegisterArray::<u64>::with_layout(
-            2,
-            0,
-            ts_register::ArrayLayout::Compact,
-        ));
-        let stop = Arc::new(AtomicBool::new(false));
-        crossbeam::scope(|s| {
-            let writer_array = Arc::clone(&array);
-            let writer_stop = Arc::clone(&stop);
-            s.spawn(move |_| {
-                let mut k = 1u64;
-                while !writer_stop.load(Ordering::Relaxed) {
-                    writer_array.write(0, k).unwrap();
-                    writer_array.write(1, k).unwrap();
-                    k += 1;
-                }
-            });
-            for _ in 0..200 {
-                let view = double_collect_scan(&array);
-                let v = view.values();
-                assert!(
-                    v[0] >= v[1] && v[0] - v[1] <= 1,
-                    "torn compact view: {v:?} cannot have been simultaneous"
-                );
-            }
-            stop.store(true, Ordering::Relaxed);
-        })
-        .unwrap();
-    }
-
-    #[test]
     fn multi_block_scan_stays_exact_across_the_block_boundary() {
         // Paired registers straddling the 64-register block boundary:
         // writes dirty two different blocks, and the scan must still
@@ -631,7 +603,7 @@ mod tests {
     #[test]
     fn array_without_scan_words_never_returns_a_torn_view() {
         // The cross-block pair of the test above, on an array whose
-        // writes bump no summary or dirty word.
+        // writes bump no block dirty word.
         let array = Arc::new(RegisterArray::<u64>::new(65, 0).without_scan_words());
         let stop = Arc::new(AtomicBool::new(false));
         crossbeam::scope(|s| {

@@ -48,7 +48,7 @@ proptest! {
 proptest! {
     /// Every rung of the scan ladder returns the same quiescent view
     /// for any write pattern, across the block boundary capacities:
-    /// the classic full-sweep baseline, the summary-validated
+    /// the classic full-sweep baseline, the block-word-validated
     /// double-collect, the dirty-block adaptive retry and the helping
     /// scan are different retry strategies over one linearizable
     /// answer.

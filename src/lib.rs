@@ -10,7 +10,6 @@
 //! - [`ts_model`] — formal execution model and mini model-checker
 //! - [`ts_core`] — the paper's timestamp algorithms
 //! - [`ts_lowerbound`] — covering-argument machinery and bound formulas
-//! - [`ts_clocks`] — the introduction's lineage: Lamport/vector/matrix clocks
 //! - [`ts_service`] — sharded/batched timestamp service layer
 //! - [`ts_replica`] — quorum-replicated register backend over a fault-injecting modelled network
 //! - [`ts_apps`] — consumers: FCFS locks, k-exclusion, renaming
@@ -31,7 +30,6 @@
 #![warn(missing_debug_implementations)]
 
 pub use ts_apps;
-pub use ts_clocks;
 pub use ts_core;
 pub use ts_lowerbound;
 pub use ts_model;
