@@ -56,7 +56,7 @@ use std::sync::Arc;
 use ts_core::workload::VpidAllocator;
 use ts_core::{CachePadded, ServiceStats, Timestamp};
 
-use crate::net::{mix, FaultPlan, NetStats, Pumped, Router};
+use crate::net::{mix, FaultPlan, HeldQueue, NetStats, Pumped, Router};
 use crate::proto::{Message, MsgKind, WriteStamp};
 use crate::replica::Replica;
 use crate::table::SegTable;
@@ -179,6 +179,14 @@ struct QuorumStripe {
     backoffs: AtomicU64,
     degraded: AtomicU64,
     unavailable: AtomicU64,
+}
+
+/// The client running one ABD operation: its id and its counter
+/// stripe, passed down to every phase of the operation.
+#[derive(Clone, Copy)]
+struct Caller<'a> {
+    id: u32,
+    stripe: &'a QuorumStripe,
 }
 
 thread_local! {
@@ -531,6 +539,16 @@ impl Cluster {
         self.next_reg.load(Ordering::Relaxed)
     }
 
+    /// This thread's client id and counter stripe, looked up once per
+    /// ABD operation.
+    fn caller(&self) -> Caller<'_> {
+        let id = self.client_id();
+        Caller {
+            id,
+            stripe: self.stripe(id),
+        }
+    }
+
     /// This thread's client id on this cluster (minted on first use).
     pub fn client_id(&self) -> u32 {
         CLIENT_IDS.with(|m| {
@@ -557,11 +575,10 @@ impl Cluster {
     /// Fallible ABD read: quorum-maximum `(stamp, word)` with
     /// read-repair, or [`Unavailable`] once the step deadline expires.
     pub fn try_abd_read(&self, reg: u32) -> Result<(WriteStamp, u64), Unavailable> {
-        let client = self.client_id();
-        let stripe = self.stripe(client);
-        stripe.rounds.fetch_add(1, Ordering::Relaxed);
+        let me = self.caller();
+        me.stripe.rounds.fetch_add(1, Ordering::Relaxed);
         let need = self.quorum();
-        let replies = self.quorum_rpc(client, need, "read", reg, |op, from, to| Message {
+        let replies = self.quorum_rpc(me, need, "read", reg, |op, from, to| Message {
             kind: MsgKind::ReadQuery,
             op,
             from,
@@ -581,8 +598,8 @@ impl Cluster {
             // Read-repair: the replies diverged, so the maximum may be
             // durable on fewer than f + 1 replicas. Write it back
             // before returning or a later read could go backwards.
-            stripe.repairs.fetch_add(1, Ordering::Relaxed);
-            self.try_write_back(client, reg, stamp, word)?;
+            me.stripe.repairs.fetch_add(1, Ordering::Relaxed);
+            self.try_write_back(me, reg, stamp, word)?;
         }
         Ok((stamp, word))
     }
@@ -595,10 +612,10 @@ impl Cluster {
     /// still surface it), exactly like a timed-out write in any
     /// quorum system.
     pub fn try_abd_write(&self, reg: u32, word: u64) -> Result<WriteStamp, Unavailable> {
-        let client = self.client_id();
-        self.stripe(client).rounds.fetch_add(1, Ordering::Relaxed);
+        let me = self.caller();
+        me.stripe.rounds.fetch_add(1, Ordering::Relaxed);
         let need = self.quorum();
-        let replies = self.quorum_rpc(client, need, "write", reg, |op, from, to| Message {
+        let replies = self.quorum_rpc(me, need, "write", reg, |op, from, to| Message {
             kind: MsgKind::ReadQuery,
             op,
             from,
@@ -614,8 +631,8 @@ impl Cluster {
             .map(|m| m.stamp())
             .max()
             .expect("quorum_rpc returns a full quorum");
-        let stamp = max.next(client);
-        self.try_write_back(client, reg, stamp, word)?;
+        let stamp = max.next(me.id);
+        self.try_write_back(me, reg, stamp, word)?;
         Ok(stamp)
     }
 
@@ -623,14 +640,14 @@ impl Cluster {
     /// replicas and wait for all acks.
     fn try_write_back(
         &self,
-        client: u32,
+        me: Caller<'_>,
         reg: u32,
         stamp: WriteStamp,
         word: u64,
     ) -> Result<(), Unavailable> {
-        self.stripe(client).rounds.fetch_add(1, Ordering::Relaxed);
+        me.stripe.rounds.fetch_add(1, Ordering::Relaxed);
         let need = self.quorum();
-        let acks = self.quorum_rpc(client, need, "write-back", reg, |op, from, to| Message {
+        let acks = self.quorum_rpc(me, need, "write-back", reg, |op, from, to| Message {
             kind: MsgKind::Write,
             op,
             from,
@@ -661,15 +678,19 @@ impl Cluster {
     /// yields its thread between attempts only while fewer than `need`
     /// replicas are reachable, since then only a restart or heal on
     /// another thread can end the wait.
+    ///
+    /// On the queued path the client locks its queue once per attempt
+    /// and once per backoff wait (see [`net`](crate::net)); the sends,
+    /// pumps and reply sends inside take no lock of their own.
     fn quorum_rpc(
         &self,
-        client: u32,
+        me: Caller<'_>,
         need: usize,
         phase: &'static str,
         reg: u32,
         build: impl Fn(u64, u32, u32) -> Message,
     ) -> Result<Vec<Message>, Unavailable> {
-        let stripe = self.stripe(client);
+        let Caller { id: client, stripe } = me;
         let n = self.replicas.len();
         debug_assert!(need <= n);
         let deadline = self.config.deadline;
@@ -698,12 +719,13 @@ impl Cluster {
                     }
                 }
             } else {
+                let mut queue = self.router.hold(client);
                 for i in 0..width {
                     let to = ((start + i) % n) as u32;
                     steps += 1;
-                    self.router.send(build(op, client, to), 0);
+                    queue.send(build(op, client, to), 0);
                 }
-                self.collect_replies(client, op, need, &mut replies, &mut steps);
+                self.collect_replies(&mut queue, op, need, &mut replies, &mut steps);
             }
             // The ack-window wipe check: a reply only proves its
             // replica held the state *when it answered*. If a replica
@@ -746,15 +768,19 @@ impl Cluster {
             let wait = (base + jitter).min(deadline.saturating_sub(steps));
             steps += wait;
             stripe.backoffs.fetch_add(wait, Ordering::Relaxed);
+            let mut queue = self.router.hold(client);
             for _ in 0..wait {
                 // Late replies to the failed attempt land in its
                 // `replies` and are dropped with it.
-                match self.router.pump(client) {
-                    Pumped::Deliver(msg, copy) => self.deliver(msg, copy, op, &mut replies),
+                match queue.pump() {
+                    Pumped::Deliver(msg, copy) => {
+                        self.deliver(&mut queue, msg, copy, op, &mut replies)
+                    }
                     Pumped::Discarded => {}
                     Pumped::Idle => break,
                 }
             }
+            drop(queue);
             // Only a restart or heal on another thread can bring back
             // a quorum; drops, delays and wipes retry without yielding.
             if self.router.reachable(n) < need {
@@ -777,23 +803,30 @@ impl Cluster {
     }
 
     /// Hands one delivered message on: a request is handled inline by
-    /// its replica and the reply re-enters the client's queue; a reply
-    /// to `op` from a replica not yet counted joins `replies` (stale
-    /// and duplicate replies are dropped).
-    fn deliver(&self, msg: Message, copy: u8, op: u64, replies: &mut Vec<Message>) {
+    /// its replica and the reply re-enters the client's held queue; a
+    /// reply to `op` from a replica not yet counted joins `replies`
+    /// (stale and duplicate replies are dropped).
+    fn deliver(
+        &self,
+        queue: &mut HeldQueue<'_>,
+        msg: Message,
+        copy: u8,
+        op: u64,
+        replies: &mut Vec<Message>,
+    ) {
         if msg.to < Message::CLIENT_BASE {
             let reply = self.replicas[msg.to as usize].handle(&msg);
-            self.router.send(reply, copy);
+            queue.send(reply, copy);
         } else if msg.op == op && !replies.iter().any(|r| r.from == msg.from) {
             replies.push(msg);
         }
     }
 
-    /// Pumps `client`'s queue until `need` distinct replicas answered
+    /// Pumps the held queue until `need` distinct replicas answered
     /// `op`, or the queue runs dry (time to retransmit).
     fn collect_replies(
         &self,
-        client: u32,
+        queue: &mut HeldQueue<'_>,
         op: u64,
         need: usize,
         replies: &mut Vec<Message>,
@@ -801,8 +834,8 @@ impl Cluster {
     ) {
         while replies.len() < need {
             *steps += 1;
-            match self.router.pump(client) {
-                Pumped::Deliver(msg, copy) => self.deliver(msg, copy, op, replies),
+            match queue.pump() {
+                Pumped::Deliver(msg, copy) => self.deliver(queue, msg, copy, op, replies),
                 Pumped::Discarded => {}
                 Pumped::Idle => return,
             }
@@ -1265,6 +1298,78 @@ mod tests {
         ts.get_ts(0);
         // 2 reads + 2 installs, each a request + reply pair.
         assert_eq!(count.load(Ordering::SeqCst), 8);
+    }
+
+    #[test]
+    fn a_step_hook_may_read_the_router_mid_attempt() {
+        use std::sync::Mutex;
+        // A lossy plan takes the queued path, where the client holds
+        // its queue across a whole attempt. The hook locks every queue
+        // (its own included) through `stats` and `in_flight`, so this
+        // deadlocks if a held queue ever stayed locked across the hook.
+        let plan = FaultPlan {
+            seed: 5,
+            drop_permille: 100,
+            dup_permille: 50,
+            delay_max: 2,
+            ..FaultPlan::default()
+        };
+        let cluster = Cluster::new(ClusterConfig::new(1).with_plan(plan));
+        let reg = cluster.alloc_register(0);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (c2, s2) = (Arc::clone(&cluster), Arc::clone(&seen));
+        cluster.router().set_step_hook(Some(Box::new(move |_| {
+            let delivered = c2.router().stats().delivered;
+            c2.router().in_flight();
+            s2.lock().expect("seen").push(delivered);
+        })));
+        let stamp = cluster.abd_write(reg, 3);
+        assert_eq!(cluster.abd_read(reg), (stamp, 3));
+        cluster.router().set_step_hook(None);
+        let seen = seen.lock().expect("seen");
+        assert!(!seen.is_empty(), "the hook fired");
+        assert!(
+            seen.windows(2).all(|w| w[0] <= w[1]),
+            "delivered went backwards: {seen:?}"
+        );
+    }
+
+    #[test]
+    fn a_lossy_solo_schedule_is_pinned_to_exact_counts() {
+        // One client on the replicated_faults plan shape. Every count
+        // below is a function of the seed and the client's own program,
+        // so any change to the fault rolls, the delivery order, the
+        // retry loop or the backoff wait moves at least one of them.
+        let plan = FaultPlan {
+            seed: 7,
+            drop_permille: 50,
+            dup_permille: 20,
+            delay_max: 3,
+            ..FaultPlan::default()
+        };
+        let cluster = Cluster::new(ClusterConfig::new(1).with_plan(plan));
+        let regs: Vec<u32> = (0..4).map(|_| cluster.alloc_register(0)).collect();
+        for i in 0..500u64 {
+            let reg = regs[i as usize % regs.len()];
+            let stamp = cluster.try_abd_write(reg, i).expect("live quorum");
+            assert_eq!(cluster.try_abd_read(reg), Ok((stamp, i)));
+        }
+        assert_eq!(
+            cluster.net_stats(),
+            NetStats {
+                sent: 7950,
+                delivered: 7710,
+                dropped: 411,
+                duplicated: 171,
+                delayed: 5870,
+                ..NetStats::default()
+            }
+        );
+        assert_eq!(cluster.quorum_rounds(), 1561);
+        assert_eq!(cluster.quorum_retries(), 305);
+        assert_eq!(cluster.quorum_backoff_steps(), 779);
+        assert_eq!(cluster.quorum_repairs(), 61);
+        assert_eq!(cluster.quorum_degraded(), 298);
     }
 
     #[test]

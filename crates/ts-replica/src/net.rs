@@ -11,6 +11,12 @@
 //! thread. No client ever pumps, locks or waits on another client's
 //! queue, so one client's traffic cannot stall or reorder another's.
 //!
+//! A client **holds its queue for a whole quorum attempt**: the
+//! cluster opens one `HeldQueue` guard per attempt (and one per backoff
+//! wait), and every send, pump, delivery and reply send of that
+//! attempt works on the held lock. Other threads lock a queue only to
+//! read its counters or log, so they wait at most one attempt.
+//!
 //! # Fault knobs ([`FaultPlan`])
 //!
 //! | knob | effect |
@@ -47,14 +53,17 @@
 //! # The step hook
 //!
 //! [`Router::set_step_hook`] installs a callback invoked **before
-//! every message delivery**, outside any queue lock. Pointing it at
+//! every message delivery**, outside any queue lock: a held queue
+//! releases its lock around the hook and takes it again after, so a
+//! hook may read [`Router::stats`], crash or restart replicas, or park
+//! on a gate. With no hook armed no extra lock is taken. Pointing it at
 //! [`StepGate::pause`](ts_core::workload::StepGate::pause) puts each
 //! delivery under controller pacing — the same barrier protocol that
 //! replays memory-access schedules — so message interleavings become
 //! steppable and replayable exactly like register accesses.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use ts_register::CachePadded;
 
@@ -187,12 +196,18 @@ struct ClientNet {
     next_op: AtomicU64,
 }
 
+impl ClientNet {
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().expect("client queue lock")
+    }
+}
+
 /// What one pump produced: a message for a handler, silence, or proof
 /// that nothing is in flight (time to retransmit).
 #[derive(Debug)]
 pub(crate) enum Pumped {
     /// The message to hand to its destination, and which copy it is
-    /// (a reply passes it on to [`Router::send`]).
+    /// (a reply passes it on to [`HeldQueue::send`]).
     Deliver(Message, u8),
     /// A message existed but was discarded (partitioned or crashed
     /// endpoint); the pump still made progress.
@@ -268,8 +283,16 @@ impl Router {
         self.clients.get_or_init(vpid as usize)
     }
 
-    fn queue(&self, client: u32) -> std::sync::MutexGuard<'_, Queue> {
-        self.client(client).queue.lock().expect("client queue lock")
+    /// Locks `client`'s queue for its owner until the returned guard
+    /// drops (see [`HeldQueue`]).
+    pub(crate) fn hold(&self, client: u32) -> HeldQueue<'_> {
+        let net = self.client(client);
+        HeldQueue {
+            router: self,
+            client,
+            net,
+            queue: Some(net.lock()),
+        }
     }
 
     /// Mints `client`'s next op id (op ids are per client).
@@ -368,17 +391,14 @@ impl Router {
     pub fn stats(&self) -> NetStats {
         let mut total = NetStats::default();
         for c in self.clients.iter() {
-            total.add(&c.queue.lock().expect("client queue lock").stats);
+            total.add(&c.lock().stats);
         }
         total
     }
 
     /// Messages currently in flight, over every client's queue.
     pub fn in_flight(&self) -> usize {
-        self.clients
-            .iter()
-            .map(|c| c.queue.lock().expect("client queue lock").in_flight.len())
-            .sum()
+        self.clients.iter().map(|c| c.lock().in_flight.len()).sum()
     }
 
     /// The delivered-message log (empty unless
@@ -388,42 +408,53 @@ impl Router {
     pub fn delivery_log(&self) -> Vec<Message> {
         self.clients
             .iter()
-            .flat_map(|c| c.queue.lock().expect("client queue lock").log.clone())
+            .flat_map(|c| c.lock().log.clone())
             .collect()
     }
 
     /// The messages `client`'s queue delivered, in order (empty unless
     /// [`FaultPlan::record_log`] is set).
     pub fn client_delivery_log(&self, client: u32) -> Vec<Message> {
-        self.queue(client).log.clone()
+        self.client(client).lock().log.clone()
     }
 
-    /// Accepts `msg` into its client's queue, deciding the drop /
-    /// duplicate / delay knobs from the message's identity. `copy` is
-    /// the copy of the request a reply answers (0 for requests).
+    /// Accepts `msg` into its client's queue: a wrapper that holds the
+    /// queue for this one message (see [`HeldQueue::send`]).
+    #[cfg(test)]
     pub(crate) fn send(&self, msg: Message, copy: u8) {
-        let reply = msg.to >= Message::CLIENT_BASE;
-        let (client, endpoint) = if reply {
-            (msg.to, msg.from)
+        let client = if msg.to >= Message::CLIENT_BASE {
+            msg.to
         } else {
-            (msg.from, msg.to)
+            msg.from
         };
+        self.hold(client).send(msg, copy);
+    }
+
+    /// Delivers the next message of `client`'s queue: a wrapper that
+    /// holds the queue for this one pump (see [`HeldQueue::pump`]).
+    #[cfg(test)]
+    pub(crate) fn pump(&self, client: u32) -> Pumped {
+        self.hold(client).pump()
+    }
+
+    /// Decides the drop / duplicate / delay knobs for `msg` from its
+    /// identity and pushes the surviving copies into `q`.
+    fn accept(&self, q: &mut Queue, client: u32, msg: Message, copy: u8) {
+        let reply = msg.to >= Message::CLIENT_BASE;
+        let endpoint = if reply { msg.from } else { msg.to };
+        debug_assert_eq!(if reply { msg.to } else { msg.from }, client);
         let plan = &self.plan;
         let roll = |salt: u64, copy: u8| {
             let key = (u64::from(endpoint) << 16) | (u64::from(reply) << 8) | u64::from(copy);
             mix(plan.seed ^ salt, u64::from(client), msg.op, key)
         };
-        let dropped =
-            plan.drop_permille > 0 && roll(SALT_DROP, copy) % 1000 < u64::from(plan.drop_permille);
-        let dup = !dropped
-            && plan.dup_permille > 0
-            && roll(SALT_DUP, copy) % 1000 < u64::from(plan.dup_permille);
-        let mut q = self.queue(client);
         q.stats.sent += 1;
-        if dropped {
+        if plan.drop_permille > 0 && roll(SALT_DROP, copy) % 1000 < u64::from(plan.drop_permille) {
             q.stats.dropped += 1;
             return;
         }
+        let dup =
+            plan.dup_permille > 0 && roll(SALT_DUP, copy) % 1000 < u64::from(plan.dup_permille);
         if dup {
             q.stats.duplicated += 1;
         }
@@ -448,78 +479,119 @@ impl Router {
         }
     }
 
-    /// Advances `client`'s clock and takes the next message from its
-    /// queue, applying partitions and crashes. Fires the step hook
-    /// (outside the queue lock) for messages that will be delivered.
-    pub(crate) fn pump(&self, client: u32) -> Pumped {
-        let (msg, copy) = {
-            let mut guard = self.queue(client);
-            let q = &mut *guard;
-            if q.in_flight.is_empty() {
-                return Pumped::Idle;
+    /// Advances `q`'s clock and takes its next message, applying
+    /// partitions and crashes. Fires no hook.
+    fn take(&self, q: &mut Queue, client: u32) -> Pumped {
+        if q.in_flight.is_empty() {
+            return Pumped::Idle;
+        }
+        q.now += 1;
+        let now = q.now;
+        // One pass: the FIFO (oldest eligible) pick, the eligible
+        // count, and the earliest arrival overall.
+        let key = |f: &Flight| (f.deliver_at, f.id);
+        let mut fifo: Option<usize> = None;
+        let mut eligible = 0usize;
+        let mut earliest = 0usize;
+        for (i, f) in q.in_flight.iter().enumerate() {
+            if key(f) < key(&q.in_flight[earliest]) {
+                earliest = i;
             }
-            q.now += 1;
-            let now = q.now;
-            // One pass: the FIFO (oldest eligible) pick, the eligible
-            // count, and the earliest arrival overall.
-            let key = |f: &Flight| (f.deliver_at, f.id);
-            let mut fifo: Option<usize> = None;
-            let mut eligible = 0usize;
-            let mut earliest = 0usize;
-            for (i, f) in q.in_flight.iter().enumerate() {
-                if key(f) < key(&q.in_flight[earliest]) {
-                    earliest = i;
-                }
-                if f.deliver_at <= now {
-                    eligible += 1;
-                    if fifo.is_none_or(|j| key(f) < key(&q.in_flight[j])) {
-                        fifo = Some(i);
-                    }
+            if f.deliver_at <= now {
+                eligible += 1;
+                if fifo.is_none_or(|j| key(f) < key(&q.in_flight[j])) {
+                    fifo = Some(i);
                 }
             }
-            let chosen = match fifo {
-                None => {
-                    // Jump time to the earliest arrival instead of
-                    // spinning.
-                    q.now = q.in_flight[earliest].deliver_at;
-                    earliest
+        }
+        let chosen = match fifo {
+            None => {
+                // Jump time to the earliest arrival instead of
+                // spinning.
+                q.now = q.in_flight[earliest].deliver_at;
+                earliest
+            }
+            Some(fifo) if self.plan.reorder && eligible > 1 => {
+                let pick =
+                    mix(self.plan.seed ^ SALT_REORDER, u64::from(client), now, 0) % eligible as u64;
+                let picked = q
+                    .in_flight
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, f)| f.deliver_at <= now)
+                    .nth(pick as usize)
+                    .map(|(i, _)| i)
+                    .expect("pick < eligible");
+                if picked != fifo {
+                    q.stats.reordered += 1;
                 }
-                Some(fifo) if self.plan.reorder && eligible > 1 => {
-                    let pick = mix(self.plan.seed ^ SALT_REORDER, u64::from(client), now, 0)
-                        % eligible as u64;
-                    let picked = q
-                        .in_flight
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, f)| f.deliver_at <= now)
-                        .nth(pick as usize)
-                        .map(|(i, _)| i)
-                        .expect("pick < eligible");
-                    if picked != fifo {
-                        q.stats.reordered += 1;
-                    }
-                    picked
-                }
-                Some(fifo) => fifo,
-            };
-            let flight = q.in_flight.swap_remove(chosen);
-            let ends = bit(flight.msg.from) | bit(flight.msg.to);
-            if self.crashed.load(Ordering::Acquire) & ends != 0 {
-                q.stats.crash_discarded += 1;
-                return Pumped::Discarded;
+                picked
             }
-            if self.isolated.load(Ordering::Acquire) & ends != 0 {
-                q.stats.partitioned += 1;
-                return Pumped::Discarded;
-            }
-            q.stats.delivered += 1;
-            if self.plan.record_log {
-                q.log.push(flight.msg);
-            }
-            (flight.msg, flight.copy)
+            Some(fifo) => fifo,
         };
-        self.fire_hook(&msg);
-        Pumped::Deliver(msg, copy)
+        let flight = q.in_flight.swap_remove(chosen);
+        let ends = bit(flight.msg.from) | bit(flight.msg.to);
+        if self.crashed.load(Ordering::Acquire) & ends != 0 {
+            q.stats.crash_discarded += 1;
+            return Pumped::Discarded;
+        }
+        if self.isolated.load(Ordering::Acquire) & ends != 0 {
+            q.stats.partitioned += 1;
+            return Pumped::Discarded;
+        }
+        q.stats.delivered += 1;
+        if self.plan.record_log {
+            q.log.push(flight.msg);
+        }
+        Pumped::Deliver(flight.msg, flight.copy)
+    }
+}
+
+/// One client's queue, locked by its owner across a run of sends and
+/// pumps — a whole quorum attempt — instead of once per message.
+///
+/// Only the owning client's thread opens one for its queue, so the
+/// lock is uncontended except by readers of [`Router::stats`],
+/// [`Router::in_flight`] and the delivery logs. The step hook never
+/// runs under it: [`HeldQueue::pump`] releases the lock around an
+/// armed hook and takes it again after.
+pub(crate) struct HeldQueue<'a> {
+    router: &'a Router,
+    client: u32,
+    net: &'a ClientNet,
+    /// `None` only while an armed step hook runs.
+    queue: Option<MutexGuard<'a, Queue>>,
+}
+
+impl HeldQueue<'_> {
+    fn queue(&mut self) -> &mut Queue {
+        self.queue.as_mut().expect("queue held outside the hook")
+    }
+
+    /// Accepts `msg` (a request from this client or a reply to it)
+    /// into the held queue, deciding the drop / duplicate / delay knobs
+    /// from the message's identity. `copy` is the copy of the request a
+    /// reply answers (0 for requests).
+    pub(crate) fn send(&mut self, msg: Message, copy: u8) {
+        let (router, client) = (self.router, self.client);
+        router.accept(self.queue(), client, msg, copy);
+    }
+
+    /// Advances the held queue's clock and takes its next message,
+    /// applying partitions and crashes. For a message that will be
+    /// delivered it fires the step hook, if one is armed, with the
+    /// queue lock released.
+    pub(crate) fn pump(&mut self) -> Pumped {
+        let (router, client) = (self.router, self.client);
+        let pumped = router.take(self.queue(), client);
+        if let Pumped::Deliver(msg, _) = &pumped {
+            if router.hook_armed.load(Ordering::Acquire) {
+                self.queue = None;
+                router.fire_hook(msg);
+                self.queue = Some(self.net.lock());
+            }
+        }
+        pumped
     }
 }
 
