@@ -74,8 +74,8 @@ use ts_apps::{FcfsLock, KExclusion};
 use ts_bench::Table;
 use ts_core::workload::WorkloadTarget;
 use ts_core::{
-    BoundedTimestamp, CollectMax, EpochBackend, GrowableWorkload, HelpingScanWorkload, OneShotPool,
-    PackedBackend, ScanMode, ServiceStats, SimpleOneShot,
+    BoundedTimestamp, CollectMax, EpochBackend, GrowableTimestamp, HelpingScanWorkload,
+    OneShotPool, PackedBackend, ScanMode, ServiceStats, SimpleOneShot,
 };
 use ts_replica::{ClusterConfig, FaultPlan, ReplicatedCollectMax, ReplicatedTryRegisters};
 use ts_service::{IssueMode, ServiceConfig};
@@ -282,7 +282,8 @@ fn thread_ladder(max: usize) -> Vec<usize> {
 
 /// Builds every target for a given thread count. Objects generic over
 /// the register backend appear twice; `bounded_oneshot` and `growable`
-/// store unbounded sequences and exist only on the epoch backend.
+/// have one storage each. `bounded_oneshot` keeps the `epoch` label its
+/// checked-in rows were recorded under; `growable` reports `word`.
 fn targets(threads: usize, pool_size: usize) -> Vec<Box<dyn WorkloadTarget>> {
     vec![
         Box::new(
@@ -318,7 +319,7 @@ fn targets(threads: usize, pool_size: usize) -> Vec<Box<dyn WorkloadTarget>> {
         )),
         Box::new(CollectMax::<PackedBackend>::with_backend(threads)),
         Box::new(CollectMax::<EpochBackend>::with_backend(threads)),
-        Box::new(GrowableWorkload::new()),
+        Box::new(GrowableTimestamp::new()),
         Box::new(FcfsLock::<PackedBackend>::with_backend(threads)),
         Box::new(FcfsLock::<EpochBackend>::with_backend(threads)),
         Box::new(KExclusion::<PackedBackend>::with_backend(

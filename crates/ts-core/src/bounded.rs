@@ -49,79 +49,36 @@
 //! The word is `[rnd : 12][writer + 1 : 20]`, which caps the budget at
 //! [`BoundedTimestamp::MAX_BUDGET`]; `rnd < m ≤ 2048` then always fits.
 //!
+//! # One body, two storages
+//!
+//! The algorithm is written once, as a function generic over a private
+//! storage trait: reading and writing `R[j]` as a word, a linearizable
+//! view of a prefix of `R`, the line-15 cell of a writer, and the width
+//! of the word's writer field. [`BoundedTimestamp`] is one storage: a
+//! metered [`PackedRegisterArray`] scanned by [`double_collect_scan`],
+//! one cell per admitted call, and the Section 6.3 accounting below.
+//! [`GrowableTimestamp`](crate::GrowableTimestamp) is the other: the
+//! Section 7 object, whose registers and cells grow on demand. Both
+//! monomorphize, so neither pays for the other.
+//!
 //! This module also carries the paper's accounting instrumentation
 //! (Section 6.3): phases, invalidation writes, and register usage are
 //! counted so the bounds `Φ < 2√M` (Lemma 6.5) and `≤ 2M` invalidation
-//! writes (Claim 6.13) can be checked against real executions.
-//! [`Slot`] is the paper's register value as a type, used by the model
-//! twin and by [`GrowableTimestamp`](crate::GrowableTimestamp).
+//! writes (Claim 6.13) can be checked against real executions. The
+//! paper's register value as a type, `⟨seq, rnd⟩` with getTS-ids, lives
+//! on in the model twin as [`Slot`](crate::model::Slot).
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use ts_register::{CachePadded, PackedRegisterArray, SpaceMeter};
-use ts_snapshot::double_collect_scan;
+use ts_snapshot::{double_collect_scan, View};
 
 use crate::error::GetTsError;
 use crate::ids::GetTsId;
 use crate::timestamp::Timestamp;
 use crate::traits::OneShotTimestamp;
-
-/// Register contents: `⊥` or `⟨seq, rnd⟩`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Slot {
-    /// The initial value `⊥`.
-    Bot,
-    /// A written pair `⟨seq, rnd⟩` (shared so clones are cheap).
-    Val(Arc<SlotVal>),
-}
-
-impl Slot {
-    /// Builds a written slot.
-    pub fn val(seq: Vec<GetTsId>, rnd: u64) -> Self {
-        Slot::Val(Arc::new(SlotVal { seq, rnd }))
-    }
-
-    /// Whether the slot is `⊥`.
-    pub fn is_bot(&self) -> bool {
-        matches!(self, Slot::Bot)
-    }
-
-    /// `last(R.seq)` — the last getTS-id of the stored sequence.
-    pub fn last(&self) -> Option<GetTsId> {
-        match self {
-            Slot::Bot => None,
-            Slot::Val(v) => v.seq.last().copied(),
-        }
-    }
-
-    /// `R.seq[j]` with the paper's 1-based indexing.
-    pub fn seq_get(&self, j: usize) -> Option<GetTsId> {
-        match self {
-            Slot::Bot => None,
-            Slot::Val(v) => v.seq.get(j.checked_sub(1)?).copied(),
-        }
-    }
-
-    /// `R.rnd`, if written.
-    pub fn rnd(&self) -> Option<u64> {
-        match self {
-            Slot::Bot => None,
-            Slot::Val(v) => Some(v.rnd),
-        }
-    }
-}
-
-/// The pair `⟨seq, rnd⟩` stored in a written register.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SlotVal {
-    /// Sequence of getTS-ids (length 1 for invalidation writes, length
-    /// `k` for the write opening phase `k`).
-    pub seq: Vec<GetTsId>,
-    /// The round the write belongs to.
-    pub rnd: u64,
-}
 
 /// What to do at lines 10–11 when a register is found invalid.
 ///
@@ -285,20 +242,176 @@ pub(crate) fn registers_for_budget(budget: usize) -> usize {
     m as usize
 }
 
-/// Low bits of a register word holding `writer + 1`; `rnd` sits above.
+/// Low bits of a [`BoundedTimestamp`] register word holding
+/// `writer + 1`; `rnd` sits above.
 const WRITER_BITS: u32 = 20;
 const WRITER_MASK: u32 = (1 << WRITER_BITS) - 1;
 /// The register word of `⊥`.
-const BOT: u32 = 0;
+const BOT: u64 = 0;
+
+/// Where one Algorithm 4 object keeps its registers `R[1..]` and its
+/// line-15 cells; [`get_ts`] is the algorithm over any of them.
+///
+/// A register is a word: `0` for `⊥`, or `rnd` above `writer + 1` in
+/// the low [`WRITER_BITS`](Storage::WRITER_BITS) bits. A call writes
+/// each register at most once (module docs), so a register never holds
+/// the same non-`⊥` word twice.
+pub(crate) trait Storage {
+    /// Width of a word's `writer + 1` field.
+    const WRITER_BITS: u32;
+
+    /// What [`scan`](Storage::scan) returns.
+    type View;
+
+    /// Registers the object has: a call that finds all of them non-`⊥`
+    /// has refuted Lemma 6.5.
+    fn registers(&self) -> usize;
+
+    /// Reads `R[j]` (the paper's 1-based index).
+    fn read(&self, j: usize) -> u64;
+
+    /// Writes `word` to `R[j]`; `opens_phase` marks a line-15 write.
+    fn write(&self, j: usize, word: u64, opens_phase: bool);
+
+    /// A linearizable view holding at least `R[1..=hi]`.
+    fn scan(&self, hi: usize) -> Self::View;
+
+    /// `R[j]` in `view`.
+    fn viewed(view: &Self::View, j: usize) -> u64;
+
+    /// The write-once cell of writer `writer`'s line-15 sequence: the
+    /// writer fields of `R[1..myrnd]` in its opening scan.
+    fn line15(&self, writer: usize) -> &OnceLock<Box<[u32]>>;
+}
 
 /// The register word of a write by `writer` in round `rnd`.
-fn word(rnd: usize, writer: u32) -> u32 {
-    ((rnd as u32) << WRITER_BITS) | (writer + 1)
+fn word<S: Storage>(rnd: usize, writer: usize) -> u64 {
+    ((rnd as u64) << S::WRITER_BITS) | (writer as u64 + 1)
 }
 
 /// The `rnd` field of a register word.
-fn rnd_of(word: u32) -> usize {
-    (word >> WRITER_BITS) as usize
+fn rnd_of<S: Storage>(word: u64) -> usize {
+    (word >> S::WRITER_BITS) as usize
+}
+
+/// The `writer + 1` field of a register word.
+fn writer_field<S: Storage>(word: u64) -> u32 {
+    (word & ((1 << S::WRITER_BITS) - 1)) as u32
+}
+
+/// Which line of Algorithm 4 a call returned from.
+pub(crate) enum Exit {
+    /// Line 9: a turn timestamp.
+    Turn,
+    /// Line 12: the next phase opened during the for-loop.
+    Early,
+    /// Line 16, after the scan of line 13.
+    Scanned,
+}
+
+/// Algorithm 4 `getTS` for the call with writer index `me`.
+///
+/// # Panics
+///
+/// Panics if an execution exceeds `storage`'s registers (which would
+/// falsify Lemma 6.5) — an internal invariant check, not an expected
+/// failure mode.
+pub(crate) fn get_ts<S: Storage>(
+    storage: &S,
+    me: usize,
+    policy: OverwritePolicy,
+) -> (Timestamp, Exit) {
+    let m = storage.registers();
+
+    // Lines 1–4: find the non-⊥ prefix R[1..myrnd]. Of the values
+    // r[1..myrnd] the paper records, only r[myrnd] is used again
+    // (line 7), so the last word read stands for them.
+    let mut last = BOT;
+    let mut j = 1usize;
+    loop {
+        let cur = storage.read(j);
+        if cur == BOT {
+            break;
+        }
+        last = cur;
+        j += 1;
+        assert!(
+            j <= m,
+            "space bound violated: all {m} registers non-⊥ (Lemma 6.5 refuted)"
+        );
+    }
+    let myrnd = j - 1;
+
+    // r[myrnd].seq: R[myrnd] holds the line-15 write opening phase
+    // myrnd (see the module docs), whose cell was published before
+    // the word this call read.
+    let seq: &[u32] = if myrnd == 0 {
+        &[]
+    } else {
+        (rnd_of::<S>(last) == myrnd)
+            .then(|| {
+                let writer = writer_field::<S>(last) as usize - 1;
+                storage.line15(writer).get()
+            })
+            .flatten()
+            .expect("R[myrnd] holds the line-15 write opening phase myrnd")
+    };
+
+    // Lines 5–12: look for the first valid register among R[1..myrnd-1].
+    for j in 1..myrnd {
+        // Line 6: has the next phase opened?
+        if storage.read(myrnd + 1) != BOT {
+            // Line 12.
+            return (Timestamp::new((myrnd + 1) as u64, 0), Exit::Early);
+        }
+        // Lines 7–11: one read of R[j] serves both the validity
+        // test (same writer as in r[myrnd].seq[j]) and the
+        // staleness test.
+        let cur = storage.read(j);
+        if writer_field::<S>(cur) == seq[j - 1] {
+            // Lines 8–9: R[j] is valid — invalidate it, take turn j.
+            storage.write(j, word::<S>(myrnd, me), false);
+            return (Timestamp::new(myrnd as u64, j as u64), Exit::Turn);
+        }
+        let overwrite = match policy {
+            // Line 10: only a write from an *older* phase can
+            // spuriously re-validate later; pin it down.
+            OverwritePolicy::Paper => rnd_of::<S>(cur) < myrnd,
+            OverwritePolicy::Always => true,
+            OverwritePolicy::Never => false,
+        };
+        if overwrite {
+            // Line 11.
+            storage.write(j, word::<S>(myrnd, me), false);
+        }
+    }
+
+    // Line 13: linearizable view of the prefix R[1..=myrnd+1].
+    let view = storage.scan(myrnd + 1);
+
+    // Line 14: r[myrnd + 1] == ⊥ ?
+    if S::viewed(&view, myrnd + 1) == BOT {
+        // Line 15: open phase myrnd + 1. The cell goes first, so
+        // whoever reads the word below finds it.
+        assert!(
+            myrnd + 1 < m,
+            "space bound violated: writing sentinel register R[{m}]"
+        );
+        let seq: Box<[u32]> = (1..=myrnd)
+            .map(|j| {
+                let value = S::viewed(&view, j);
+                assert_ne!(value, BOT, "scanned prefix registers are non-⊥ (Claim 6.1)");
+                writer_field::<S>(value)
+            })
+            .collect();
+        assert!(
+            storage.line15(me).set(seq).is_ok(),
+            "a call opens at most one phase"
+        );
+        storage.write(myrnd + 1, word::<S>(myrnd + 1, me), true);
+    }
+    // Line 16.
+    (Timestamp::new((myrnd + 1) as u64, 0), Exit::Scanned)
 }
 
 impl BoundedTimestamp {
@@ -340,7 +453,7 @@ impl BoundedTimestamp {
         let m = registers_for_budget(budget).max(2);
         let meter = SpaceMeter::new(m);
         Self {
-            regs: PackedRegisterArray::with_backend_and_meter(m, BOT, meter.clone()),
+            regs: PackedRegisterArray::with_backend_and_meter(m, BOT as u32, meter.clone()),
             line15: (0..budget).map(|_| OnceLock::new()).collect(),
             meter,
             m,
@@ -410,22 +523,6 @@ impl BoundedTimestamp {
         }
     }
 
-    /// Reads register `R[j]` (paper's 1-based indexing): one metered
-    /// load.
-    fn read(&self, j: usize) -> u32 {
-        self.regs
-            .read(j - 1)
-            .expect("paper register index within the array")
-    }
-
-    /// Writes register `R[j]` (paper's 1-based indexing).
-    fn write(&self, j: usize, value: u32, opens_phase: bool) {
-        self.accounting.record_write(j, opens_phase);
-        self.regs
-            .write(j - 1, value)
-            .expect("paper register index within the array");
-    }
-
     /// Algorithm 4 `getTS(ID)`.
     ///
     /// `id` is a label for the caller's own records: the object keys
@@ -449,107 +546,51 @@ impl BoundedTimestamp {
                 budget: self.budget,
             });
         }
-        Ok(self.get_ts_inner(admitted as u32))
+        let (ts, exit) = get_ts(self, admitted as usize, self.policy);
+        let counter = match exit {
+            Exit::Turn => &self.accounting.turn_returns,
+            Exit::Early => &self.accounting.early_returns,
+            Exit::Scanned => &self.accounting.scans,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Ok(ts)
+    }
+}
+
+impl Storage for BoundedTimestamp {
+    const WRITER_BITS: u32 = WRITER_BITS;
+    type View = View<u32>;
+
+    fn registers(&self) -> usize {
+        self.m
     }
 
-    /// Algorithm 4 for the call with writer index `me`.
-    fn get_ts_inner(&self, me: u32) -> Timestamp {
-        let m = self.m;
+    /// One metered load.
+    fn read(&self, j: usize) -> u64 {
+        self.regs
+            .read(j - 1)
+            .expect("paper register index within the array")
+            .into()
+    }
 
-        // Lines 1–4: find the non-⊥ prefix R[1..myrnd]. Of the values
-        // r[1..myrnd] the paper records, only r[myrnd] is used again
-        // (line 7), so the last word read stands for them.
-        let mut last = BOT;
-        let mut j = 1usize;
-        loop {
-            let cur = self.read(j);
-            if cur == BOT {
-                break;
-            }
-            last = cur;
-            j += 1;
-            assert!(
-                j <= m,
-                "space bound violated: all {m} registers non-⊥ (Lemma 6.5 refuted)"
-            );
-        }
-        let myrnd = j - 1;
+    fn write(&self, j: usize, word: u64, opens_phase: bool) {
+        self.accounting.record_write(j, opens_phase);
+        self.regs
+            .write(j - 1, word as u32)
+            .expect("paper register index within the array");
+    }
 
-        // r[myrnd].seq: R[myrnd] holds the line-15 write opening phase
-        // myrnd (see the module docs), whose cell was published before
-        // the word this call read.
-        let seq: &[u32] = if myrnd == 0 {
-            &[]
-        } else {
-            (rnd_of(last) == myrnd)
-                .then(|| self.line15[((last & WRITER_MASK) - 1) as usize].get())
-                .flatten()
-                .expect("R[myrnd] holds the line-15 write opening phase myrnd")
-        };
+    /// A double-collect scan of all `m` registers.
+    fn scan(&self, _hi: usize) -> View<u32> {
+        double_collect_scan(&self.regs)
+    }
 
-        // Lines 5–12: look for the first valid register among R[1..myrnd-1].
-        for j in 1..myrnd {
-            // Line 6: has the next phase opened?
-            if self.read(myrnd + 1) != BOT {
-                // Line 12.
-                self.accounting
-                    .early_returns
-                    .fetch_add(1, Ordering::Relaxed);
-                return Timestamp::new((myrnd + 1) as u64, 0);
-            }
-            // Lines 7–11: one read of R[j] serves both the validity
-            // test (same writer as in r[myrnd].seq[j]) and the
-            // staleness test.
-            let cur = self.read(j);
-            if cur & WRITER_MASK == seq[j - 1] {
-                // Lines 8–9: R[j] is valid — invalidate it, take turn j.
-                self.write(j, word(myrnd, me), false);
-                self.accounting.turn_returns.fetch_add(1, Ordering::Relaxed);
-                return Timestamp::new(myrnd as u64, j as u64);
-            }
-            let overwrite = match self.policy {
-                // Line 10: only a write from an *older* phase can
-                // spuriously re-validate later; pin it down.
-                OverwritePolicy::Paper => rnd_of(cur) < myrnd,
-                OverwritePolicy::Always => true,
-                OverwritePolicy::Never => false,
-            };
-            if overwrite {
-                // Line 11.
-                self.write(j, word(myrnd, me), false);
-            }
-        }
+    fn viewed(view: &View<u32>, j: usize) -> u64 {
+        view[j - 1].value.into()
+    }
 
-        // Line 13: linearizable view via double-collect scan.
-        self.accounting.scans.fetch_add(1, Ordering::Relaxed);
-        let view = double_collect_scan(&self.regs);
-
-        // Line 14: r[myrnd + 1] == ⊥ ? (1-based paper index → 0-based array)
-        if view[myrnd].value == BOT {
-            // Line 15: open phase myrnd + 1. The cell goes first, so
-            // whoever reads the word below finds it.
-            assert!(
-                myrnd + 1 < m,
-                "space bound violated: writing sentinel register R[{m}]"
-            );
-            let seq: Box<[u32]> = view.entries()[..myrnd]
-                .iter()
-                .map(|e| {
-                    assert_ne!(
-                        e.value, BOT,
-                        "scanned prefix registers are non-⊥ (Claim 6.1)"
-                    );
-                    e.value & WRITER_MASK
-                })
-                .collect();
-            assert!(
-                self.line15[me as usize].set(seq).is_ok(),
-                "a call opens at most one phase"
-            );
-            self.write(myrnd + 1, word(myrnd + 1, me), true);
-        }
-        // Line 16.
-        Timestamp::new((myrnd + 1) as u64, 0)
+    fn line15(&self, writer: usize) -> &OnceLock<Box<[u32]>> {
+        &self.line15[writer]
     }
 }
 
@@ -685,9 +726,16 @@ mod tests {
         let m = registers_for_budget(BoundedTimestamp::MAX_BUDGET);
         assert_eq!(m, 2048);
         // The highest round and the last writer index both fit.
-        let top = word(m - 1, BoundedTimestamp::MAX_BUDGET as u32 - 1);
-        assert_eq!(rnd_of(top), m - 1);
-        assert_eq!(top & WRITER_MASK, BoundedTimestamp::MAX_BUDGET as u32);
+        let top = word::<BoundedTimestamp>(m - 1, BoundedTimestamp::MAX_BUDGET - 1);
+        assert!(
+            top <= u64::from(u32::MAX),
+            "the word fits a packed register"
+        );
+        assert_eq!(rnd_of::<BoundedTimestamp>(top), m - 1);
+        assert_eq!(
+            writer_field::<BoundedTimestamp>(top),
+            BoundedTimestamp::MAX_BUDGET as u32
+        );
         let ts = BoundedTimestamp::with_budget(BoundedTimestamp::MAX_BUDGET);
         assert_eq!(ts.registers(), m);
         let a = ts.get_ts_with_id(GetTsId::new(0, 0)).unwrap();
@@ -782,22 +830,6 @@ mod tests {
             }
             last = Some(t);
         }
-    }
-
-    #[test]
-    fn slot_accessors() {
-        let bot = Slot::Bot;
-        assert!(bot.is_bot());
-        assert_eq!(bot.last(), None);
-        assert_eq!(bot.rnd(), None);
-        assert_eq!(bot.seq_get(1), None);
-        let v = Slot::val(vec![GetTsId::new(1, 0), GetTsId::new(2, 0)], 3);
-        assert_eq!(v.last(), Some(GetTsId::new(2, 0)));
-        assert_eq!(v.seq_get(1), Some(GetTsId::new(1, 0)));
-        assert_eq!(v.seq_get(2), Some(GetTsId::new(2, 0)));
-        assert_eq!(v.seq_get(3), None);
-        assert_eq!(v.seq_get(0), None);
-        assert_eq!(v.rnd(), Some(3));
     }
 
     #[test]

@@ -5,92 +5,69 @@
 //! where the number of getTS() method invocations is not bounded,
 //! provided that the system could acquire additional registers as
 //! needed. In this case however, progress would be non-blocking only
-//! instead of wait-free." This module makes that concrete: the register
-//! array is a lazily-allocated segmented vector, so no bound `M` is ever
-//! fixed; the while-loop, invalidation pass and scan are unchanged.
+//! instead of wait-free." This module makes that concrete: no bound `M`
+//! is ever fixed, and the while-loop, invalidation pass and scan are
+//! unchanged — literally, since [`GrowableTimestamp`] runs the same
+//! `getTS` body as [`BoundedTimestamp`](crate::BoundedTimestamp) (see
+//! [`crate::bounded`]) over storage of its own.
 //!
-//! Progress: each individual `getTS` can now be overtaken forever by a
-//! stream of phase-opening writes (its scan and line-6 checks keep
-//! failing), so the object is non-blocking (some call always completes)
-//! rather than wait-free. Register acquisition itself uses `OnceLock`
-//! segment initialization, whose one-time initialization race is the
-//! "system acquires registers" step the paper hypothesizes.
+//! # Storage
+//!
+//! - **Registers** are `AtomicU64` words in a [`SegTable`], read and
+//!   written with `SeqCst`. A word is `0` for `⊥`, or
+//!   `[rnd : 32][writer + 1 : 32]`, where `writer` is the call's
+//!   admission index (its value of the [`calls`](GrowableTimestamp::calls)
+//!   counter). As in the bounded object, the caller's [`GetTsId`] plays
+//!   no part, so callers may reuse ids.
+//! - **Line-15 sequences** live in write-once cells indexed by writer,
+//!   in a second [`SegTable`]. A cell is published before its register
+//!   store, so a reader that sees the word finds the cell.
+//! - **The scan** of line 13 is a double collect of `R[1..=myrnd+1]`
+//!   that compares words. That validates it: a call writes each
+//!   register at most once, so a (register, word) pair names a single
+//!   write and no register ever holds the same word twice. Two equal
+//!   collects therefore saw no write land in between, and the second
+//!   is a linearizable view.
+//!
+//! No access allocates except a segment's first touch and an opener's
+//! one cell, and none takes an `Arc`, pins an epoch or defers a free.
+//!
+//! # Costs and limits
+//!
+//! - **Progress.** Each individual `getTS` can be overtaken forever by a
+//!   stream of phase-opening writes (its scan and line-6 checks keep
+//!   failing), so the object is non-blocking (some call always
+//!   completes) rather than wait-free. Segment allocation uses
+//!   `OnceLock` initialization, whose one-time race is the "system
+//!   acquires registers" step the paper hypothesizes.
+//! - **Heap.** Registers stay `O(√M)` after `M` calls, but the cells
+//!   grow by one per call plus the opening sequences (each `O(√M)`
+//!   words, one per phase): `O(M)` bytes in all, freed with the object.
+//!   The earlier epoch-register version kept only `O(√M)` live; this
+//!   is the trade the bounded object makes inside its fixed budget.
+//! - **Calls.** A writer index must fit the word's 32-bit writer field,
+//!   so an object serves at most 2³² − 1 calls.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use ts_register::{Stamped, StampedRegister};
+use ts_register::SegTable;
 
-use crate::bounded::Slot;
+use crate::bounded::{get_ts, OverwritePolicy, Storage};
 use crate::ids::GetTsId;
 use crate::timestamp::Timestamp;
 
-/// Number of doubling segments: segment `s` holds `2^s` registers, so 40
-/// segments cover ~10^12 registers — unbounded for practical purposes.
-const SEGMENTS: usize = 40;
-
-/// Lazily grown register bank: segment `s` covers 0-based indices
-/// `[2^s − 1, 2^{s+1} − 1)`.
-struct SegmentedRegisters {
-    segments: Vec<OnceLock<Box<[StampedRegister<Slot>]>>>,
-    /// High-water mark of touched 0-based indices (for space reporting).
-    touched: AtomicU64,
-}
-
-impl SegmentedRegisters {
-    fn new() -> Self {
-        Self {
-            segments: (0..SEGMENTS).map(|_| OnceLock::new()).collect(),
-            touched: AtomicU64::new(0),
-        }
-    }
-
-    fn locate(index: usize) -> (usize, usize) {
-        let segment = (usize::BITS - (index + 1).leading_zeros() - 1) as usize;
-        let offset = index + 1 - (1 << segment);
-        (segment, offset)
-    }
-
-    fn register(&self, index: usize) -> &StampedRegister<Slot> {
-        let (segment, offset) = Self::locate(index);
-        assert!(
-            segment < SEGMENTS,
-            "register index {index} beyond growth limit"
-        );
-        self.touched.fetch_max(index as u64 + 1, Ordering::Relaxed);
-        let seg = self.segments[segment].get_or_init(|| {
-            (0..1usize << segment)
-                .map(|_| StampedRegister::new(Slot::Bot))
-                .collect::<Vec<_>>()
-                .into_boxed_slice()
-        });
-        &seg[offset]
-    }
-
-    /// Observation-only access: an unallocated segment reads as `⊥`
-    /// without being materialized, and the touched high-water mark is
-    /// left alone (observers must not inflate the space metric the
-    /// algorithm is measured by).
-    fn peek(&self, index: usize) -> Option<&StampedRegister<Slot>> {
-        let (segment, offset) = Self::locate(index);
-        if segment >= SEGMENTS {
-            return None;
-        }
-        self.segments[segment].get().map(|seg| &seg[offset])
-    }
-
-    fn high_water(&self) -> usize {
-        self.touched.load(Ordering::Relaxed) as usize
-    }
-}
+/// Calls one object serves: writer indices `0..MAX_CALLS` keep
+/// `writer + 1` within 32 bits.
+const MAX_CALLS: u64 = u32::MAX as u64;
 
 /// Unbounded-`M` timestamp object (Section 7): Algorithm 4 over a
 /// register bank that grows on demand.
 ///
-/// `getTS` never fails and there is no invocation budget; the space used
-/// after `M` calls is still `O(√M)` (the phase accounting of Section 6.3
-/// does not depend on `m` being fixed in advance).
+/// `getTS` never fails and there is no invocation budget; the registers
+/// touched after `M` calls are still `O(√M)` (the phase accounting of
+/// Section 6.3 does not depend on `m` being fixed in advance).
 ///
 /// # Example
 ///
@@ -103,7 +80,12 @@ impl SegmentedRegisters {
 /// assert!(Timestamp::compare(&a, &b));
 /// ```
 pub struct GrowableTimestamp {
-    regs: SegmentedRegisters,
+    /// `R[1..]` as words: `0` for `⊥`, else `rnd` over `writer + 1`.
+    regs: SegTable<AtomicU64>,
+    /// Each opener's line-15 sequence, by writer index.
+    line15: SegTable<OnceLock<Box<[u32]>>>,
+    /// One past the highest register index ever accessed.
+    touched: AtomicUsize,
     calls: AtomicU64,
 }
 
@@ -111,7 +93,9 @@ impl GrowableTimestamp {
     /// Creates an empty object (no registers allocated yet).
     pub fn new() -> Self {
         Self {
-            regs: SegmentedRegisters::new(),
+            regs: SegTable::new(),
+            line15: SegTable::new(),
+            touched: AtomicUsize::new(0),
             calls: AtomicU64::new(0),
         }
     }
@@ -124,7 +108,7 @@ impl GrowableTimestamp {
     /// Highest register index ever touched (reads or writes) — the
     /// object's space consumption.
     pub fn registers_touched(&self) -> usize {
-        self.regs.high_water()
+        self.touched.load(Ordering::Relaxed)
     }
 
     /// Read-only probe of the current round: walks `R[1], R[2], ...`
@@ -137,103 +121,84 @@ impl GrowableTimestamp {
     /// (an unallocated register is by definition `⊥`), so scan-heavy
     /// workloads cannot distort the object's space accounting.
     pub fn probe_round(&self) -> usize {
-        let mut j = 1usize;
-        loop {
-            match self.regs.peek(j - 1) {
-                Some(reg) if !reg.read().is_bot() => j += 1,
-                _ => return j - 1,
-            }
+        (0..)
+            .take_while(|&i| {
+                self.regs
+                    .get(i)
+                    .is_some_and(|r| r.load(Ordering::SeqCst) != 0)
+            })
+            .count()
+    }
+
+    /// Algorithm 4 `getTS(ID)` without an invocation budget.
+    ///
+    /// `id` is a label for the caller's own records: calls are keyed by
+    /// admission order (see the module docs). Never fails; progress is
+    /// non-blocking.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the 2³²-th call: its writer index would not fit a
+    /// register word.
+    pub fn get_ts_with_id(&self, _id: GetTsId) -> Timestamp {
+        let me = self.calls.fetch_add(1, Ordering::Relaxed);
+        assert!(
+            me < MAX_CALLS,
+            "GrowableTimestamp serves at most 2^32 - 1 calls"
+        );
+        get_ts(self, me as usize, OverwritePolicy::Paper).0
+    }
+
+    /// `compare` — Algorithm 3.
+    pub fn compare(t1: &Timestamp, t2: &Timestamp) -> bool {
+        Timestamp::compare(t1, t2)
+    }
+
+    /// Register `R[j]`, allocated on first touch and counted in
+    /// [`registers_touched`](Self::registers_touched).
+    fn register(&self, j: usize) -> &AtomicU64 {
+        if self.touched.load(Ordering::Relaxed) < j {
+            self.touched.fetch_max(j, Ordering::Relaxed);
         }
+        self.regs.get_or_init(j - 1)
+    }
+}
+
+impl Storage for GrowableTimestamp {
+    const WRITER_BITS: u32 = 32;
+    type View = Vec<u64>;
+
+    fn registers(&self) -> usize {
+        usize::MAX
     }
 
-    /// Reads `R[j]` (paper's 1-based indexing).
-    fn read(&self, j: usize) -> Slot {
-        self.regs.register(j - 1).read()
+    fn read(&self, j: usize) -> u64 {
+        self.register(j).load(Ordering::SeqCst)
     }
 
-    fn read_stamped(&self, j: usize) -> Stamped<Slot> {
-        self.regs.register(j - 1).read_stamped()
+    fn write(&self, j: usize, word: u64, _opens_phase: bool) {
+        self.register(j).store(word, Ordering::SeqCst);
     }
 
-    /// Writes `R[j]` (paper's 1-based indexing).
-    fn write(&self, j: usize, value: Slot) {
-        self.regs.register(j - 1).write(value);
-    }
-
-    /// Double-collect scan of `R[1..=hi]` (sufficient for line 15, which
-    /// only consults the prefix).
-    fn scan_prefix(&self, hi: usize) -> Vec<Stamped<Slot>> {
-        let collect =
-            |_: &Self| -> Vec<Stamped<Slot>> { (1..=hi).map(|j| self.read_stamped(j)).collect() };
-        let mut previous = collect(self);
+    /// Double collect of `R[1..=hi]`, comparing words (module docs).
+    fn scan(&self, hi: usize) -> Vec<u64> {
+        let collect = || (1..=hi).map(|j| self.read(j)).collect::<Vec<_>>();
+        let mut previous = collect();
         loop {
-            let current = collect(self);
-            let same = current
-                .iter()
-                .zip(&previous)
-                .all(|(a, b)| a.stamp == b.stamp);
-            if same {
+            let current = collect();
+            if current == previous {
                 return current;
             }
             previous = current;
         }
     }
 
-    /// Algorithm 4 `getTS(ID)` without an invocation budget.
-    ///
-    /// Never fails; progress is non-blocking (see the module docs).
-    pub fn get_ts_with_id(&self, id: GetTsId) -> Timestamp {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-
-        // Lines 1–4.
-        let mut r: Vec<Slot> = vec![Slot::Bot];
-        let mut j = 1usize;
-        loop {
-            let v = self.read(j);
-            if v.is_bot() {
-                break;
-            }
-            r.push(v);
-            j += 1;
-        }
-        let myrnd = j - 1;
-
-        // Lines 5–12.
-        for j in 1..myrnd {
-            if !self.read(myrnd + 1).is_bot() {
-                return Timestamp::new((myrnd + 1) as u64, 0);
-            }
-            let cur = self.read(j);
-            let expected = r[myrnd].seq_get(j);
-            if expected.is_some() && cur.last() == expected {
-                self.write(j, Slot::val(vec![id], myrnd as u64));
-                return Timestamp::new(myrnd as u64, j as u64);
-            }
-            if cur.rnd().is_some_and(|rnd| rnd < myrnd as u64) {
-                self.write(j, Slot::val(vec![id], myrnd as u64));
-            }
-        }
-
-        // Lines 13–16 over the prefix R[1..=myrnd+1].
-        let view = self.scan_prefix(myrnd + 1);
-        if view[myrnd].value.is_bot() {
-            let mut seq = Vec::with_capacity(myrnd + 1);
-            for jj in 1..=myrnd {
-                let last = view[jj - 1]
-                    .value
-                    .last()
-                    .expect("scanned prefix registers are non-⊥");
-                seq.push(last);
-            }
-            seq.push(id);
-            self.write(myrnd + 1, Slot::val(seq, (myrnd + 1) as u64));
-        }
-        Timestamp::new((myrnd + 1) as u64, 0)
+    fn viewed(view: &Vec<u64>, j: usize) -> u64 {
+        view[j - 1]
     }
 
-    /// `compare` — Algorithm 3.
-    pub fn compare(t1: &Timestamp, t2: &Timestamp) -> bool {
-        Timestamp::compare(t1, t2)
+    fn line15(&self, writer: usize) -> &OnceLock<Box<[u32]>> {
+        self.line15.get_or_init(writer)
     }
 }
 
@@ -255,17 +220,8 @@ impl fmt::Debug for GrowableTimestamp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BoundedTimestamp;
     use std::sync::Arc;
-
-    #[test]
-    fn segment_locate_is_consistent() {
-        assert_eq!(SegmentedRegisters::locate(0), (0, 0));
-        assert_eq!(SegmentedRegisters::locate(1), (1, 0));
-        assert_eq!(SegmentedRegisters::locate(2), (1, 1));
-        assert_eq!(SegmentedRegisters::locate(3), (2, 0));
-        assert_eq!(SegmentedRegisters::locate(6), (2, 3));
-        assert_eq!(SegmentedRegisters::locate(7), (3, 0));
-    }
 
     #[test]
     fn sequential_timestamps_strictly_increase_without_budget() {
@@ -316,29 +272,74 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_rounds_respect_happens_before() {
-        let ts = Arc::new(GrowableTimestamp::new());
-        let mut prev_round_max: Option<Timestamp> = None;
-        for round in 0..3u32 {
-            let outs: Vec<Timestamp> = crossbeam::scope(|s| {
-                let handles: Vec<_> = (0..8u32)
-                    .map(|i| {
-                        let ts = Arc::clone(&ts);
-                        s.spawn(move |_| ts.get_ts_with_id(GetTsId::new(i, round)))
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            })
-            .unwrap();
-            let min = *outs.iter().min().unwrap();
-            let max = *outs.iter().max().unwrap();
-            if let Some(pm) = prev_round_max {
-                assert!(
-                    Timestamp::compare(&pm, &min),
-                    "round {round}: {pm} !< {min}"
-                );
+    fn sequential_stamps_match_the_bounded_object() {
+        // Same body, same schedule: the growable object issues exactly
+        // the bounded object's stamps, and touches the registers the
+        // E7 table reports.
+        let growable = GrowableTimestamp::new();
+        let bounded = BoundedTimestamp::with_budget(4096);
+        let mut touched = Vec::new();
+        for k in 0..4096u32 {
+            let id = GetTsId::new(k, 0);
+            let t = growable.get_ts_with_id(id);
+            assert_eq!(Ok(t), bounded.get_ts_with_id(id), "call {k}");
+            if [16, 64, 256, 1024, 4096].contains(&(k + 1)) {
+                touched.push(growable.registers_touched());
             }
-            prev_round_max = Some(max);
+        }
+        assert_eq!(touched, [6, 12, 24, 46, 91]);
+    }
+
+    #[test]
+    fn reused_ids_get_the_bounded_objects_increasing_stamps() {
+        // Calls are keyed by admission order, so one id reused for
+        // every call still gets strictly increasing stamps.
+        let growable = GrowableTimestamp::new();
+        let bounded = BoundedTimestamp::with_budget(10);
+        let id = GetTsId::new(0, 0);
+        let mut last: Option<Timestamp> = None;
+        for k in 0..10 {
+            let t = growable.get_ts_with_id(id);
+            assert_eq!(Ok(t), bounded.get_ts_with_id(id), "call {k}");
+            if let Some(prev) = last {
+                assert!(Timestamp::compare(&prev, &t), "call {k}: {prev} !< {t}");
+            }
+            last = Some(t);
+        }
+    }
+
+    #[test]
+    fn concurrent_rounds_respect_happens_before() {
+        // Once with distinct ids, once with every call reusing one id.
+        for shared_id in [false, true] {
+            let ts = Arc::new(GrowableTimestamp::new());
+            let mut prev_round_max: Option<Timestamp> = None;
+            for round in 0..3u32 {
+                let outs: Vec<Timestamp> = crossbeam::scope(|s| {
+                    let handles: Vec<_> = (0..8u32)
+                        .map(|i| {
+                            let ts = Arc::clone(&ts);
+                            let id = if shared_id {
+                                GetTsId::new(0, 0)
+                            } else {
+                                GetTsId::new(i, round)
+                            };
+                            s.spawn(move |_| ts.get_ts_with_id(id))
+                        })
+                        .collect();
+                    handles.into_iter().map(|h| h.join().unwrap()).collect()
+                })
+                .unwrap();
+                let min = *outs.iter().min().unwrap();
+                let max = *outs.iter().max().unwrap();
+                if let Some(pm) = prev_round_max {
+                    assert!(
+                        Timestamp::compare(&pm, &min),
+                        "shared id {shared_id}, round {round}: {pm} !< {min}"
+                    );
+                }
+                prev_round_max = Some(max);
+            }
         }
     }
 }

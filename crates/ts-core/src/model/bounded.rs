@@ -6,12 +6,74 @@
 //! write to a given register carries a distinct `last(seq)` (Claim
 //! 6.1(b)), so a repeated identical collect certifies a linearizable
 //! view without stamps.
+//!
+//! The twin keeps the paper's register value, [`Slot`]: a sequence of
+//! getTS-ids and a round. The production objects store the same
+//! information as a word of `rnd` and a writer index plus a per-writer
+//! cell (see [`crate::bounded`]).
+
+use std::sync::Arc;
 
 use ts_model::{Algorithm, Machine, Poised, ProcId};
 
-use crate::bounded::{registers_for_budget, OverwritePolicy, Slot};
+use crate::bounded::{registers_for_budget, OverwritePolicy};
 use crate::ids::GetTsId;
 use crate::timestamp::Timestamp;
+
+/// Register contents: `⊥` or `⟨seq, rnd⟩`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum Slot {
+    /// The initial value `⊥`.
+    Bot,
+    /// A written pair `⟨seq, rnd⟩` (shared so clones are cheap).
+    Val(Arc<SlotVal>),
+}
+
+impl Slot {
+    /// Builds a written slot.
+    pub fn val(seq: Vec<GetTsId>, rnd: u64) -> Self {
+        Slot::Val(Arc::new(SlotVal { seq, rnd }))
+    }
+
+    /// Whether the slot is `⊥`.
+    pub fn is_bot(&self) -> bool {
+        matches!(self, Slot::Bot)
+    }
+
+    /// `last(R.seq)` — the last getTS-id of the stored sequence.
+    pub fn last(&self) -> Option<GetTsId> {
+        match self {
+            Slot::Bot => None,
+            Slot::Val(v) => v.seq.last().copied(),
+        }
+    }
+
+    /// `R.seq[j]` with the paper's 1-based indexing.
+    pub fn seq_get(&self, j: usize) -> Option<GetTsId> {
+        match self {
+            Slot::Bot => None,
+            Slot::Val(v) => v.seq.get(j.checked_sub(1)?).copied(),
+        }
+    }
+
+    /// `R.rnd`, if written.
+    pub fn rnd(&self) -> Option<u64> {
+        match self {
+            Slot::Bot => None,
+            Slot::Val(v) => Some(v.rnd),
+        }
+    }
+}
+
+/// The pair `⟨seq, rnd⟩` stored in a written register.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct SlotVal {
+    /// Sequence of getTS-ids (length 1 for invalidation writes, length
+    /// `k` for the write opening phase `k`).
+    pub seq: Vec<GetTsId>,
+    /// The round the write belongs to.
+    pub rnd: u64,
+}
 
 /// Where a [`BoundedMachine`] is in Algorithm 4.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -304,6 +366,22 @@ impl Algorithm for BoundedModel {
 mod tests {
     use super::*;
     use ts_model::{Explorer, RandomScheduler, System};
+
+    #[test]
+    fn slot_accessors() {
+        let bot = Slot::Bot;
+        assert!(bot.is_bot());
+        assert_eq!(bot.last(), None);
+        assert_eq!(bot.rnd(), None);
+        assert_eq!(bot.seq_get(1), None);
+        let v = Slot::val(vec![GetTsId::new(1, 0), GetTsId::new(2, 0)], 3);
+        assert_eq!(v.last(), Some(GetTsId::new(2, 0)));
+        assert_eq!(v.seq_get(1), Some(GetTsId::new(1, 0)));
+        assert_eq!(v.seq_get(2), Some(GetTsId::new(2, 0)));
+        assert_eq!(v.seq_get(3), None);
+        assert_eq!(v.seq_get(0), None);
+        assert_eq!(v.rnd(), Some(3));
+    }
 
     #[test]
     fn solo_sequence_matches_concrete_walkthrough() {

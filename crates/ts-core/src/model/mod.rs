@@ -15,7 +15,7 @@ mod collectmax_fast;
 mod helping_scan;
 mod simple;
 
-pub use bounded::{BoundedMachine, BoundedModel};
+pub use bounded::{BoundedMachine, BoundedModel, Slot, SlotVal};
 pub use broken::{BrokenCounterMachine, BrokenCounterModel};
 pub use collectmax::{CollectMaxMachine, CollectMaxModel};
 pub use collectmax_fast::{CollectMaxFastMachine, CollectMaxFastModel};

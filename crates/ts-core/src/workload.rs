@@ -27,7 +27,7 @@
 //!
 //! This module provides targets for the `ts-core` objects:
 //! [`CollectMax`] and [`CollectMaxFast`] (the same object replayed along
-//! its classic or its cached-max path), [`GrowableWorkload`]
+//! its classic or its cached-max path), [`GrowableTimestamp`]
 //! (long-lived, unbounded), [`OneShotPool`] (any [`OneShotTimestamp`]
 //! made long-runnable by cycling pools of fresh objects), the
 //! replay-only canary [`BrokenCounter`], and [`HelpingScanWorkload`].
@@ -86,11 +86,9 @@ use crate::traits::{LongLivedTimestamp, OneShotTimestamp};
 ///
 /// This is the machinery behind `M` clients over `n` physical slots:
 /// identity (the vpid, never reused, never bounded) is decoupled from
-/// storage (the slot, leased while an operation runs). It started life
-/// inline in [`GrowableWorkload`], which mints a fresh vpid per churn
-/// life so `GetTsId`s stay unique across worker replacements; the
-/// `ts-service` crate reuses it to key client sessions, so slot count
-/// stops scaling with client count.
+/// storage (the slot, leased while an operation runs). The `ts-service`
+/// crate uses it to key client sessions, so slot count stops scaling
+/// with client count.
 ///
 /// # Example
 ///
@@ -1080,43 +1078,20 @@ impl WorkloadTarget for HelpingScanWorkload {
 }
 
 // ---------------------------------------------------------------------
-// GrowableTimestamp: unbounded long-lived object; workers draw unique
-// virtual process ids so churn replacements never reuse a GetTsId.
+// GrowableTimestamp: unbounded long-lived object. Calls are keyed by
+// admission order, so workers need no id of their own.
 // ---------------------------------------------------------------------
 
-/// [`GrowableTimestamp`] wrapped for the workload engine: hands every
-/// worker (including churn replacements) a fresh virtual process id
-/// from a [`VpidAllocator`] so `GetTsId`s stay globally unique across
-/// worker lives.
-#[derive(Debug, Default)]
-pub struct GrowableWorkload {
-    inner: GrowableTimestamp,
-    vpids: VpidAllocator,
-}
-
-impl GrowableWorkload {
-    /// Creates an empty growable object ready for driving.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The wrapped object (for post-run space assertions).
-    pub fn inner(&self) -> &GrowableTimestamp {
-        &self.inner
-    }
-}
-
 impl StampSource for GrowableTimestamp {
-    type State<'a> = GetTsId;
+    type State<'a> = ();
     type Stamp = Timestamp;
 
-    fn issue(&self, id: &mut GetTsId, _gate: Option<&StepGate>) -> (Timestamp, Timestamp) {
-        let t = self.get_ts_with_id(*id);
-        id.seq += 1;
+    fn issue(&self, _: &mut (), _gate: Option<&StepGate>) -> (Timestamp, Timestamp) {
+        let t = self.get_ts_with_id(GetTsId::new(0, 0));
         (t, t)
     }
 
-    fn observe(&self, _id: &GetTsId) -> bool {
+    fn observe(&self, _: &()) -> bool {
         black_box(self.probe_round());
         true
     }
@@ -1130,16 +1105,15 @@ impl StampSource for GrowableTimestamp {
     }
 }
 
-impl WorkloadTarget for GrowableWorkload {
+impl WorkloadTarget for GrowableTimestamp {
     fn object(&self) -> &'static str {
         "growable"
     }
 
     fn backend(&self) -> &'static str {
-        // The growable object's segmented registers are epoch-reclaimed
-        // `StampedRegister`s; there is no packed variant (its slots are
-        // unbounded sequences).
-        "epoch"
+        // `AtomicU64` words in a segmented table, not a pluggable
+        // backend.
+        "word"
     }
 
     fn slots(&self) -> usize {
@@ -1147,8 +1121,7 @@ impl WorkloadTarget for GrowableWorkload {
     }
 
     fn worker<'a>(&'a self, _slot: usize) -> Box<dyn WorkloadWorker + 'a> {
-        let vpid = self.vpids.next();
-        Box::new(StampWorker::new(&self.inner, GetTsId::new(vpid, 0)))
+        Box::new(StampWorker::new(self, ()))
     }
 }
 
@@ -1415,16 +1388,15 @@ mod tests {
     use crate::{PackedBackend, SimpleOneShot};
 
     #[test]
-    fn growable_workers_get_unique_vpids_across_lives() {
-        let target = GrowableWorkload::new();
+    fn growable_workers_share_one_object_across_lives() {
+        let target = GrowableTimestamp::new();
         for _life in 0..3 {
             let mut w = target.worker(0); // same slot, new life
             for _ in 0..5 {
                 w.step(WorkloadOp::GetTs);
             }
         }
-        assert_eq!(target.inner().calls(), 15);
-        assert_eq!(target.vpids.issued(), 3);
+        assert_eq!(target.calls(), 15);
     }
 
     #[test]

@@ -18,10 +18,9 @@ use crate::traits::Register;
 /// This is the executable stand-in for the paper's base object: registers
 /// `r_1, ..., r_m` whose contents the model allows to be unbounded. Through
 /// [`StampedRegister`](crate::StampedRegister) it holds the contents that
-/// outgrow a word: the growable timestamp's `⟨seq, rnd⟩` sequences and
-/// `ts-snapshot`'s help records and snapshot cells. Values are cloned out
-/// on read, so `T` is typically either small or cheaply clonable (e.g.
-/// contains an `Arc`).
+/// outgrow a word, such as `ts-snapshot`'s help records. Values are
+/// cloned out on read, so `T` is typically either small or cheaply
+/// clonable (e.g. contains an `Arc`).
 ///
 /// # Example
 ///

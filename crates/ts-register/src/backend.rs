@@ -6,9 +6,9 @@
 //!
 //! - [`EpochBackend`] — an atomic pointer to an immutable heap cell with
 //!   epoch-based reclamation ([`StampedRegister`]). Supports values of
-//!   **any size** (the growable timestamp object's registers hold
-//!   growing sequences of getTS-ids), at the cost of an allocation per
-//!   write and an epoch pin per operation.
+//!   **any size** (`ts-snapshot`'s help records hold whole views), at
+//!   the cost of an allocation per write and an epoch pin per
+//!   operation.
 //! - [`PackedBackend`] — the value bit-packed into a single `AtomicU64`
 //!   next to its write stamp ([`PackedRegister`]). Reads and writes are
 //!   single hardware atomics — no allocation, no pinning, no
@@ -25,9 +25,9 @@
 //! Use `PackedBackend` when every value the register will ever hold fits
 //! [`Packable`]'s 32-bit budget — e.g. the `{0, 1, 2}` slots of the
 //! simple one-shot algorithm or collect-max counters. Use `EpochBackend`
-//! when values are unbounded or non-`Copy` — e.g. the growable object's
-//! `⟨seq, rnd⟩` pairs. A bounded object can often move its large parts
-//! out of the register instead: Algorithm 4 packs `(rnd, writer)` into
+//! when values are unbounded or non-`Copy` — e.g. the help board's
+//! views. An object can often move its large parts out of the register
+//! instead: Algorithm 4, bounded or growable, packs `(rnd, writer)` into
 //! the word and keeps each sequence in a write-once cell of its writer.
 //! The contention benchmark (`bench_contention` in `ts-bench`)
 //! quantifies the gap.

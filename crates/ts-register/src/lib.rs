@@ -5,11 +5,23 @@
 //! `read` and `write`, and the paper's model allows them to be unbounded.
 //! Hardware atomics only cover word-sized values, so this crate also
 //! provides a wait-free, linearizable register of any `T: Clone` built
-//! from an atomic pointer swap with epoch-based memory reclamation. Its
-//! users are the objects whose register contents outgrow a word:
-//! `GrowableTimestamp`'s `⟨seq, rnd⟩` sequences and `ts-snapshot`'s help
-//! board and snapshot. (`BoundedTimestamp`, Algorithm 4, keeps its
-//! registers in packed words and its sequences in per-call cells.)
+//! from an atomic pointer swap with epoch-based memory reclamation
+//! ([`StampedRegister`], [`EpochBackend`]). Every paper object keeps its
+//! registers in words, so epoch registers serve only `ts-snapshot`'s
+//! `HelpBoard`, the `EpochBackend` variants of the word objects, and the
+//! benchmark rows that measure them.
+//!
+//! | Register type | Holds | Used by |
+//! |---|---|---|
+//! | [`PackedRegister`] / [`PackedRegisterArray`] | a [`Packable`] value of ≤ 32 bits | every paper object's registers |
+//! | [`WordRegister`] | one `u64` | single-word cells, the broken counter |
+//! | [`AtomicRegister`] | any `T: Clone`, behind a lock-free pointer | `bench_contention`'s baseline row, tests |
+//! | [`StampedRegister`] / [`RegisterArray`] on [`EpochBackend`] | any `T: Clone`, with a write stamp | `HelpBoard`, the `EpochBackend` variants, perfbench's ladder rows |
+//!
+//! [`SegTable`] is the append-only segmented table that objects growing
+//! on demand keep their cells in: the growable timestamp object's
+//! registers and line-15 sequences, the replicated backend's per-client
+//! and per-register state.
 //!
 //! The crate also provides the measurement machinery the paper's results
 //! are *about*: [`SpaceMeter`] tracks which registers an execution reads
@@ -29,10 +41,10 @@
 //! the object's whole lifetime (the simple one-shot algorithm's
 //! `{0, 1, 2}` slots, collect-max counters): it bypasses allocation and
 //! reclamation entirely, which is worth an order of magnitude under
-//! contention (see `bench_contention` in `ts-bench`). Keep
-//! `EpochBackend` for unbounded contents such as the growable
-//! timestamp object's `⟨seq, rnd⟩` sequences. [`RegisterArray`] and the `ts-snapshot` scan
-//! are generic over the choice; `ts-core` constructors expose it.
+//! contention (see `bench_contention` in `ts-bench`). `EpochBackend`
+//! remains for contents that outgrow a word. [`RegisterArray`] and the
+//! `ts-snapshot` scan are generic over the choice; `ts-core`
+//! constructors expose it.
 //!
 //! # Contention-aware layout
 //!
@@ -69,7 +81,7 @@ mod packed;
 mod pad;
 pub mod reclaim;
 mod stamped;
-mod swap;
+mod table;
 mod traits;
 mod word;
 
@@ -77,10 +89,10 @@ pub use array::{PackedRegisterArray, RegisterArray, WriteSummary, BLOCK_REGISTER
 pub use atomic::AtomicRegister;
 pub use backend::{BackendRegister, EpochBackend, PackedBackend, RegisterBackend};
 pub use error::CapacityError;
-pub use meter::{MeterSnapshot, MeteredRegister, SpaceMeter};
+pub use meter::{MeterSnapshot, SpaceMeter};
 pub use packed::{Packable, PackedRegister};
 pub use pad::CachePadded;
 pub use stamped::{Stamp, Stamped, StampedRegister};
-pub use swap::SwapRegister;
+pub use table::SegTable;
 pub use traits::Register;
 pub use word::WordRegister;

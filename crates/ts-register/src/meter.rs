@@ -12,7 +12,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::pad::CachePadded;
-use crate::traits::Register;
 
 /// Stripes of read counters. A thread adds its reads to one stripe, so
 /// readers of the same register on different threads bump different
@@ -31,9 +30,10 @@ thread_local! {
 
 /// Shared recorder of per-register read/write counts.
 ///
-/// Clone the meter (cheap; internally `Arc`) and attach it to registers
-/// via [`SpaceMeter::wrap`] or record manually with
-/// [`SpaceMeter::record_read`] / [`SpaceMeter::record_write`].
+/// Clone the meter (cheap; internally `Arc`) and record accesses with
+/// [`SpaceMeter::record_read`] / [`SpaceMeter::record_write`] (a
+/// [`RegisterArray`](crate::RegisterArray) built with a meter does so
+/// on every access).
 ///
 /// Each register's write counter sits on a cache line of its own, so
 /// the owner of a single-writer register meters its writes without
@@ -48,12 +48,12 @@ thread_local! {
 /// # Example
 ///
 /// ```
-/// use ts_register::{AtomicRegister, Register, SpaceMeter};
+/// use ts_register::{RegisterArray, SpaceMeter};
 ///
 /// let meter = SpaceMeter::new(4);
-/// let reg = meter.wrap(1, AtomicRegister::new(0u64));
-/// reg.write(9);
-/// reg.read();
+/// let array = RegisterArray::with_meter(4, 0u64, meter.clone());
+/// array.write(1, 9).unwrap();
+/// array.read(1).unwrap();
 /// let snap = meter.snapshot();
 /// assert_eq!(snap.registers_written(), 1);
 /// assert_eq!(snap.reads[1], 1);
@@ -140,21 +140,6 @@ impl SpaceMeter {
         self.inner.writes[index].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Wraps `register` so that all operations on it are recorded under
-    /// `index`.
-    pub fn wrap<T, R: Register<T>>(&self, index: usize, register: R) -> MeteredRegister<R> {
-        assert!(
-            index < self.capacity(),
-            "register index {index} out of meter capacity {}",
-            self.capacity()
-        );
-        MeteredRegister {
-            inner: register,
-            meter: self.clone(),
-            index,
-        }
-    }
-
     /// Takes a consistent-enough snapshot of the counters.
     ///
     /// Counter updates are relaxed; the snapshot is exact once the metered
@@ -235,42 +220,9 @@ impl MeterSnapshot {
     }
 }
 
-/// A register wrapper that records its operations in a [`SpaceMeter`].
-#[derive(Debug)]
-pub struct MeteredRegister<R> {
-    inner: R,
-    meter: SpaceMeter,
-    index: usize,
-}
-
-impl<R> MeteredRegister<R> {
-    /// The index under which this register reports.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Unwraps the underlying register.
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
-}
-
-impl<T, R: Register<T>> Register<T> for MeteredRegister<R> {
-    fn read(&self) -> T {
-        self.meter.record_read(self.index);
-        self.inner.read()
-    }
-
-    fn write(&self, value: T) {
-        self.meter.record_write(self.index);
-        self.inner.write(value)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::atomic::AtomicRegister;
 
     #[test]
     fn empty_meter_snapshot_is_zero() {
@@ -284,11 +236,9 @@ mod tests {
     #[test]
     fn reads_and_writes_are_counted_separately() {
         let meter = SpaceMeter::new(2);
-        let r0 = meter.wrap(0, AtomicRegister::new(0u64));
-        let r1 = meter.wrap(1, AtomicRegister::new(0u64));
-        r0.read();
-        r0.read();
-        r1.write(1);
+        meter.record_read(0);
+        meter.record_read(0);
+        meter.record_write(1);
         let snap = meter.snapshot();
         assert_eq!(snap.reads, vec![2, 0]);
         assert_eq!(snap.writes, vec![0, 1]);
@@ -358,21 +308,5 @@ mod tests {
     fn reading_past_capacity_panics_inside_the_last_chunk() {
         // Index 3 exists in the padded chunk but not in the array.
         SpaceMeter::new(3).record_read(3);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of meter capacity")]
-    fn wrapping_out_of_capacity_panics() {
-        let meter = SpaceMeter::new(1);
-        let _ = meter.wrap(1, AtomicRegister::new(0u64));
-    }
-
-    #[test]
-    fn metered_register_reports_index_and_unwraps() {
-        let meter = SpaceMeter::new(1);
-        let reg = meter.wrap(0, AtomicRegister::new(5u64));
-        assert_eq!(reg.index(), 0);
-        let inner = reg.into_inner();
-        assert_eq!(inner.read(), 5);
     }
 }

@@ -4,10 +4,13 @@
 //! Segment `s` holds `FIRST << s` entries and is allocated on first
 //! touch through its `OnceLock`, so a lookup is one acquire load plus
 //! index arithmetic, and an entry never moves once created. The table
-//! frees its segments with its owner. The router keeps one entry per
-//! client here, the cluster one quorum-counter stripe per client, and
-//! every replica one cell per register.
+//! frees its segments with its owner. `ts-replica`'s router keeps one
+//! entry per client here, its cluster one quorum-counter stripe per
+//! client, and every replica one cell per register; `ts-core`'s
+//! growable timestamp object keeps its registers and line-15 cells in
+//! two tables.
 
+use std::fmt;
 use std::sync::OnceLock;
 
 /// Entries in segment 0; segment `s` holds `FIRST << s`.
@@ -16,12 +19,42 @@ const FIRST: usize = 8;
 /// Segments needed to cover every `u32` id.
 const SEGMENTS: usize = 30;
 
-pub(crate) struct SegTable<T> {
+/// An append-only table of `T`s addressed by a dense `u32`-sized id,
+/// allocated a segment at a time on first touch.
+///
+/// # Example
+///
+/// ```
+/// use std::sync::atomic::{AtomicU64, Ordering};
+/// use ts_register::SegTable;
+///
+/// let table = SegTable::<AtomicU64>::new();
+/// assert!(table.get(1000).is_none(), "nothing allocated yet");
+/// table.get_or_init(1000).store(7, Ordering::Relaxed);
+/// assert_eq!(table.get(1000).unwrap().load(Ordering::Relaxed), 7);
+/// ```
+pub struct SegTable<T> {
     segments: [OnceLock<Box<[T]>>; SEGMENTS],
 }
 
+impl<T: Default> Default for SegTable<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> fmt::Debug for SegTable<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let allocated = self.segments.iter().filter(|s| s.get().is_some()).count();
+        f.debug_struct("SegTable")
+            .field("segments_allocated", &allocated)
+            .finish()
+    }
+}
+
 impl<T: Default> SegTable<T> {
-    pub(crate) fn new() -> Self {
+    /// Creates an empty table: no segment is allocated.
+    pub fn new() -> Self {
         Self {
             segments: std::array::from_fn(|_| OnceLock::new()),
         }
@@ -36,14 +69,18 @@ impl<T: Default> SegTable<T> {
     }
 
     /// Entry `index`, if its segment has been allocated.
-    pub(crate) fn get(&self, index: usize) -> Option<&T> {
+    pub fn get(&self, index: usize) -> Option<&T> {
         let (segment, offset) = Self::locate(index);
         self.segments.get(segment)?.get().map(|seg| &seg[offset])
     }
 
     /// Entry `index`, allocating its segment (default entries) on first
     /// touch.
-    pub(crate) fn get_or_init(&self, index: usize) -> &T {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is beyond every segment (past `u32` range).
+    pub fn get_or_init(&self, index: usize) -> &T {
         let (segment, offset) = Self::locate(index);
         assert!(segment < SEGMENTS, "table index {index} out of range");
         let seg = self.segments[segment]
@@ -53,7 +90,7 @@ impl<T: Default> SegTable<T> {
 
     /// Every allocated entry, in id order (unallocated segments are
     /// skipped; they hold no entries yet).
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.segments
             .iter()
             .filter_map(OnceLock::get)

@@ -55,11 +55,11 @@ use std::sync::Arc;
 
 use ts_core::workload::VpidAllocator;
 use ts_core::{CachePadded, ServiceStats, Timestamp};
+use ts_register::SegTable;
 
 use crate::net::{mix, FaultPlan, HeldQueue, NetStats, Pumped, Router};
 use crate::proto::{Message, MsgKind, WriteStamp};
 use crate::replica::Replica;
-use crate::table::SegTable;
 
 /// Default per-operation deadline, in client-local steps (see
 /// [`ClusterConfig::deadline`]). Generous: a healthy or lossy-but-live

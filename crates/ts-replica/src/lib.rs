@@ -60,7 +60,6 @@ pub mod model;
 pub mod net;
 pub mod proto;
 pub mod replica;
-mod table;
 pub mod workload;
 
 pub use backend::{QuorumBackend, QuorumRegister};

@@ -65,10 +65,9 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use ts_register::CachePadded;
+use ts_register::{CachePadded, SegTable};
 
 use crate::proto::Message;
-use crate::table::SegTable;
 
 /// SplitMix64-flavored hash of `(seed, a, b, c)`: the fault knobs'
 /// decisions and the cluster's backoff jitter come from it — no RNG

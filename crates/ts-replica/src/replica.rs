@@ -23,10 +23,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use ts_register::CachePadded;
+use ts_register::{CachePadded, SegTable};
 
 use crate::proto::{Message, MsgKind, WriteStamp};
-use crate::table::SegTable;
 
 /// One register on one replica: the highest-stamped write seen, and
 /// the counts of the handler steps that advanced it or left it alone.

@@ -1,4 +1,4 @@
-//! Collect, double-collect scan, and wait-free atomic snapshot.
+//! Collect, double-collect scan, and the helping scan.
 //!
 //! Algorithm 4 of Helmi et al. (PODC 2011) performs a `scan` of its
 //! register array (line 13) using the obstruction-free double-collect of
@@ -19,9 +19,7 @@
 //! - [`helping_scan`] / [`helping_write`] / [`HelpBoard`] — the
 //!   wait-free upgrade: writers under distress publish era-tagged
 //!   views a starved scanner adopts, bounding scan retries by a
-//!   tunable [`ScanPolicy::starvation_bound`];
-//! - [`WaitFreeSnapshot`] — the full single-writer atomic snapshot object
-//!   of Afek et al., wait-free unconditionally thanks to embedded views.
+//!   tunable [`ScanPolicy::starvation_bound`].
 //!
 //! # Example
 //!
@@ -40,7 +38,6 @@
 
 mod help;
 mod scan;
-mod snapshot;
 mod view;
 
 pub use help::{
@@ -51,5 +48,4 @@ pub use scan::{
     adaptive_scan, classic_double_collect_scan, double_collect_scan, try_scan, ScanInterrupted,
     ScanOutcome,
 };
-pub use snapshot::{Updater, WaitFreeSnapshot};
 pub use view::View;

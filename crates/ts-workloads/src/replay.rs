@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 use ts_core::model::{BrokenCounterModel, CollectMaxFastModel, CollectMaxModel, HelpingScanModel};
 use ts_core::workload::{ReplayGranularity, StepGate, WorkloadOp, WorkloadTarget};
 use ts_core::{
-    BrokenCounter, CollectMax, CollectMaxFast, GrowableWorkload, HelpingScanWorkload, Timestamp,
+    BrokenCounter, CollectMax, CollectMaxFast, GrowableTimestamp, HelpingScanWorkload, Timestamp,
 };
 use ts_model::replay::{minimized_trace, trace_from_schedule, ReplayTrace, StepKind};
 use ts_model::{CacheMode, Explorer, PctScheduler};
@@ -742,7 +742,7 @@ pub struct ReplayCase {
 ///   threads;
 /// - the PCT and stalled-writer collect-max traces against the real
 ///   [`CollectMax`] — deterministic outputs, no violation;
-/// - the PCT trace against [`GrowableWorkload`] — an op-granularity,
+/// - the PCT trace against [`GrowableTimestamp`] — an op-granularity,
 ///   order-only replay of a different object family along the same
 ///   adversarial shape;
 /// - the fast-path stale-max probe against [`CollectMaxFast`] — the
@@ -859,7 +859,7 @@ pub fn case_target(case: &ReplayCase, trace: &ReplayTrace) -> Box<dyn WorkloadTa
         "collect_max_fast" => Box::new(CollectMaxFast::<ts_core::PackedBackend>::new(
             trace.processes,
         )),
-        "growable" => Box::new(GrowableWorkload::new()),
+        "growable" => Box::new(GrowableTimestamp::new()),
         // The quorum targets replicate each register across
         // `trace.registers` = 2f + 1 replicas — one model register per
         // replica — so f falls out of the trace itself.
@@ -961,7 +961,7 @@ mod tests {
             .iter()
             .find(|e| e.name == "collect_max_n2_pct")
             .unwrap();
-        let target = GrowableWorkload::new();
+        let target = GrowableTimestamp::new();
         assert_eq!(target.replay_granularity(), ReplayGranularity::Op);
         let report = replay_trace(&target, &entry.trace);
         assert!(report.violation.is_none(), "{:?}", report.violation);

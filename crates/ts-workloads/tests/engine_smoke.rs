@@ -3,7 +3,7 @@
 
 use ts_core::workload::{StepGate, WorkloadOp, WorkloadTarget};
 use ts_core::{
-    BoundedTimestamp, BrokenCounter, CollectMax, CollectMaxFast, EpochBackend, GrowableWorkload,
+    BoundedTimestamp, BrokenCounter, CollectMax, CollectMaxFast, EpochBackend, GrowableTimestamp,
     OneShotPool, PackedBackend, SimpleOneShot,
 };
 use ts_replica::QuorumTsTarget;
@@ -135,7 +135,7 @@ fn every_catalog_scenario_runs_on_every_target_kind() {
         let r = run_scenario(&collect, &scenario, &cfg);
         assert_eq!(r.counts.total(), 120, "{}", scenario.name);
 
-        let growable = GrowableWorkload::new();
+        let growable = GrowableTimestamp::new();
         let r = run_scenario(&growable, &scenario, &cfg);
         assert_eq!(r.counts.total(), 120, "{}", scenario.name);
 
@@ -223,7 +223,7 @@ fn every_stamp_adapter_keeps_its_op_kinds_outputs_and_pauses() {
     let rows: [(_, MakeTarget, _, _, _, _); 10] = [
         ("collect_max", || Box::new(CollectMax::new(3)), Access, full, true, 3 + 2),
         ("collect_max_fast", || Box::new(<CollectMaxFast>::new(2)), Access, full, true, 4),
-        ("growable", || Box::new(GrowableWorkload::new()), Op, full, true, 1),
+        ("growable", || Box::new(GrowableTimestamp::new()), Op, full, true, 1),
         ("simple_oneshot", pool, Op, full, false, 1),
         ("broken_counter", || Box::new(BrokenCounter::new(2)), Access, once, true, 3),
         ("quorum_ts", || Box::new(QuorumTsTarget::new(2, 1)), Access, full, true, 5),
