@@ -18,17 +18,30 @@
 //!
 //! # Registers as words
 //!
-//! Each admitted call takes a *writer index*: its value of the
-//! admission counter that enforces the budget, so indices are `0..M`
-//! and unique per call. A register is one packed word
-//! ([`PackedBackend`](ts_register::PackedBackend)) holding `0` for `⊥`,
-//! or `rnd` and `writer + 1` side by side. The sequence a line-15 write
-//! carries lives in a write-once cell of the writing call, one cell per
-//! admitted call, freed with the object. The cell is published before
-//! the register store, so a reader that sees the word sees the cell. No
-//! write allocates except an opener's one cell, and no access pins an
-//! epoch or defers a free. Two facts make this the paper's algorithm
-//! and not an approximation of it.
+//! Each call has a *writer index*, unique per call and in `0..M`. On a
+//! one-shot object ([`BoundedTimestamp::one_shot`]) it is the caller's
+//! pid, which the one-shot guard already makes unique; on a budgeted
+//! object it is the call's value of the admission counter that enforces
+//! the budget. `R[1..m]` is one contiguous slice of `AtomicU32` words,
+//! read and written `SeqCst`: `0` for `⊥`, or `rnd` and `writer + 1`
+//! side by side. The sequence a line-15 write carries lives in a
+//! write-once cell of the writing call, one cell per writer index, freed
+//! with the object. The cell is published before the register store, so
+//! a reader that sees the word sees the cell. No write allocates except
+//! an opener's one cell, and no access pins an epoch or defers a free.
+//!
+//! The words are not padded. `CollectMax`'s registers are single-writer
+//! and written by every call, so each sits on a line of its own and a
+//! write invalidates no other writer's line. Algorithm 4's registers are
+//! the opposite: multi-writer and read-mostly. A call reads the prefix
+//! `R[1..=myrnd+1]` at least once and writes each register at most
+//! once, and at most `2M` writes in all are invalidation writes (Claim
+//! 6.13). Packing the words lets a prefix read touch as few lines as the
+//! prefix spans (`m = 16` words fill 64 bytes), and since the scan
+//! compares words (below) it needs no stamps or dirty words.
+//!
+//! Two facts make this the paper's algorithm and not an approximation
+//! of it.
 //!
 //! - **Writer indices stand in for getTS-ids on lines 7–9.** A call
 //!   writes each register at most once: each `j < myrnd` at most once
@@ -36,7 +49,7 @@
 //!   writer) pair names one write, and "`last(R[j])` equals
 //!   `r[myrnd].seq[j]`" holds exactly when the writer indices are
 //!   equal. Only the writer field of a word is ever compared, so the
-//!   caller's [`GetTsId`] plays no part and need not be unique.
+//!   caller's [`GetTsId`] plays no part beyond naming a one-shot pid.
 //! - **Line 7 needs no branch.** An invalidation write to `R[j]` comes
 //!   from a call whose lines 1–4 found `R[1..myrnd′]` non-`⊥` with
 //!   `j < myrnd′`, so its writer had already read `R[j + 1]` non-`⊥`.
@@ -49,17 +62,47 @@
 //! The word is `[rnd : 12][writer + 1 : 20]`, which caps the budget at
 //! [`BoundedTimestamp::MAX_BUDGET`]; `rnd < m ≤ 2048` then always fits.
 //!
+//! # Line 13: a double collect of the prefix
+//!
+//! The scan of line 13 collects `R[1..=myrnd+1]` until two consecutive
+//! collects return the same words (the double collect of Afek et al.,
+//! 1993). A call writes each register at most once, so no register ever
+//! holds the same word twice: two equal collects saw no write land
+//! between them, and the second is a linearizable view of the prefix.
+//! Lines 14–15 read nothing above `R[myrnd + 1]`, so nothing above it is
+//! collected. Each failed comparison saw a write land, and `M` calls
+//! make finitely many writes, so the scan ends and the object stays
+//! wait-free within its budget (Lemma 6.14).
+//!
+//! # Counting once per call
+//!
+//! Every read the algorithm makes falls in one of four patterns: lines
+//! 1–4 read `R[1..=myrnd+1]` once each, line 7 reads a prefix `R[1..=k]`
+//! once each, line 6 reads `R[myrnd + 1]` some number of times, and each
+//! collect reads `R[1..=myrnd+1]` once each. The body counts them as it
+//! goes and returns them with its exit line, and [`BoundedTimestamp`]
+//! hands them to its [`SpaceMeter`] in three adds
+//! ([`record_prefix`](SpaceMeter::record_prefix),
+//! [`record_reads`](SpaceMeter::record_reads)) instead of one per read.
+//! Writes are metered one by one, so the space bound reads exactly the
+//! registers written.
+//!
+//! The rest of a call's bookkeeping lives in one unpadded record per
+//! writer index: the line-15 cell, the one-shot `used` flag, the exit
+//! line and the call's invalidation writes. Only the call's own thread
+//! writes its record, so no call bumps a counter another call bumps;
+//! [`BoundedTimestamp::phase_stats`] sums the records.
+//!
 //! # One body, two storages
 //!
 //! The algorithm is written once, as a function generic over a private
-//! storage trait: reading and writing `R[j]` as a word, a linearizable
-//! view of a prefix of `R`, the line-15 cell of a writer, and the width
-//! of the word's writer field. [`BoundedTimestamp`] is one storage: a
-//! metered [`PackedRegisterArray`] scanned by [`double_collect_scan`],
-//! one cell per admitted call, and the Section 6.3 accounting below.
-//! [`GrowableTimestamp`](crate::GrowableTimestamp) is the other: the
-//! Section 7 object, whose registers and cells grow on demand. Both
-//! monomorphize, so neither pays for the other.
+//! storage trait: reading and writing `R[j]` as a word, the line-15 cell
+//! of a writer, and the width of the word's writer field. The scan of
+//! line 13 is part of the body. [`BoundedTimestamp`] is one storage:
+//! the contiguous words, the per-call records and the Section 6.3
+//! accounting below. [`GrowableTimestamp`](crate::GrowableTimestamp) is
+//! the other: the Section 7 object, whose registers and cells grow on
+//! demand. Both monomorphize, so neither pays for the other.
 //!
 //! This module also carries the paper's accounting instrumentation
 //! (Section 6.3): phases, invalidation writes, and register usage are
@@ -69,11 +112,10 @@
 //! on in the model twin as [`Slot`](crate::model::Slot).
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-use ts_register::{CachePadded, PackedRegisterArray, SpaceMeter};
-use ts_snapshot::{double_collect_scan, View};
+use ts_register::{CachePadded, SpaceMeter};
 
 use crate::error::GetTsError;
 use crate::ids::GetTsId;
@@ -100,14 +142,10 @@ pub enum OverwritePolicy {
     Never,
 }
 
-/// The Section 6.3 counters [`PhaseStats`] reports beyond the meter's
-/// (writes and registers written come from the [`SpaceMeter`]).
+/// The Section 6.3 phase clock that classifies writes as invalidation
+/// writes.
 #[derive(Debug)]
 struct Accounting {
-    invalidation_writes: AtomicU64,
-    early_returns: AtomicU64,
-    turn_returns: AtomicU64,
-    scans: AtomicU64,
     /// Visible-phase epoch: incremented at each phase-opening write.
     epoch: AtomicU64,
     /// Epoch of the last write per register (u64::MAX = never written).
@@ -117,16 +155,15 @@ struct Accounting {
 impl Accounting {
     fn new(m: usize) -> Self {
         Self {
-            invalidation_writes: AtomicU64::new(0),
-            early_returns: AtomicU64::new(0),
-            turn_returns: AtomicU64::new(0),
-            scans: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
             last_write_epoch: (0..m).map(|_| AtomicU64::new(u64::MAX)).collect(),
         }
     }
 
-    fn record_write(&self, paper_index: usize, opens_phase: bool) {
+    /// Notes a write to `R[paper_index]`; true if it is an invalidation
+    /// write in the paper's sense (the register's first write in the
+    /// current visible phase).
+    fn record_write(&self, paper_index: usize, opens_phase: bool) -> bool {
         let epoch = if opens_phase {
             // Racing scanners may both open the same phase k by writing
             // R[k]; the phase number is the highest register opened, not
@@ -136,13 +173,24 @@ impl Accounting {
         } else {
             self.epoch.load(Ordering::Relaxed)
         };
-        let slot = &self.last_write_epoch[paper_index - 1];
-        if slot.swap(epoch, Ordering::Relaxed) != epoch {
-            // First write to this register in the current (visible)
-            // phase: an invalidation write in the paper's sense.
-            self.invalidation_writes.fetch_add(1, Ordering::Relaxed);
-        }
+        self.last_write_epoch[paper_index - 1].swap(epoch, Ordering::Relaxed) != epoch
     }
+}
+
+/// One call's bookkeeping, by writer index. Only the call's own thread
+/// writes it.
+#[derive(Default)]
+struct Record {
+    /// `r.seq` of the call's line-15 write, if it opened a phase: the
+    /// writer fields of `R[1..myrnd]` in its scan. The call's own id,
+    /// `last(seq)`, is the written word's writer field.
+    line15: OnceLock<Box<[u32]>>,
+    /// One-shot guard: set by the call of the pid this record belongs to.
+    used: AtomicBool,
+    /// `0` until the call returns, then its [`Exit`].
+    exit: AtomicU8,
+    /// The call's invalidation writes.
+    invalidations: AtomicU32,
 }
 
 /// Accounting snapshot for one [`BoundedTimestamp`]'s history.
@@ -151,6 +199,11 @@ impl Accounting {
 /// its opening register write lands, not at the opening scan), which
 /// can only under-count invalidation writes relative to the paper's
 /// definition; the paper's upper bounds still apply.
+///
+/// The counts are summed from per-call records, so they are exact once
+/// the object is quiescent (every call that started has returned, as
+/// after joining its threads); a snapshot taken while calls run may miss
+/// those still running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PhaseStats {
@@ -158,7 +211,8 @@ pub struct PhaseStats {
     pub m: usize,
     /// Invocation budget `M`.
     pub budget: usize,
-    /// `getTS` calls served so far.
+    /// `getTS` calls completed so far (at most `M`; calls refused with
+    /// an error are not counted).
     pub calls: u64,
     /// Completed phases Φ (phase-opening writes).
     pub phases: u64,
@@ -212,20 +266,19 @@ impl PhaseStats {
 /// ```
 pub struct BoundedTimestamp {
     /// `R[1..m]` as words: `0` for `⊥`, else `rnd` over `writer + 1`.
-    regs: PackedRegisterArray<u32>,
-    /// `r.seq` of each admitted call's line-15 write, by writer index:
-    /// the writer fields of `R[1..myrnd]` in the opening scan. The
-    /// call's own id, `last(seq)`, is the written word's writer field.
-    line15: Box<[OnceLock<Box<[u32]>>]>,
+    regs: Box<[AtomicU32]>,
+    /// One record per writer index.
+    records: Box<[Record]>,
     meter: SpaceMeter,
     m: usize,
     budget: usize,
     policy: OverwritePolicy,
-    /// Padded, like `accounting`, so the counters every call bumps do
-    /// not share a line with the fields every call reads.
+    /// Built with [`BoundedTimestamp::one_shot`]: calls are keyed by pid.
+    one_shot: bool,
+    /// The admission counter of a budgeted object. Padded, like
+    /// `accounting`, so the counters calls bump do not share a line with
+    /// the fields every call reads.
     invocations: CachePadded<AtomicU64>,
-    /// One-shot guard, present when built with [`BoundedTimestamp::one_shot`].
-    used: Option<Vec<AtomicBool>>,
     accounting: CachePadded<Accounting>,
 }
 
@@ -260,9 +313,6 @@ pub(crate) trait Storage {
     /// Width of a word's `writer + 1` field.
     const WRITER_BITS: u32;
 
-    /// What [`scan`](Storage::scan) returns.
-    type View;
-
     /// Registers the object has: a call that finds all of them non-`⊥`
     /// has refuted Lemma 6.5.
     fn registers(&self) -> usize;
@@ -272,12 +322,6 @@ pub(crate) trait Storage {
 
     /// Writes `word` to `R[j]`; `opens_phase` marks a line-15 write.
     fn write(&self, j: usize, word: u64, opens_phase: bool);
-
-    /// A linearizable view holding at least `R[1..=hi]`.
-    fn scan(&self, hi: usize) -> Self::View;
-
-    /// `R[j]` in `view`.
-    fn viewed(view: &Self::View, j: usize) -> u64;
 
     /// The write-once cell of writer `writer`'s line-15 sequence: the
     /// writer fields of `R[1..myrnd]` in its opening scan.
@@ -299,14 +343,58 @@ fn writer_field<S: Storage>(word: u64) -> u32 {
     (word & ((1 << S::WRITER_BITS) - 1)) as u32
 }
 
-/// Which line of Algorithm 4 a call returned from.
+/// Which line of Algorithm 4 a call returned from; `0` stands for a
+/// call still running.
+#[repr(u8)]
 pub(crate) enum Exit {
     /// Line 9: a turn timestamp.
-    Turn,
+    Turn = 1,
     /// Line 12: the next phase opened during the for-loop.
-    Early,
+    Early = 2,
     /// Line 16, after the scan of line 13.
-    Scanned,
+    Scanned = 3,
+}
+
+/// Every register read of one call, in the four patterns Algorithm 4
+/// reads in (module docs).
+pub(crate) struct Reads {
+    /// `myrnd + 1`: lines 1–4 and each collect read `R[1..=hi]`.
+    hi: usize,
+    /// Reads of `R[1..=hi]` in full: lines 1–4 plus every collect.
+    passes: u64,
+    /// Line 7 read `R[1..=line7]` once each.
+    line7: usize,
+    /// Line 6 read `R[hi]` this many times.
+    line6: u64,
+}
+
+impl Reads {
+    /// Adds these reads to `meter`, whose register `i` is `R[i + 1]`.
+    fn meter(&self, meter: &SpaceMeter) {
+        meter.record_prefix(self.hi, self.passes);
+        meter.record_prefix(self.line7, 1);
+        meter.record_reads(self.hi - 1, self.line6);
+    }
+}
+
+/// Line 13: a double collect of `R[1..=hi]` that compares words (module
+/// docs). Returns the view, `R[j]` at index `j - 1`, and the number of
+/// collects.
+fn scan<S: Storage>(storage: &S, hi: usize) -> (Vec<u64>, u64) {
+    let mut view: Vec<u64> = (1..=hi).map(|j| storage.read(j)).collect();
+    let mut collects = 1;
+    loop {
+        collects += 1;
+        let mut same = true;
+        for (j, seen) in (1..).zip(view.iter_mut()) {
+            let cur = storage.read(j);
+            same &= cur == *seen;
+            *seen = cur;
+        }
+        if same {
+            return (view, collects);
+        }
+    }
 }
 
 /// Algorithm 4 `getTS` for the call with writer index `me`.
@@ -320,7 +408,7 @@ pub(crate) fn get_ts<S: Storage>(
     storage: &S,
     me: usize,
     policy: OverwritePolicy,
-) -> (Timestamp, Exit) {
+) -> (Timestamp, Exit, Reads) {
     let m = storage.registers();
 
     // Lines 1–4: find the non-⊥ prefix R[1..myrnd]. Of the values
@@ -341,6 +429,12 @@ pub(crate) fn get_ts<S: Storage>(
         );
     }
     let myrnd = j - 1;
+    let mut reads = Reads {
+        hi: myrnd + 1,
+        passes: 1,
+        line7: 0,
+        line6: 0,
+    };
 
     // r[myrnd].seq: R[myrnd] holds the line-15 write opening phase
     // myrnd (see the module docs), whose cell was published before
@@ -360,18 +454,21 @@ pub(crate) fn get_ts<S: Storage>(
     // Lines 5–12: look for the first valid register among R[1..myrnd-1].
     for j in 1..myrnd {
         // Line 6: has the next phase opened?
+        reads.line6 += 1;
         if storage.read(myrnd + 1) != BOT {
             // Line 12.
-            return (Timestamp::new((myrnd + 1) as u64, 0), Exit::Early);
+            let ts = Timestamp::new((myrnd + 1) as u64, 0);
+            return (ts, Exit::Early, reads);
         }
         // Lines 7–11: one read of R[j] serves both the validity
         // test (same writer as in r[myrnd].seq[j]) and the
         // staleness test.
+        reads.line7 = j;
         let cur = storage.read(j);
         if writer_field::<S>(cur) == seq[j - 1] {
             // Lines 8–9: R[j] is valid — invalidate it, take turn j.
             storage.write(j, word::<S>(myrnd, me), false);
-            return (Timestamp::new(myrnd as u64, j as u64), Exit::Turn);
+            return (Timestamp::new(myrnd as u64, j as u64), Exit::Turn, reads);
         }
         let overwrite = match policy {
             // Line 10: only a write from an *older* phase can
@@ -387,19 +484,20 @@ pub(crate) fn get_ts<S: Storage>(
     }
 
     // Line 13: linearizable view of the prefix R[1..=myrnd+1].
-    let view = storage.scan(myrnd + 1);
+    let (view, collects) = scan(storage, myrnd + 1);
+    reads.passes += collects;
 
     // Line 14: r[myrnd + 1] == ⊥ ?
-    if S::viewed(&view, myrnd + 1) == BOT {
+    if view[myrnd] == BOT {
         // Line 15: open phase myrnd + 1. The cell goes first, so
         // whoever reads the word below finds it.
         assert!(
             myrnd + 1 < m,
             "space bound violated: writing sentinel register R[{m}]"
         );
-        let seq: Box<[u32]> = (1..=myrnd)
-            .map(|j| {
-                let value = S::viewed(&view, j);
+        let seq: Box<[u32]> = view[..myrnd]
+            .iter()
+            .map(|&value| {
                 assert_ne!(value, BOT, "scanned prefix registers are non-⊥ (Claim 6.1)");
                 writer_field::<S>(value)
             })
@@ -411,7 +509,8 @@ pub(crate) fn get_ts<S: Storage>(
         storage.write(myrnd + 1, word::<S>(myrnd + 1, me), true);
     }
     // Line 16.
-    (Timestamp::new((myrnd + 1) as u64, 0), Exit::Scanned)
+    let ts = Timestamp::new((myrnd + 1) as u64, 0);
+    (ts, Exit::Scanned, reads)
 }
 
 impl BoundedTimestamp {
@@ -451,16 +550,15 @@ impl BoundedTimestamp {
         // ⌈2√M⌉ (Φ < 2√M), but guard the degenerate tiny budgets where
         // the ceiling equals the phase count.
         let m = registers_for_budget(budget).max(2);
-        let meter = SpaceMeter::new(m);
         Self {
-            regs: PackedRegisterArray::with_backend_and_meter(m, BOT as u32, meter.clone()),
-            line15: (0..budget).map(|_| OnceLock::new()).collect(),
-            meter,
+            regs: (0..m).map(|_| AtomicU32::new(BOT as u32)).collect(),
+            records: (0..budget).map(|_| Record::default()).collect(),
+            meter: SpaceMeter::new(m),
             m,
             budget,
             policy,
+            one_shot: false,
             invocations: CachePadded::new(AtomicU64::new(0)),
-            used: None,
             accounting: CachePadded::new(Accounting::new(m)),
         }
     }
@@ -483,9 +581,10 @@ impl BoundedTimestamp {
     /// Panics if `processes == 0` or `processes >
     /// BoundedTimestamp::MAX_BUDGET`.
     pub fn one_shot_with_policy(processes: usize, policy: OverwritePolicy) -> Self {
-        let mut obj = Self::with_budget_and_policy(processes, policy);
-        obj.used = Some((0..processes).map(|_| AtomicBool::new(false)).collect());
-        obj
+        Self {
+            one_shot: true,
+            ..Self::with_budget_and_policy(processes, policy)
+        }
     }
 
     /// The register budget `m`.
@@ -503,116 +602,127 @@ impl BoundedTimestamp {
         &self.meter
     }
 
-    /// A snapshot of the phase accounting (Section 6.3 quantities).
+    /// A snapshot of the phase accounting (Section 6.3 quantities),
+    /// exact once the object is quiescent (see [`PhaseStats`]).
     pub fn phase_stats(&self) -> PhaseStats {
         let meter = self.meter.snapshot();
+        let mut exits = [0u64; 4];
+        let mut invalidation_writes = 0;
+        for record in self.records.iter() {
+            exits[usize::from(record.exit.load(Ordering::Relaxed))] += 1;
+            invalidation_writes += u64::from(record.invalidations.load(Ordering::Relaxed));
+        }
+        let [_, turn_returns, early_returns, scans] = exits;
         PhaseStats {
             m: self.m,
             budget: self.budget,
-            calls: self
-                .invocations
-                .load(Ordering::Relaxed)
-                .min(self.budget as u64),
+            calls: turn_returns + early_returns + scans,
             phases: self.accounting.epoch.load(Ordering::Relaxed),
-            invalidation_writes: self.accounting.invalidation_writes.load(Ordering::Relaxed),
+            invalidation_writes,
             total_writes: meter.total_writes(),
-            scans: self.accounting.scans.load(Ordering::Relaxed),
-            early_returns: self.accounting.early_returns.load(Ordering::Relaxed),
-            turn_returns: self.accounting.turn_returns.load(Ordering::Relaxed),
+            scans,
+            early_returns,
+            turn_returns,
             registers_written: meter.registers_written(),
         }
     }
 
     /// Algorithm 4 `getTS(ID)`.
     ///
-    /// `id` is a label for the caller's own records: the object keys
-    /// each call by its admission order instead (see the module docs),
-    /// so stamps stay correct even when callers reuse ids.
+    /// On a budgeted object `id` is a label for the caller's own
+    /// records: the object keys each call by its admission order instead
+    /// (see the module docs), so stamps stay correct even when callers
+    /// reuse ids. On a one-shot object this is
+    /// [`get_ts(id.pid)`](OneShotTimestamp::get_ts): the call is keyed by
+    /// its pid, and `id.seq` plays no part.
     ///
     /// # Errors
     ///
     /// Returns [`GetTsError::BudgetExhausted`] once `M` calls have been
-    /// admitted.
+    /// admitted to a budgeted object, and the errors of
+    /// [`get_ts`](OneShotTimestamp::get_ts) on a one-shot object.
     ///
     /// # Panics
     ///
     /// Panics if an execution exceeds the proven space bound (which
     /// would falsify Lemma 6.5) — this is an internal invariant check,
     /// not an expected failure mode.
-    pub fn get_ts_with_id(&self, _id: GetTsId) -> Result<Timestamp, GetTsError> {
+    pub fn get_ts_with_id(&self, id: GetTsId) -> Result<Timestamp, GetTsError> {
+        if self.one_shot {
+            return self.get_ts(id.pid as usize);
+        }
         let admitted = self.invocations.fetch_add(1, Ordering::AcqRel);
         if admitted >= self.budget as u64 {
             return Err(GetTsError::BudgetExhausted {
                 budget: self.budget,
             });
         }
-        let (ts, exit) = get_ts(self, admitted as usize, self.policy);
-        let counter = match exit {
-            Exit::Turn => &self.accounting.turn_returns,
-            Exit::Early => &self.accounting.early_returns,
-            Exit::Scanned => &self.accounting.scans,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        Ok(ts)
+        Ok(self.call(admitted as usize))
+    }
+
+    /// Runs the body as writer `me` and files the call's reads and exit.
+    fn call(&self, me: usize) -> Timestamp {
+        let (ts, exit, reads) = get_ts(self, me, self.policy);
+        reads.meter(&self.meter);
+        self.records[me].exit.store(exit as u8, Ordering::Relaxed);
+        ts
     }
 }
 
 impl Storage for BoundedTimestamp {
     const WRITER_BITS: u32 = WRITER_BITS;
-    type View = View<u32>;
 
     fn registers(&self) -> usize {
         self.m
     }
 
-    /// One metered load.
+    /// One load; the caller meters its reads in bulk.
     fn read(&self, j: usize) -> u64 {
-        self.regs
-            .read(j - 1)
-            .expect("paper register index within the array")
-            .into()
+        self.regs[j - 1].load(Ordering::SeqCst).into()
     }
 
+    /// One store, metered, and charged to the writer's record if it is
+    /// an invalidation write.
     fn write(&self, j: usize, word: u64, opens_phase: bool) {
-        self.accounting.record_write(j, opens_phase);
-        self.regs
-            .write(j - 1, word as u32)
-            .expect("paper register index within the array");
-    }
-
-    /// A double-collect scan of all `m` registers.
-    fn scan(&self, _hi: usize) -> View<u32> {
-        double_collect_scan(&self.regs)
-    }
-
-    fn viewed(view: &View<u32>, j: usize) -> u64 {
-        view[j - 1].value.into()
+        if self.accounting.record_write(j, opens_phase) {
+            let writer = writer_field::<Self>(word) as usize - 1;
+            let count = &self.records[writer].invalidations;
+            count.store(count.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        }
+        self.meter.record_write(j - 1);
+        self.regs[j - 1].store(word as u32, Ordering::SeqCst);
     }
 
     fn line15(&self, writer: usize) -> &OnceLock<Box<[u32]>> {
-        &self.line15[writer]
+        &self.records[writer].line15
     }
 }
 
 impl OneShotTimestamp for BoundedTimestamp {
+    /// The call of process `pid`, keyed by `pid` (module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a budgeted object, whose calls have no pids; use
+    /// [`BoundedTimestamp::get_ts_with_id`] there.
     fn get_ts(&self, pid: usize) -> Result<Timestamp, GetTsError> {
-        let used = self.used.as_ref().expect(
-            "get_ts(pid) requires a one-shot object; use get_ts_with_id on budgeted objects",
+        assert!(
+            self.one_shot,
+            "get_ts(pid) requires a one-shot object; use get_ts_with_id on budgeted objects"
         );
-        if pid >= used.len() {
-            return Err(GetTsError::PidOutOfRange {
-                pid,
-                processes: used.len(),
-            });
-        }
-        if used[pid].swap(true, Ordering::AcqRel) {
+        let record = self.records.get(pid).ok_or(GetTsError::PidOutOfRange {
+            pid,
+            processes: self.budget,
+        })?;
+        // Uniqueness needs only the swap's atomicity.
+        if record.used.swap(true, Ordering::Relaxed) {
             return Err(GetTsError::AlreadyUsed { pid });
         }
-        self.get_ts_with_id(GetTsId::one_shot(pid as u32))
+        Ok(self.call(pid))
     }
 
     fn processes(&self) -> usize {
-        self.used.as_ref().map_or(self.budget, Vec::len)
+        self.budget
     }
 
     fn registers(&self) -> usize {
@@ -634,6 +744,7 @@ impl fmt::Debug for BoundedTimestamp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::sync::Arc;
 
     #[test]
@@ -690,12 +801,18 @@ mod tests {
         // The exact per-register access counts of the walkthrough above:
         // a change to which registers Algorithm 4 reads or writes, or how
         // often, moves them.
+        //
+        // Lines 1–12 read [18, 13, 11, 11, 9, 0, 0]. The four scans are
+        // those of the phase openers (hi = myrnd + 1 = 1, 2, 3, 4); run
+        // solo, each scan's second collect matches its first, so scan hi
+        // reads R[1..=hi] twice: [8, 6, 4, 2, 0, 0, 0] in all. R[6] and
+        // R[7] are never reached.
         let ts = BoundedTimestamp::with_budget(10);
         for k in 0..10u32 {
             ts.get_ts_with_id(GetTsId::new(k, 0)).unwrap();
         }
         let snap = ts.meter().snapshot();
-        assert_eq!(snap.reads, vec![22, 17, 15, 15, 13, 4, 4]);
+        assert_eq!(snap.reads, vec![26, 19, 15, 13, 9, 0, 0]);
         assert_eq!(snap.writes, vec![4, 3, 2, 1, 0, 0, 0]);
         let stats = ts.phase_stats();
         assert_eq!(stats.phases, 4);
@@ -703,6 +820,121 @@ mod tests {
         assert_eq!(stats.turn_returns, 6);
         assert_eq!(stats.total_writes, 10);
         assert_eq!(stats.registers_written, 4);
+    }
+
+    type Line15 = OnceLock<Box<[u32]>>;
+
+    /// A storage over plain words that counts every access per register,
+    /// for one call: `reads[j - 1]` and `writes[j - 1]` count `R[j]`.
+    struct Counted<'a> {
+        regs: &'a [AtomicU64],
+        cells: &'a [Line15],
+        reads: Vec<Cell<u64>>,
+        writes: Vec<Cell<u64>>,
+    }
+
+    impl<'a> Counted<'a> {
+        fn new(regs: &'a [AtomicU64], cells: &'a [Line15]) -> Self {
+            Self {
+                regs,
+                cells,
+                reads: vec![Cell::new(0); regs.len()],
+                writes: vec![Cell::new(0); regs.len()],
+            }
+        }
+
+        fn reads(&self) -> Vec<u64> {
+            self.reads.iter().map(Cell::get).collect()
+        }
+    }
+
+    impl Storage for Counted<'_> {
+        const WRITER_BITS: u32 = WRITER_BITS;
+
+        fn registers(&self) -> usize {
+            self.regs.len()
+        }
+
+        fn read(&self, j: usize) -> u64 {
+            self.reads[j - 1].set(self.reads[j - 1].get() + 1);
+            self.regs[j - 1].load(Ordering::SeqCst)
+        }
+
+        fn write(&self, j: usize, word: u64, _opens_phase: bool) {
+            self.writes[j - 1].set(self.writes[j - 1].get() + 1);
+            self.regs[j - 1].store(word, Ordering::SeqCst);
+        }
+
+        fn line15(&self, writer: usize) -> &Line15 {
+            &self.cells[writer]
+        }
+    }
+
+    /// Registers and cells for a counted run of budget `budget`.
+    fn counted_object(budget: usize) -> (Vec<AtomicU64>, Vec<Line15>) {
+        let m = registers_for_budget(budget).max(2);
+        let regs = (0..m).map(|_| AtomicU64::new(BOT)).collect();
+        (regs, (0..budget).map(|_| OnceLock::new()).collect())
+    }
+
+    #[test]
+    fn reported_reads_match_counted_reads_sequentially() {
+        // Per-call metering loses nothing: each call's reported reads,
+        // metered, equal the reads its storage counted, register for
+        // register, and the object's own meter agrees with both.
+        for policy in [
+            OverwritePolicy::Paper,
+            OverwritePolicy::Always,
+            OverwritePolicy::Never,
+        ] {
+            for budget in 1..=64 {
+                let (regs, cells) = counted_object(budget);
+                let meter = SpaceMeter::new(regs.len());
+                let mut counted = vec![0; regs.len()];
+                let mut writes = vec![0; regs.len()];
+                for me in 0..budget {
+                    let storage = Counted::new(&regs, &cells);
+                    let (_, _, reads) = get_ts(&storage, me, policy);
+                    reads.meter(&meter);
+                    for (j, total) in counted.iter_mut().enumerate() {
+                        *total += storage.reads[j].get();
+                        writes[j] += storage.writes[j].get();
+                    }
+                }
+                let case = format!("{policy:?}, M = {budget}");
+                assert_eq!(meter.snapshot().reads, counted, "{case}");
+                let ts = BoundedTimestamp::with_budget_and_policy(budget, policy);
+                for k in 0..budget as u32 {
+                    ts.get_ts_with_id(GetTsId::new(k, 0)).unwrap();
+                }
+                let snap = ts.meter().snapshot();
+                assert_eq!(snap.reads, counted, "{case}: object meter");
+                assert_eq!(snap.writes, writes, "{case}: object meter");
+            }
+        }
+    }
+
+    #[test]
+    fn reported_reads_match_counted_reads_concurrently() {
+        // Four threads race on one object; each call checks its own
+        // report against its own counts.
+        let budget = 4 * 200;
+        let (regs, cells) = counted_object(budget);
+        let next = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..200 {
+                        let me = next.fetch_add(1, Ordering::Relaxed) as usize;
+                        let storage = Counted::new(&regs, &cells);
+                        let (_, _, reads) = get_ts(&storage, me, OverwritePolicy::Paper);
+                        let meter = SpaceMeter::new(regs.len());
+                        reads.meter(&meter);
+                        assert_eq!(meter.snapshot().reads, storage.reads(), "call {me}");
+                    }
+                });
+            }
+        });
     }
 
     #[test]
@@ -772,6 +1004,43 @@ mod tests {
     }
 
     #[test]
+    fn one_shot_calls_are_keyed_by_pid_through_either_entry() {
+        let ts = BoundedTimestamp::one_shot(6);
+        let mut last: Option<Timestamp> = None;
+        for (k, pid) in [4u32, 0, 5, 2, 1, 3].into_iter().enumerate() {
+            let t = if k % 2 == 0 {
+                ts.get_ts(pid as usize)
+            } else {
+                ts.get_ts_with_id(GetTsId::one_shot(pid))
+            }
+            .unwrap();
+            if let Some(prev) = last {
+                assert!(Timestamp::compare(&prev, &t), "pid {pid}: {prev} !< {t}");
+            }
+            last = Some(t);
+            assert_eq!(ts.phase_stats().calls, k as u64 + 1);
+            // A repeat through either entry is refused and not counted.
+            assert_eq!(
+                ts.get_ts(pid as usize),
+                Err(GetTsError::AlreadyUsed { pid: pid as usize })
+            );
+            assert_eq!(
+                ts.get_ts_with_id(GetTsId::new(pid, 7)),
+                Err(GetTsError::AlreadyUsed { pid: pid as usize })
+            );
+        }
+        for pid in [6usize, 100] {
+            let out_of_range = Err(GetTsError::PidOutOfRange { pid, processes: 6 });
+            assert_eq!(ts.get_ts(pid), out_of_range);
+            assert_eq!(
+                ts.get_ts_with_id(GetTsId::one_shot(pid as u32)),
+                out_of_range
+            );
+        }
+        assert_eq!(ts.phase_stats().calls, 6);
+    }
+
+    #[test]
     fn space_bound_holds_sequentially() {
         for n in [4usize, 16, 64, 256] {
             let ts = BoundedTimestamp::one_shot(n);
@@ -788,35 +1057,51 @@ mod tests {
     #[test]
     fn concurrent_rounds_respect_happens_before() {
         let n = 32;
-        let ts = Arc::new(BoundedTimestamp::one_shot(n));
-        let mut rounds: Vec<Vec<Timestamp>> = Vec::new();
-        for round in 0..4 {
-            let outs: Vec<Timestamp> = crossbeam::scope(|s| {
-                let handles: Vec<_> = (0..n / 4)
-                    .map(|i| {
-                        let ts = Arc::clone(&ts);
-                        let pid = round * (n / 4) + i;
-                        s.spawn(move |_| ts.get_ts(pid).unwrap())
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            })
-            .unwrap();
-            rounds.push(outs);
-        }
-        for earlier in 0..rounds.len() {
-            for later in earlier + 1..rounds.len() {
-                for a in &rounds[earlier] {
-                    for b in &rounds[later] {
-                        assert!(Timestamp::compare(a, b), "{a} !< {b}");
-                        assert!(!Timestamp::compare(b, a), "{b} < {a}");
+        let per_round = n / 4;
+        // Each round's pids are `base..base + 8`. Either 8 threads take
+        // one pid each, or 4 threads take interleaved pids `t, t + 4`,
+        // so that adjacent per-call records are written by different
+        // threads.
+        for threads in [per_round, 4] {
+            let ts = Arc::new(BoundedTimestamp::one_shot(n));
+            let mut rounds: Vec<Vec<Timestamp>> = Vec::new();
+            for round in 0..4 {
+                let base = round * per_round;
+                let outs: Vec<Timestamp> = crossbeam::scope(|s| {
+                    let handles: Vec<_> = (0..threads)
+                        .map(|t| {
+                            let ts = Arc::clone(&ts);
+                            s.spawn(move |_| {
+                                (base + t..base + per_round)
+                                    .step_by(threads)
+                                    .map(|pid| ts.get_ts(pid).unwrap())
+                                    .collect::<Vec<_>>()
+                            })
+                        })
+                        .collect();
+                    handles
+                        .into_iter()
+                        .flat_map(|h| h.join().unwrap())
+                        .collect()
+                })
+                .unwrap();
+                rounds.push(outs);
+            }
+            for earlier in 0..rounds.len() {
+                for later in earlier + 1..rounds.len() {
+                    for a in &rounds[earlier] {
+                        for b in &rounds[later] {
+                            assert!(Timestamp::compare(a, b), "{a} !< {b}");
+                            assert!(!Timestamp::compare(b, a), "{b} < {a}");
+                        }
                     }
                 }
             }
+            let stats = ts.phase_stats();
+            assert_eq!(stats.calls, n as u64, "{stats:?}");
+            assert!(stats.space_bound_holds(), "{stats:?}");
+            assert!(stats.invalidation_bound_holds(), "{stats:?}");
         }
-        let stats = ts.phase_stats();
-        assert!(stats.space_bound_holds(), "{stats:?}");
-        assert!(stats.invalidation_bound_holds(), "{stats:?}");
     }
 
     #[test]

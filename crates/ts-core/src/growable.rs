@@ -22,12 +22,11 @@
 //! - **Line-15 sequences** live in write-once cells indexed by writer,
 //!   in a second [`SegTable`]. A cell is published before its register
 //!   store, so a reader that sees the word finds the cell.
-//! - **The scan** of line 13 is a double collect of `R[1..=myrnd+1]`
-//!   that compares words. That validates it: a call writes each
-//!   register at most once, so a (register, word) pair names a single
-//!   write and no register ever holds the same word twice. Two equal
-//!   collects therefore saw no write land in between, and the second
-//!   is a linearizable view.
+//! - **The scan** of line 13 is the shared body's double collect of
+//!   `R[1..=myrnd+1]` that compares words (see
+//!   [`crate::bounded`]). It needs nothing from the storage beyond
+//!   word reads, so these registers need no padding, stamps or dirty
+//!   words either.
 //!
 //! No access allocates except a segment's first touch and an opener's
 //! one cell, and none takes an `Arc`, pins an epoch or defers a free.
@@ -166,7 +165,6 @@ impl GrowableTimestamp {
 
 impl Storage for GrowableTimestamp {
     const WRITER_BITS: u32 = 32;
-    type View = Vec<u64>;
 
     fn registers(&self) -> usize {
         usize::MAX
@@ -178,23 +176,6 @@ impl Storage for GrowableTimestamp {
 
     fn write(&self, j: usize, word: u64, _opens_phase: bool) {
         self.register(j).store(word, Ordering::SeqCst);
-    }
-
-    /// Double collect of `R[1..=hi]`, comparing words (module docs).
-    fn scan(&self, hi: usize) -> Vec<u64> {
-        let collect = || (1..=hi).map(|j| self.read(j)).collect::<Vec<_>>();
-        let mut previous = collect();
-        loop {
-            let current = collect();
-            if current == previous {
-                return current;
-            }
-            previous = current;
-        }
-    }
-
-    fn viewed(view: &Vec<u64>, j: usize) -> u64 {
-        view[j - 1]
     }
 
     fn line15(&self, writer: usize) -> &OnceLock<Box<[u32]>> {

@@ -105,7 +105,7 @@ fn bump_completed(word: &AtomicU64) {
 /// A fixed array `R[0..m)` of stamped atomic registers with optional
 /// space metering, generic over the storage [`RegisterBackend`].
 ///
-/// This is the shared data structure of Algorithm 4: `m` multi-writer
+/// This is the paper's shared register array: `m` multi-writer
 /// multi-reader registers, all initialized to the same value (the paper's
 /// `⊥`). The array exposes indexed `read`/`write` plus a `collect` (one
 /// read of each register in index order), the building block of the

@@ -41,9 +41,15 @@ thread_local! {
 /// per thread instead: a thread bumps its own stripe's counter for the
 /// register, sixteen registers to a padded line, and
 /// [`snapshot`](SpaceMeter::snapshot) sums the stripes, so concurrent
-/// readers of one register meter their reads on different lines. A
-/// collect records one *sweep* ([`SpaceMeter::record_sweep`]) instead
-/// of one read per register. Every count is exact.
+/// readers of one register meter their reads on different lines.
+///
+/// Reads of a whole prefix `0..len` are recorded with one add
+/// ([`SpaceMeter::record_prefix`]): each stripe also keeps one counter
+/// per prefix length, and a snapshot adds to register `i` every prefix
+/// longer than `i` (a suffix sum). A collect is the prefix of every
+/// register ([`SpaceMeter::record_sweep`]), and a caller that knows its
+/// reads in bulk hands them over once per operation instead of once per
+/// access ([`SpaceMeter::record_reads`]). Every count is exact.
 ///
 /// # Example
 ///
@@ -70,32 +76,48 @@ struct Inner {
     /// count in stripe `s` is lane `i % LANES` of chunk
     /// `s * chunks + i / LANES`.
     reads: Box<[CachePadded<[AtomicU64; LANES]>]>,
+    /// Laid out like `reads`, with slot `i` counting reads of the prefix
+    /// `0..=i`: snapshots add its suffix sums to the registers' own
+    /// counts.
+    prefixes: Box<[CachePadded<[AtomicU64; LANES]>]>,
     /// Chunks per stripe, `ceil(capacity / LANES)`.
     chunks: usize,
-    /// Reads of *every* register, one per collect: snapshots add this
-    /// to each register's own read count.
-    sweeps: CachePadded<AtomicU64>,
 }
 
 impl Inner {
-    /// Register `index`'s read counter in stripe `stripe`.
-    fn read_counter(&self, stripe: usize, index: usize) -> &AtomicU64 {
-        &self.reads[stripe * self.chunks + index / LANES][index % LANES]
+    /// Slot `index` of stripe `stripe` in `table` (`reads` or
+    /// `prefixes`).
+    fn counter<'a>(
+        &self,
+        table: &'a [CachePadded<[AtomicU64; LANES]>],
+        stripe: usize,
+        index: usize,
+    ) -> &'a AtomicU64 {
+        &table[stripe * self.chunks + index / LANES][index % LANES]
     }
+}
+
+/// The calling thread's read stripe; a thread whose locals are already
+/// torn down shares stripe 0.
+fn stripe() -> usize {
+    STRIPE.try_with(|s| *s).unwrap_or(0)
 }
 
 impl SpaceMeter {
     /// Creates a meter for an array of `capacity` registers.
     pub fn new(capacity: usize) -> Self {
         let chunks = capacity.div_ceil(LANES);
+        let table = || {
+            (0..READ_STRIPES * chunks)
+                .map(|_| CachePadded::default())
+                .collect()
+        };
         Self {
             inner: Arc::new(Inner {
                 writes: (0..capacity).map(|_| CachePadded::default()).collect(),
-                reads: (0..READ_STRIPES * chunks)
-                    .map(|_| CachePadded::default())
-                    .collect(),
+                reads: table(),
+                prefixes: table(),
                 chunks,
-                sweeps: CachePadded::default(),
             }),
         }
     }
@@ -112,23 +134,54 @@ impl SpaceMeter {
     ///
     /// Panics if `index >= capacity`.
     pub fn record_read(&self, index: usize) {
+        self.record_reads(index, 1);
+    }
+
+    /// Records `n` reads of register `index` with one atomic add; `n = 0`
+    /// records nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= capacity`.
+    pub fn record_reads(&self, index: usize, n: u64) {
         assert!(
             index < self.capacity(),
             "register index {index} out of meter capacity {}",
             self.capacity()
         );
-        // A thread whose locals are already torn down shares stripe 0.
-        let stripe = STRIPE.try_with(|s| *s).unwrap_or(0);
-        self.inner
-            .read_counter(stripe, index)
-            .fetch_add(1, Ordering::Relaxed);
+        if n > 0 {
+            let inner = &*self.inner;
+            inner
+                .counter(&inner.reads, stripe(), index)
+                .fetch_add(n, Ordering::Relaxed);
+        }
     }
 
-    /// Records one read of every register (a collect), with one atomic
-    /// add where `capacity` calls of [`record_read`](Self::record_read)
-    /// would take `capacity`.
+    /// Records `n` reads of each register in `0..len` with one atomic
+    /// add where `len * n` calls of [`record_read`](Self::record_read)
+    /// would take `len * n`. `len = 0` or `n = 0` records nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len > capacity`.
+    pub fn record_prefix(&self, len: usize, n: u64) {
+        assert!(
+            len <= self.capacity(),
+            "prefix length {len} exceeds meter capacity {}",
+            self.capacity()
+        );
+        if len > 0 && n > 0 {
+            let inner = &*self.inner;
+            inner
+                .counter(&inner.prefixes, stripe(), len - 1)
+                .fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// Records one read of every register (a collect):
+    /// `record_prefix(capacity, 1)`.
     pub fn record_sweep(&self) {
-        self.inner.sweeps.fetch_add(1, Ordering::Relaxed);
+        self.record_prefix(self.capacity(), 1);
     }
 
     /// Records a write of register `index`.
@@ -147,16 +200,23 @@ impl SpaceMeter {
     /// it).
     pub fn snapshot(&self) -> MeterSnapshot {
         let inner = &*self.inner;
-        let sweeps = inner.sweeps.load(Ordering::Relaxed);
+        let summed = |table: &[CachePadded<[AtomicU64; LANES]>], i: usize| {
+            (0..READ_STRIPES)
+                .map(|s| inner.counter(table, s, i).load(Ordering::Relaxed))
+                .sum::<u64>()
+        };
+        let mut reads: Vec<u64> = (0..self.capacity())
+            .map(|i| summed(&inner.reads, i))
+            .collect();
+        // A prefix of length `i + 1` read registers `0..=i`: register `i`
+        // gets every prefix at least that long.
+        let mut longer = 0;
+        for i in (0..reads.len()).rev() {
+            longer += summed(&inner.prefixes, i);
+            reads[i] += longer;
+        }
         MeterSnapshot {
-            reads: (0..self.capacity())
-                .map(|i| {
-                    (0..READ_STRIPES)
-                        .map(|s| inner.read_counter(s, i).load(Ordering::Relaxed))
-                        .sum::<u64>()
-                        + sweeps
-                })
-                .collect(),
+            reads,
             writes: inner
                 .writes
                 .iter()
@@ -301,6 +361,83 @@ mod tests {
         let snap = meter.snapshot();
         assert_eq!(snap.total_reads(), 3);
         assert_eq!((snap.reads[16], snap.reads[32]), (1, 2));
+    }
+
+    #[test]
+    fn an_empty_prefix_records_nothing() {
+        let meter = SpaceMeter::new(3);
+        meter.record_prefix(0, 5);
+        meter.record_prefix(2, 0);
+        meter.record_reads(1, 0);
+        assert_eq!(meter.snapshot().reads, vec![0, 0, 0]);
+    }
+
+    #[test]
+    fn the_full_prefix_is_a_sweep() {
+        let swept = SpaceMeter::new(20);
+        let prefixed = SpaceMeter::new(20);
+        swept.record_sweep();
+        prefixed.record_prefix(20, 1);
+        assert_eq!(swept.snapshot(), prefixed.snapshot());
+        assert_eq!(swept.snapshot().reads, vec![1; 20]);
+    }
+
+    #[test]
+    fn prefixes_ending_at_chunk_edges_land_on_their_registers() {
+        // Lengths 16 and 17 end on either side of the first chunk edge,
+        // 33 one past the second.
+        let meter = SpaceMeter::new(40);
+        meter.record_prefix(16, 1);
+        meter.record_prefix(17, 2);
+        meter.record_prefix(33, 4);
+        meter.record_reads(39, 3);
+        let snap = meter.snapshot();
+        for (i, &reads) in snap.reads.iter().enumerate() {
+            let expected = match i {
+                0..=15 => 7,
+                16 => 6,
+                17..=32 => 4,
+                39 => 3,
+                _ => 0,
+            };
+            assert_eq!(reads, expected, "register {i}");
+        }
+        assert_eq!(snap.total_reads(), 16 + 2 * 17 + 4 * 33 + 3);
+    }
+
+    #[test]
+    fn striped_prefixes_count_exactly_when_threads_share_stripes() {
+        let threads = 12;
+        assert!(threads > READ_STRIPES);
+        let meter = SpaceMeter::new(20);
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let meter = &meter;
+                s.spawn(move || {
+                    for _ in 0..1_000 {
+                        meter.record_prefix(t + 1, 2);
+                        meter.record_reads(19, 1);
+                    }
+                });
+            }
+        });
+        let snap = meter.snapshot();
+        // Register i lies in the prefixes of threads i..12, 2000 reads
+        // each.
+        for (i, &reads) in snap.reads.iter().enumerate() {
+            let expected = match i {
+                0..=11 => 2_000 * (threads - i) as u64,
+                19 => 12_000,
+                _ => 0,
+            };
+            assert_eq!(reads, expected, "register {i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds meter capacity")]
+    fn a_prefix_past_capacity_panics() {
+        SpaceMeter::new(3).record_prefix(4, 1);
     }
 
     #[test]

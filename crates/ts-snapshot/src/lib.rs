@@ -11,11 +11,12 @@
 //!
 //! This crate provides:
 //!
-//! - [`double_collect_scan`] / [`try_scan`] / [`adaptive_scan`] — the
-//!   scan used by Algorithm 4, operating on a
-//!   [`ts_register::RegisterArray`] of either register backend (epoch
-//!   heap cells or word-inlined packed registers), with dirty-block
-//!   adaptive retries (O(dirty) per retry instead of O(n));
+//! - [`double_collect_scan`] / [`try_scan`] / [`adaptive_scan`] — that
+//!   scan over a [`ts_register::RegisterArray`] of either register
+//!   backend (epoch heap cells or word-inlined packed registers), with
+//!   dirty-block adaptive retries (O(dirty) per retry instead of O(n)).
+//!   `ts-core`'s Algorithm 4 runs its own double collect over plain
+//!   words, which needs neither stamps nor dirty blocks;
 //! - [`helping_scan`] / [`helping_write`] / [`HelpBoard`] — the
 //!   wait-free upgrade: writers under distress publish era-tagged
 //!   views a starved scanner adopts, bounding scan retries by a
