@@ -1,6 +1,6 @@
 //! `bench_explore` — model-checker throughput baseline.
 //!
-//! Runs the `ts-model` explorer over every model twin in three modes
+//! Runs the `ts-model` explorer over the model algorithms in three modes
 //! and records the explored-state counts, so the DPOR reduction is a
 //! measured number, not an anecdote:
 //!
@@ -31,7 +31,9 @@ use std::time::Instant;
 use serde::Serialize;
 
 use ts_bench::Table;
-use ts_core::model::{BrokenCounterModel, CollectMaxFastModel, CollectMaxModel, SimpleModel};
+use ts_core::model::{
+    BoundedModel, BrokenCounterModel, CollectMaxFastModel, CollectMaxModel, SimpleModel,
+};
 use ts_model::toy::CounterAlgorithm;
 use ts_model::{Algorithm, CacheMode, Explorer, Machine};
 
@@ -166,6 +168,13 @@ fn main() {
         &mut results,
         "collect_max_fast_n3",
         CollectMaxFastModel::new(3),
+        1,
+        cfg.threads,
+    );
+    measure(
+        &mut results,
+        "bounded_n3",
+        BoundedModel::new(3),
         1,
         cfg.threads,
     );

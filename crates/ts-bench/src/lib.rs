@@ -1,7 +1,7 @@
 //! Benchmark harness: workload generators and table machinery for
 //! regenerating every table and figure of the paper.
 //!
-//! Each experiment of DESIGN.md §4 has a binary in `src/bin/` that prints
+//! Each experiment (E1, E2, ...) has a binary in `src/bin/` that prints
 //! a markdown table (and optionally JSON) to stdout:
 //!
 //! | Binary | Experiment | Paper artifact |

@@ -93,7 +93,7 @@
 //! writes its record, so no call bumps a counter another call bumps;
 //! [`BoundedTimestamp::phase_stats`] sums the records.
 //!
-//! # One body, two storages
+//! # One body, three storages
 //!
 //! The algorithm is written once, as a function generic over a private
 //! storage trait: reading and writing `R[j]` as a word, the line-15 cell
@@ -101,16 +101,24 @@
 //! line 13 is part of the body. [`BoundedTimestamp`] is one storage:
 //! the contiguous words, the per-call records and the Section 6.3
 //! accounting below. [`GrowableTimestamp`](crate::GrowableTimestamp) is
-//! the other: the Section 7 object, whose registers and cells grow on
-//! demand. Both monomorphize, so neither pays for the other.
+//! the second: the Section 7 object, whose registers and cells grow on
+//! demand. The third is the model checker's
+//! [`BoundedMachine`](crate::model::BoundedMachine), which replays one
+//! call's logged observations and stops at its first access past them.
+//!
+//! That stop is the trait's `Halt` type. A read or write returns
+//! `Result<_, Halt>`, and the body passes a halt on with `?`, so the
+//! model's halt carries the access the call is poised on. The two real
+//! objects use [`Infallible`]: every access of theirs happens, the `?`s
+//! compile away, and their code is what it would be without the seam.
+//! All three monomorphize, so none pays for the others.
 //!
 //! This module also carries the paper's accounting instrumentation
 //! (Section 6.3): phases, invalidation writes, and register usage are
 //! counted so the bounds `Φ < 2√M` (Lemma 6.5) and `≤ 2M` invalidation
-//! writes (Claim 6.13) can be checked against real executions. The
-//! paper's register value as a type, `⟨seq, rnd⟩` with getTS-ids, lives
-//! on in the model twin as [`Slot`](crate::model::Slot).
+//! writes (Claim 6.13) can be checked against real executions.
 
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -297,7 +305,7 @@ pub(crate) fn registers_for_budget(budget: usize) -> usize {
 
 /// Low bits of a [`BoundedTimestamp`] register word holding
 /// `writer + 1`; `rnd` sits above.
-const WRITER_BITS: u32 = 20;
+pub(crate) const WRITER_BITS: u32 = 20;
 const WRITER_MASK: u32 = (1 << WRITER_BITS) - 1;
 /// The register word of `⊥`.
 const BOT: u64 = 0;
@@ -313,15 +321,19 @@ pub(crate) trait Storage {
     /// Width of a word's `writer + 1` field.
     const WRITER_BITS: u32;
 
+    /// Why an access did not happen, which ends the call there:
+    /// [`Infallible`] for a storage whose every access happens.
+    type Halt;
+
     /// Registers the object has: a call that finds all of them non-`⊥`
     /// has refuted Lemma 6.5.
     fn registers(&self) -> usize;
 
     /// Reads `R[j]` (the paper's 1-based index).
-    fn read(&self, j: usize) -> u64;
+    fn read(&self, j: usize) -> Result<u64, Self::Halt>;
 
     /// Writes `word` to `R[j]`; `opens_phase` marks a line-15 write.
-    fn write(&self, j: usize, word: u64, opens_phase: bool);
+    fn write(&self, j: usize, word: u64, opens_phase: bool) -> Result<(), Self::Halt>;
 
     /// The write-once cell of writer `writer`'s line-15 sequence: the
     /// writer fields of `R[1..myrnd]` in its opening scan.
@@ -334,12 +346,12 @@ fn word<S: Storage>(rnd: usize, writer: usize) -> u64 {
 }
 
 /// The `rnd` field of a register word.
-fn rnd_of<S: Storage>(word: u64) -> usize {
+pub(crate) fn rnd_of<S: Storage>(word: u64) -> usize {
     (word >> S::WRITER_BITS) as usize
 }
 
 /// The `writer + 1` field of a register word.
-fn writer_field<S: Storage>(word: u64) -> u32 {
+pub(crate) fn writer_field<S: Storage>(word: u64) -> u32 {
     (word & ((1 << S::WRITER_BITS) - 1)) as u32
 }
 
@@ -380,24 +392,34 @@ impl Reads {
 /// Line 13: a double collect of `R[1..=hi]` that compares words (module
 /// docs). Returns the view, `R[j]` at index `j - 1`, and the number of
 /// collects.
-fn scan<S: Storage>(storage: &S, hi: usize) -> (Vec<u64>, u64) {
-    let mut view: Vec<u64> = (1..=hi).map(|j| storage.read(j)).collect();
+fn scan<S: Storage>(storage: &S, hi: usize) -> Result<(Vec<u64>, u64), S::Halt> {
+    // A loop, not a `collect` into `Result`: that adapter hints no
+    // length, so the view would regrow on the hot path.
+    let mut view = Vec::with_capacity(hi);
+    for j in 1..=hi {
+        view.push(storage.read(j)?);
+    }
     let mut collects = 1;
     loop {
         collects += 1;
         let mut same = true;
         for (j, seen) in (1..).zip(view.iter_mut()) {
-            let cur = storage.read(j);
+            let cur = storage.read(j)?;
             same &= cur == *seen;
             *seen = cur;
         }
         if same {
-            return (view, collects);
+            return Ok((view, collects));
         }
     }
 }
 
 /// Algorithm 4 `getTS` for the call with writer index `me`.
+///
+/// # Errors
+///
+/// Returns the storage's [`Halt`](Storage::Halt) from the first access
+/// that did not happen.
 ///
 /// # Panics
 ///
@@ -408,7 +430,7 @@ pub(crate) fn get_ts<S: Storage>(
     storage: &S,
     me: usize,
     policy: OverwritePolicy,
-) -> (Timestamp, Exit, Reads) {
+) -> Result<(Timestamp, Exit, Reads), S::Halt> {
     let m = storage.registers();
 
     // Lines 1–4: find the non-⊥ prefix R[1..myrnd]. Of the values
@@ -417,7 +439,7 @@ pub(crate) fn get_ts<S: Storage>(
     let mut last = BOT;
     let mut j = 1usize;
     loop {
-        let cur = storage.read(j);
+        let cur = storage.read(j)?;
         if cur == BOT {
             break;
         }
@@ -455,20 +477,21 @@ pub(crate) fn get_ts<S: Storage>(
     for j in 1..myrnd {
         // Line 6: has the next phase opened?
         reads.line6 += 1;
-        if storage.read(myrnd + 1) != BOT {
+        if storage.read(myrnd + 1)? != BOT {
             // Line 12.
             let ts = Timestamp::new((myrnd + 1) as u64, 0);
-            return (ts, Exit::Early, reads);
+            return Ok((ts, Exit::Early, reads));
         }
         // Lines 7–11: one read of R[j] serves both the validity
         // test (same writer as in r[myrnd].seq[j]) and the
         // staleness test.
         reads.line7 = j;
-        let cur = storage.read(j);
+        let cur = storage.read(j)?;
         if writer_field::<S>(cur) == seq[j - 1] {
             // Lines 8–9: R[j] is valid — invalidate it, take turn j.
-            storage.write(j, word::<S>(myrnd, me), false);
-            return (Timestamp::new(myrnd as u64, j as u64), Exit::Turn, reads);
+            storage.write(j, word::<S>(myrnd, me), false)?;
+            let ts = Timestamp::new(myrnd as u64, j as u64);
+            return Ok((ts, Exit::Turn, reads));
         }
         let overwrite = match policy {
             // Line 10: only a write from an *older* phase can
@@ -479,12 +502,12 @@ pub(crate) fn get_ts<S: Storage>(
         };
         if overwrite {
             // Line 11.
-            storage.write(j, word::<S>(myrnd, me), false);
+            storage.write(j, word::<S>(myrnd, me), false)?;
         }
     }
 
     // Line 13: linearizable view of the prefix R[1..=myrnd+1].
-    let (view, collects) = scan(storage, myrnd + 1);
+    let (view, collects) = scan(storage, myrnd + 1)?;
     reads.passes += collects;
 
     // Line 14: r[myrnd + 1] == ⊥ ?
@@ -506,11 +529,11 @@ pub(crate) fn get_ts<S: Storage>(
             storage.line15(me).set(seq).is_ok(),
             "a call opens at most one phase"
         );
-        storage.write(myrnd + 1, word::<S>(myrnd + 1, me), true);
+        storage.write(myrnd + 1, word::<S>(myrnd + 1, me), true)?;
     }
     // Line 16.
     let ts = Timestamp::new((myrnd + 1) as u64, 0);
-    (ts, Exit::Scanned, reads)
+    Ok((ts, Exit::Scanned, reads))
 }
 
 impl BoundedTimestamp {
@@ -662,7 +685,7 @@ impl BoundedTimestamp {
 
     /// Runs the body as writer `me` and files the call's reads and exit.
     fn call(&self, me: usize) -> Timestamp {
-        let (ts, exit, reads) = get_ts(self, me, self.policy);
+        let Ok((ts, exit, reads)) = get_ts(self, me, self.policy);
         reads.meter(&self.meter);
         self.records[me].exit.store(exit as u8, Ordering::Relaxed);
         ts
@@ -671,19 +694,20 @@ impl BoundedTimestamp {
 
 impl Storage for BoundedTimestamp {
     const WRITER_BITS: u32 = WRITER_BITS;
+    type Halt = Infallible;
 
     fn registers(&self) -> usize {
         self.m
     }
 
     /// One load; the caller meters its reads in bulk.
-    fn read(&self, j: usize) -> u64 {
-        self.regs[j - 1].load(Ordering::SeqCst).into()
+    fn read(&self, j: usize) -> Result<u64, Infallible> {
+        Ok(self.regs[j - 1].load(Ordering::SeqCst).into())
     }
 
     /// One store, metered, and charged to the writer's record if it is
     /// an invalidation write.
-    fn write(&self, j: usize, word: u64, opens_phase: bool) {
+    fn write(&self, j: usize, word: u64, opens_phase: bool) -> Result<(), Infallible> {
         if self.accounting.record_write(j, opens_phase) {
             let writer = writer_field::<Self>(word) as usize - 1;
             let count = &self.records[writer].invalidations;
@@ -691,6 +715,7 @@ impl Storage for BoundedTimestamp {
         }
         self.meter.record_write(j - 1);
         self.regs[j - 1].store(word as u32, Ordering::SeqCst);
+        Ok(())
     }
 
     fn line15(&self, writer: usize) -> &OnceLock<Box<[u32]>> {
@@ -850,19 +875,21 @@ mod tests {
 
     impl Storage for Counted<'_> {
         const WRITER_BITS: u32 = WRITER_BITS;
+        type Halt = Infallible;
 
         fn registers(&self) -> usize {
             self.regs.len()
         }
 
-        fn read(&self, j: usize) -> u64 {
+        fn read(&self, j: usize) -> Result<u64, Infallible> {
             self.reads[j - 1].set(self.reads[j - 1].get() + 1);
-            self.regs[j - 1].load(Ordering::SeqCst)
+            Ok(self.regs[j - 1].load(Ordering::SeqCst))
         }
 
-        fn write(&self, j: usize, word: u64, _opens_phase: bool) {
+        fn write(&self, j: usize, word: u64, _opens_phase: bool) -> Result<(), Infallible> {
             self.writes[j - 1].set(self.writes[j - 1].get() + 1);
             self.regs[j - 1].store(word, Ordering::SeqCst);
+            Ok(())
         }
 
         fn line15(&self, writer: usize) -> &Line15 {
@@ -894,7 +921,7 @@ mod tests {
                 let mut writes = vec![0; regs.len()];
                 for me in 0..budget {
                     let storage = Counted::new(&regs, &cells);
-                    let (_, _, reads) = get_ts(&storage, me, policy);
+                    let Ok((_, _, reads)) = get_ts(&storage, me, policy);
                     reads.meter(&meter);
                     for (j, total) in counted.iter_mut().enumerate() {
                         *total += storage.reads[j].get();
@@ -927,7 +954,7 @@ mod tests {
                     for _ in 0..200 {
                         let me = next.fetch_add(1, Ordering::Relaxed) as usize;
                         let storage = Counted::new(&regs, &cells);
-                        let (_, _, reads) = get_ts(&storage, me, OverwritePolicy::Paper);
+                        let Ok((_, _, reads)) = get_ts(&storage, me, OverwritePolicy::Paper);
                         let meter = SpaceMeter::new(regs.len());
                         reads.meter(&meter);
                         assert_eq!(meter.snapshot().reads, storage.reads(), "call {me}");

@@ -5,9 +5,10 @@
 //! `n−1`-register wait-free algorithm of Ellen, Fatourou and Ruppert
 //! (Distributed Computing 2008). That construction lives in a different
 //! paper; we substitute the folklore `n`-register algorithm with the same
-//! asymptotics and progress guarantee (see DESIGN.md §5): every process
-//! owns one single-writer register; `getTS()` collects all registers,
-//! picks `max + 1`, writes it to its own register and returns it.
+//! asymptotics and progress guarantee (see "The space story" in the
+//! README): every process owns one single-writer register; `getTS()`
+//! collects all registers, picks `max + 1`, writes it to its own
+//! register and returns it.
 //!
 //! Register contents are bounded counters, so the object defaults to the
 //! word-inlined [`PackedBackend`] (one hardware atomic per register

@@ -47,6 +47,7 @@
 //! - **Calls.** A writer index must fit the word's 32-bit writer field,
 //!   so an object serves at most 2³² − 1 calls.
 
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -145,7 +146,8 @@ impl GrowableTimestamp {
             me < MAX_CALLS,
             "GrowableTimestamp serves at most 2^32 - 1 calls"
         );
-        get_ts(self, me as usize, OverwritePolicy::Paper).0
+        let Ok((ts, ..)) = get_ts(self, me as usize, OverwritePolicy::Paper);
+        ts
     }
 
     /// `compare` — Algorithm 3.
@@ -165,17 +167,19 @@ impl GrowableTimestamp {
 
 impl Storage for GrowableTimestamp {
     const WRITER_BITS: u32 = 32;
+    type Halt = Infallible;
 
     fn registers(&self) -> usize {
         usize::MAX
     }
 
-    fn read(&self, j: usize) -> u64 {
-        self.register(j).load(Ordering::SeqCst)
+    fn read(&self, j: usize) -> Result<u64, Infallible> {
+        Ok(self.register(j).load(Ordering::SeqCst))
     }
 
-    fn write(&self, j: usize, word: u64, _opens_phase: bool) {
+    fn write(&self, j: usize, word: u64, _opens_phase: bool) -> Result<(), Infallible> {
         self.register(j).store(word, Ordering::SeqCst);
+        Ok(())
     }
 
     fn line15(&self, writer: usize) -> &OnceLock<Box<[u32]>> {

@@ -1,278 +1,205 @@
-//! Model twin of Algorithm 4 (the `⌈2√M⌉`-register object).
+//! Algorithm 4 (the `⌈2√M⌉`-register object) for the model checker.
 //!
-//! The machine follows the pseudocode line-by-line, including the
-//! double-collect scan of line 13 expressed as individual register
-//! reads. In the model, value equality is exact change detection: every
-//! write to a given register carries a distinct `last(seq)` (Claim
-//! 6.1(b)), so a repeated identical collect certifies a linearizable
-//! view without stamps.
+//! There is no twin here: a [`BoundedMachine`] runs the production
+//! `getTS` body of [`crate::bounded`] over a storage that replays the
+//! call's observations so far, in order, and stops at the first access
+//! past them. That access is the machine's poised step. Observing it
+//! appends to the log and runs the body again, so every step the
+//! explorer, the schedulers and the covering constructions take is a
+//! step of the code [`BoundedTimestamp`](crate::BoundedTimestamp) runs.
 //!
-//! The twin keeps the paper's register value, [`Slot`]: a sequence of
-//! getTS-ids and a round. The production objects store the same
-//! information as a word of `rnd` and a writer index plus a per-writer
-//! cell (see [`crate::bounded`]).
+//! A model register holds a [`Word`]: the word the real object stores,
+//! bit for bit, plus the line-15 sequence that the real object keeps in
+//! the writer's cell. The model's only shared state is its registers,
+//! so the cell travels with the word that publishes it.
 
-use std::sync::Arc;
+use std::cell::Cell;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use ts_model::{Algorithm, Machine, Poised, ProcId};
 
-use crate::bounded::{registers_for_budget, OverwritePolicy};
-use crate::ids::GetTsId;
+use crate::bounded::{
+    get_ts, registers_for_budget, rnd_of, writer_field, OverwritePolicy, Storage, WRITER_BITS,
+};
 use crate::timestamp::Timestamp;
+use crate::BoundedTimestamp;
 
-/// Register contents: `⊥` or `⟨seq, rnd⟩`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Slot {
-    /// The initial value `⊥`.
-    Bot,
-    /// A written pair `⟨seq, rnd⟩` (shared so clones are cheap).
-    Val(Arc<SlotVal>),
+/// A model register's value: a [`BoundedTimestamp`] register word and,
+/// for a line-15 write, the writer's line-15 sequence.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Word {
+    /// `0` for `⊥`, else `rnd` above `writer + 1` in the low 20 bits.
+    word: u64,
+    /// The writer fields of `R[1..rnd − 1]` in the writer's opening scan.
+    seq: Option<Arc<[u32]>>,
 }
 
-impl Slot {
-    /// Builds a written slot.
-    pub fn val(seq: Vec<GetTsId>, rnd: u64) -> Self {
-        Slot::Val(Arc::new(SlotVal { seq, rnd }))
-    }
+impl Word {
+    const BOT: Word = Word { word: 0, seq: None };
+}
 
-    /// Whether the slot is `⊥`.
-    pub fn is_bot(&self) -> bool {
-        matches!(self, Slot::Bot)
-    }
-
-    /// `last(R.seq)` — the last getTS-id of the stored sequence.
-    pub fn last(&self) -> Option<GetTsId> {
-        match self {
-            Slot::Bot => None,
-            Slot::Val(v) => v.seq.last().copied(),
+/// `⊥`, or `⟨rnd r, w k⟩` for a write by writer index `k` in round `r`,
+/// followed by `seq [..]` (writer indices) for a line-15 write.
+impl fmt::Debug for Word {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.word == 0 {
+            return f.write_str("⊥");
         }
-    }
-
-    /// `R.seq[j]` with the paper's 1-based indexing.
-    pub fn seq_get(&self, j: usize) -> Option<GetTsId> {
-        match self {
-            Slot::Bot => None,
-            Slot::Val(v) => v.seq.get(j.checked_sub(1)?).copied(),
+        let writer = |field: u32| field - 1;
+        let rnd = rnd_of::<BoundedTimestamp>(self.word);
+        let w = writer(writer_field::<BoundedTimestamp>(self.word));
+        write!(f, "⟨rnd {rnd}, w {w}⟩")?;
+        if let Some(seq) = &self.seq {
+            let seq: Vec<u32> = seq.iter().map(|&field| writer(field)).collect();
+            write!(f, " seq {seq:?}")?;
         }
+        Ok(())
+    }
+}
+
+/// The storage one run of the body sees: `log` replayed in order, then
+/// a halt at the first access past it.
+struct Replay<'a> {
+    log: &'a [Option<Word>],
+    next: Cell<usize>,
+    m: usize,
+    /// The line-15 cells, by writer index, filled from the words read.
+    cells: Box<[OnceLock<Box<[u32]>>]>,
+}
+
+impl Replay<'_> {
+    /// The logged observation of the next access, if it was made.
+    fn replay(&self) -> Option<&Option<Word>> {
+        let k = self.next.get();
+        self.next.set(k + 1);
+        self.log.get(k)
+    }
+}
+
+impl Storage for Replay<'_> {
+    const WRITER_BITS: u32 = WRITER_BITS;
+    type Halt = Poised<Word, Timestamp>;
+
+    fn registers(&self) -> usize {
+        self.m
     }
 
-    /// `R.rnd`, if written.
-    pub fn rnd(&self) -> Option<u64> {
-        match self {
-            Slot::Bot => None,
-            Slot::Val(v) => Some(v.rnd),
+    /// The logged value; a word carrying a sequence fills its writer's
+    /// cell, as the real object's cell is set before its word is seen.
+    fn read(&self, j: usize) -> Result<u64, Self::Halt> {
+        let Some(observed) = self.replay() else {
+            return Err(Poised::Read { reg: j - 1 });
+        };
+        let value = observed.as_ref().expect("a logged read holds its value");
+        if let Some(seq) = &value.seq {
+            let writer = writer_field::<Self>(value.word) as usize - 1;
+            let _ = self.cells[writer].set(seq.iter().copied().collect());
         }
+        Ok(value.word)
+    }
+
+    /// A line-15 write carries the sequence the body has just stored.
+    fn write(&self, j: usize, word: u64, opens_phase: bool) -> Result<(), Self::Halt> {
+        if self.replay().is_some() {
+            return Ok(());
+        }
+        let seq = opens_phase.then(|| {
+            let writer = writer_field::<Self>(word) as usize - 1;
+            let seq = self.cells[writer]
+                .get()
+                .expect("line 15 stores r.seq first");
+            Arc::from(&seq[..])
+        });
+        Err(Poised::Write {
+            reg: j - 1,
+            value: Word { word, seq },
+        })
+    }
+
+    fn line15(&self, writer: usize) -> &OnceLock<Box<[u32]>> {
+        &self.cells[writer]
     }
 }
 
-/// The pair `⟨seq, rnd⟩` stored in a written register.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SlotVal {
-    /// Sequence of getTS-ids (length 1 for invalidation writes, length
-    /// `k` for the write opening phase `k`).
-    pub seq: Vec<GetTsId>,
-    /// The round the write belongs to.
-    pub rnd: u64,
-}
-
-/// Where a [`BoundedMachine`] is in Algorithm 4.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Phase {
-    /// Lines 1–3: reading `R[j]` of the while-loop (paper 1-based `j`).
-    While { j: usize },
-    /// Line 6 of iteration `j`: reading `R[myrnd + 1]`.
-    CheckNext { j: usize },
-    /// Line 7/10 of iteration `j`: reading `R[j]`.
-    ReadReg { j: usize },
-    /// Line 8: writing the invalidating pair, then returning `(myrnd, j)`.
-    WriteTurn { j: usize },
-    /// Line 11: writing the pin-down pair, then continuing the loop.
-    WritePin { j: usize },
-    /// Line 13: reading register `idx` (0-based) of the current collect.
-    Scan { idx: usize },
-    /// Line 15: writing the phase-opening value.
-    WriteOpen { value: Slot },
-    /// Line 9/12/16: returning.
-    Finished { ts: Timestamp },
-}
-
-/// Step machine for one Algorithm 4 `getTS(ID)` call.
+/// One Algorithm 4 `getTS` call as a step machine: the production body
+/// re-run over its observation log.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BoundedMachine {
-    id: GetTsId,
+    /// The call's writer index.
+    me: usize,
     m: usize,
+    budget: usize,
     policy: OverwritePolicy,
-    myrnd: usize,
-    /// Local views `r[1..=myrnd]` from the while-loop (index 0 unused).
-    r: Vec<Slot>,
-    /// Collect in progress (line 13).
-    current: Vec<Slot>,
-    /// Last completed collect (line 13).
-    previous: Option<Vec<Slot>>,
-    phase: Phase,
+    /// What each step so far observed: the value read, or `None` for a
+    /// write.
+    log: Vec<Option<Word>>,
+    /// Where the body stops on `log`.
+    poised: Poised<Word, Timestamp>,
 }
 
 impl BoundedMachine {
-    /// Creates the machine for getTS-id `id` over `m` registers.
-    pub fn new(id: GetTsId, m: usize, policy: OverwritePolicy) -> Self {
-        Self {
-            id,
-            m,
+    /// Creates the machine for writer index `writer` on an object of
+    /// budget `M = budget`, over `max(⌈2√M⌉, 2)` registers.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `writer < budget <= BoundedTimestamp::MAX_BUDGET`.
+    pub fn new(writer: usize, budget: usize, policy: OverwritePolicy) -> Self {
+        assert!(writer < budget, "writer {writer} outside budget {budget}");
+        assert!(budget <= BoundedTimestamp::MAX_BUDGET);
+        let mut machine = Self {
+            me: writer,
+            m: registers_for_budget(budget).max(2),
+            budget,
             policy,
-            myrnd: 0,
-            r: vec![Slot::Bot],
-            current: Vec::new(),
-            previous: None,
-            phase: Phase::While { j: 1 },
-        }
+            log: Vec::new(),
+            poised: Poised::Read { reg: 0 },
+        };
+        machine.poised = machine.run();
+        machine
     }
 
-    fn inval_value(&self) -> Slot {
-        Slot::val(vec![self.id], self.myrnd as u64)
-    }
-
-    /// Next phase after finishing loop iteration `j` without returning.
-    fn next_iteration(&self, j: usize) -> Phase {
-        if j < self.myrnd.saturating_sub(1) {
-            Phase::CheckNext { j: j + 1 }
-        } else {
-            Phase::Scan { idx: 0 }
-        }
-    }
-
-    /// Entry into the for-loop (or directly to the scan when empty).
-    fn enter_loop(&self) -> Phase {
-        if self.myrnd >= 2 {
-            Phase::CheckNext { j: 1 }
-        } else {
-            Phase::Scan { idx: 0 }
-        }
-    }
-
-    /// Lines 14–15 once the double collect succeeded with `view`.
-    fn after_scan(&self, view: &[Slot]) -> Phase {
-        if view[self.myrnd].is_bot() {
-            assert!(
-                self.myrnd + 1 < self.m,
-                "space bound violated: writing sentinel register R[{}]",
-                self.m
-            );
-            let mut seq = Vec::with_capacity(self.myrnd + 1);
-            for jj in 1..=self.myrnd {
-                seq.push(
-                    view[jj - 1]
-                        .last()
-                        .expect("scanned prefix registers are non-⊥"),
-                );
-            }
-            seq.push(self.id);
-            Phase::WriteOpen {
-                value: Slot::val(seq, (self.myrnd + 1) as u64),
-            }
-        } else {
-            Phase::Finished {
-                ts: Timestamp::new((self.myrnd + 1) as u64, 0),
-            }
+    /// Runs the body over the log up to its first unlogged access.
+    fn run(&self) -> Poised<Word, Timestamp> {
+        let storage = Replay {
+            log: &self.log,
+            next: Cell::new(0),
+            m: self.m,
+            cells: (0..self.budget).map(|_| OnceLock::new()).collect(),
+        };
+        match get_ts(&storage, self.me, self.policy) {
+            Ok((ts, ..)) => Poised::Done(ts),
+            Err(step) => step,
         }
     }
 }
 
 impl Machine for BoundedMachine {
-    type Value = Slot;
+    type Value = Word;
     type Output = Timestamp;
 
-    fn poised(&self) -> Poised<Slot, Timestamp> {
-        match &self.phase {
-            Phase::While { j } => Poised::Read { reg: j - 1 },
-            Phase::CheckNext { .. } => Poised::Read { reg: self.myrnd },
-            Phase::ReadReg { j } => Poised::Read { reg: j - 1 },
-            Phase::WriteTurn { j } | Phase::WritePin { j } => Poised::Write {
-                reg: j - 1,
-                value: self.inval_value(),
-            },
-            Phase::Scan { idx } => Poised::Read { reg: *idx },
-            Phase::WriteOpen { value } => Poised::Write {
-                reg: self.myrnd,
-                value: value.clone(),
-            },
-            Phase::Finished { ts } => Poised::Done(*ts),
-        }
+    fn poised(&self) -> Poised<Word, Timestamp> {
+        self.poised.clone()
     }
 
-    fn observe(&mut self, observed: Option<Slot>) {
-        self.phase = match (self.phase.clone(), observed) {
-            (Phase::While { j }, Some(v)) => {
-                if v.is_bot() {
-                    self.myrnd = j - 1;
-                    self.enter_loop()
-                } else {
-                    self.r.push(v);
-                    assert!(
-                        j < self.m,
-                        "space bound violated: all {} registers non-⊥",
-                        self.m
-                    );
-                    Phase::While { j: j + 1 }
-                }
-            }
-            (Phase::CheckNext { j }, Some(v)) => {
-                if v.is_bot() {
-                    Phase::ReadReg { j }
-                } else {
-                    // Line 12.
-                    Phase::Finished {
-                        ts: Timestamp::new((self.myrnd + 1) as u64, 0),
-                    }
-                }
-            }
-            (Phase::ReadReg { j }, Some(cur)) => {
-                let expected = self.r[self.myrnd].seq_get(j);
-                if expected.is_some() && cur.last() == expected {
-                    Phase::WriteTurn { j }
-                } else {
-                    let overwrite = match self.policy {
-                        OverwritePolicy::Paper => {
-                            cur.rnd().is_some_and(|rnd| rnd < self.myrnd as u64)
-                        }
-                        OverwritePolicy::Always => true,
-                        OverwritePolicy::Never => false,
-                    };
-                    if overwrite {
-                        Phase::WritePin { j }
-                    } else {
-                        self.next_iteration(j)
-                    }
-                }
-            }
-            (Phase::WriteTurn { j }, None) => Phase::Finished {
-                ts: Timestamp::new(self.myrnd as u64, j as u64),
-            },
-            (Phase::WritePin { j }, None) => self.next_iteration(j),
-            (Phase::Scan { idx }, Some(v)) => {
-                self.current.push(v);
-                if idx + 1 < self.m {
-                    Phase::Scan { idx: idx + 1 }
-                } else {
-                    let collect = std::mem::take(&mut self.current);
-                    if self.previous.as_ref() == Some(&collect) {
-                        self.after_scan(&collect)
-                    } else {
-                        self.previous = Some(collect);
-                        Phase::Scan { idx: 0 }
-                    }
-                }
-            }
-            (Phase::WriteOpen { .. }, None) => Phase::Finished {
-                ts: Timestamp::new((self.myrnd + 1) as u64, 0),
-            },
-            (phase, obs) => panic!("invalid observe({obs:?}) in {phase:?}"),
-        };
+    fn observe(&mut self, observed: Option<Word>) {
+        match (&self.poised, &observed) {
+            (Poised::Read { .. }, Some(_)) | (Poised::Write { .. }, None) => {}
+            (poised, obs) => panic!("invalid observe({obs:?}) while poised on {poised:?}"),
+        }
+        self.log.push(observed);
+        self.poised = self.run();
     }
 }
 
 /// Model algorithm: Algorithm 4 with budget `M = n · ops_per_process`,
 /// over `max(⌈2√M⌉, 2)` registers. The default constructors build the
 /// one-shot specialization (`ops_per_process = 1`, Theorem 1.3).
+///
+/// Operation `op_index` of process `pid` is writer index
+/// `pid · ops_per_process + op_index`, so a one-shot call's writer index
+/// is its pid, as on [`BoundedTimestamp::one_shot`].
 #[derive(Debug, Clone)]
 pub struct BoundedModel {
     n: usize,
@@ -337,8 +264,8 @@ impl Algorithm for BoundedModel {
         self.m
     }
 
-    fn initial_value(&self) -> Slot {
-        Slot::Bot
+    fn initial_value(&self) -> Word {
+        Word::BOT
     }
 
     fn invoke(&self, pid: ProcId, op_index: usize) -> BoundedMachine {
@@ -347,8 +274,8 @@ impl Algorithm for BoundedModel {
             "invocation budget exceeded for p{pid}"
         );
         BoundedMachine::new(
-            GetTsId::new(pid as u32, op_index as u32),
-            self.m,
+            pid * self.ops_per_process + op_index,
+            self.n * self.ops_per_process,
             self.policy,
         )
     }
@@ -365,23 +292,9 @@ impl Algorithm for BoundedModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::GetTsId;
+    use crate::traits::OneShotTimestamp;
     use ts_model::{Explorer, RandomScheduler, System};
-
-    #[test]
-    fn slot_accessors() {
-        let bot = Slot::Bot;
-        assert!(bot.is_bot());
-        assert_eq!(bot.last(), None);
-        assert_eq!(bot.rnd(), None);
-        assert_eq!(bot.seq_get(1), None);
-        let v = Slot::val(vec![GetTsId::new(1, 0), GetTsId::new(2, 0)], 3);
-        assert_eq!(v.last(), Some(GetTsId::new(2, 0)));
-        assert_eq!(v.seq_get(1), Some(GetTsId::new(1, 0)));
-        assert_eq!(v.seq_get(2), Some(GetTsId::new(2, 0)));
-        assert_eq!(v.seq_get(3), None);
-        assert_eq!(v.seq_get(0), None);
-        assert_eq!(v.rnd(), Some(3));
-    }
 
     #[test]
     fn solo_sequence_matches_concrete_walkthrough() {
@@ -401,6 +314,68 @@ mod tests {
             assert_eq!(got, *want, "call {p}");
         }
         assert!(sys.check_property().is_none());
+    }
+
+    /// The real object's registers `R[1..m]` as words.
+    fn words(ts: &BoundedTimestamp) -> Vec<u64> {
+        (1..=ts.registers())
+            .map(|j| {
+                let Ok(word) = Storage::read(ts, j);
+                word
+            })
+            .collect()
+    }
+
+    /// Runs `model` solo, one call after another in `order` of
+    /// `(pid, op_index)`, next to `call` on `object`; after each call
+    /// the stamps and every register word must agree.
+    fn assert_agrees(
+        model: BoundedModel,
+        object: &BoundedTimestamp,
+        order: impl IntoIterator<Item = usize>,
+        call: impl Fn(&BoundedTimestamp, usize) -> Timestamp,
+    ) {
+        let mut sys = System::new(model);
+        for (k, pid) in order.into_iter().enumerate() {
+            let got = sys.run_solo_to_completion(pid, 100_000).unwrap();
+            assert_eq!(got, call(object, k), "call {k}");
+            let model_words: Vec<u64> = sys.config().regs.iter().map(|r| r.word).collect();
+            assert_eq!(model_words, words(object), "call {k}");
+        }
+        assert!(sys.check_property().is_none());
+    }
+
+    #[test]
+    fn model_and_object_agree_word_for_word() {
+        for n in 1..=64 {
+            assert_agrees(
+                BoundedModel::new(n),
+                &BoundedTimestamp::one_shot(n),
+                0..n,
+                |ts, k| ts.get_ts(k).unwrap(),
+            );
+            assert_agrees(
+                BoundedModel::with_ops(1, n, OverwritePolicy::Paper),
+                &BoundedTimestamp::with_budget(n),
+                std::iter::repeat_n(0, n),
+                |ts, k| ts.get_ts_with_id(GetTsId::new(0, k as u32)).unwrap(),
+            );
+        }
+    }
+
+    #[test]
+    fn word_debug_names_round_writer_and_sequence() {
+        assert_eq!(format!("{:?}", Word::BOT), "⊥");
+        let turn = Word {
+            word: (2 << WRITER_BITS) | 4,
+            seq: None,
+        };
+        assert_eq!(format!("{turn:?}"), "⟨rnd 2, w 3⟩");
+        let open = Word {
+            word: (3 << WRITER_BITS) | 6,
+            seq: Some(Arc::from(&[1, 3][..])),
+        };
+        assert_eq!(format!("{open:?}"), "⟨rnd 3, w 5⟩ seq [0, 2]");
     }
 
     #[test]
@@ -471,7 +446,7 @@ mod tests {
 
     #[test]
     fn machine_rejects_invalid_observation() {
-        let mut m = BoundedMachine::new(GetTsId::one_shot(0), 3, OverwritePolicy::Paper);
+        let mut m = BoundedMachine::new(0, 1, OverwritePolicy::Paper);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             m.observe(None) // poised on a read
         }));

@@ -1,12 +1,16 @@
 //! Step-machine renditions of the paper's algorithms for the formal
 //! model of `ts-model`.
 //!
-//! Every concrete algorithm in this crate has a twin here, expressed as
-//! a deterministic [`ts_model::Machine`]: the twin is what the
-//! exhaustive explorer model-checks and what the covering constructions
-//! of `ts-lowerbound` drive. The twins follow the pseudocode
-//! line-by-line, so checking them checks the algorithm, not a
-//! re-derivation.
+//! Each algorithm here is a deterministic [`ts_model::Machine`]: what
+//! the exhaustive explorer model-checks and what the covering
+//! constructions of `ts-lowerbound` drive.
+//!
+//! - **Algorithm 4** ([`BoundedModel`]) has no twin: its machine runs
+//!   the production `getTS` body of [`crate::bounded`] over a replaying
+//!   storage, so checking it checks the code that ships.
+//! - **The others** are twins of their concrete objects, written to
+//!   follow the pseudocode line by line, so checking them checks the
+//!   algorithm, not a re-derivation.
 
 mod bounded;
 mod broken;
@@ -15,7 +19,7 @@ mod collectmax_fast;
 mod helping_scan;
 mod simple;
 
-pub use bounded::{BoundedMachine, BoundedModel, Slot, SlotVal};
+pub use bounded::{BoundedMachine, BoundedModel, Word};
 pub use broken::{BrokenCounterMachine, BrokenCounterModel};
 pub use collectmax::{CollectMaxMachine, CollectMaxModel};
 pub use collectmax_fast::{CollectMaxFastMachine, CollectMaxFastModel};

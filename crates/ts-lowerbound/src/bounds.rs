@@ -44,7 +44,8 @@ pub fn bounded_upper_bound(m_calls: usize) -> usize {
 }
 
 /// The long-lived upper bound we implement (collect-max): `n` registers.
-/// (Ellen–Fatourou–Ruppert 2008 achieve `n − 1`; see DESIGN.md §5.)
+/// (Ellen–Fatourou–Ruppert 2008 achieve `n − 1`; see "The space story"
+/// in the README.)
 pub fn longlived_upper_bound(n: usize) -> usize {
     n
 }

@@ -4,7 +4,7 @@
 //! parallel mode are all *supposed* to be invisible: they must find a
 //! violation iff plain full enumeration does, and they must reach
 //! exactly the same set of terminal outcomes. This harness checks that
-//! equivalence on every model twin at small sizes, against two ground
+//! equivalence on every model at small sizes, against two ground
 //! truths:
 //!
 //! - **full**: exhaustive enumeration with the exact (collision-free)
@@ -20,8 +20,10 @@
 use std::hash::Hash;
 
 use timestamp_suite::ts_core::model::{
-    BrokenCounterModel, CollectMaxFastModel, CollectMaxModel, HelpingScanModel, SimpleModel,
+    BoundedModel, BrokenCounterModel, CollectMaxFastModel, CollectMaxModel, HelpingScanModel,
+    SimpleModel,
 };
+use timestamp_suite::ts_core::OverwritePolicy;
 use timestamp_suite::ts_model::toy::{ConstantAlgorithm, CounterAlgorithm};
 use timestamp_suite::ts_model::{
     reproduces, shrink, Algorithm, CacheMode, ExploreReport, Explorer, Machine, System,
@@ -192,6 +194,16 @@ fn helping_scan_agrees() {
         false,
     );
     check("helping_scan_n3", HelpingScanModel::new(3), 1, false, false);
+}
+
+#[test]
+fn bounded_model_agrees() {
+    // Algorithm 4's machine re-runs the production body, with the
+    // default (any-register) footprints.
+    check("bounded_n2", BoundedModel::new(2), 1, false, true);
+    check("bounded_n3", BoundedModel::new(3), 1, false, false);
+    let never = BoundedModel::with_policy(3, OverwritePolicy::Never);
+    check("bounded_never_n3", never, 1, false, false);
 }
 
 #[test]

@@ -4,6 +4,7 @@
 
 use timestamp_suite::ts_core::model::BoundedModel;
 use timestamp_suite::ts_lowerbound::grid::Grid;
+use timestamp_suite::ts_lowerbound::longlived::LongLivedConstruction;
 use timestamp_suite::ts_lowerbound::oneshot::OneShotConstruction;
 use timestamp_suite::ts_lowerbound::signature::OrderedSignature;
 
@@ -58,28 +59,144 @@ fn construction_is_deterministic() {
     }
 }
 
+/// Runs the Section 4 construction on Algorithm 4 for `n` processes
+/// and checks it against a recorded result: `(final_j, final_covered)`
+/// and the signature of every step, in order.
+fn assert_oneshot_golden(n: usize, final_j: usize, final_covered: usize, signatures: &[&[usize]]) {
+    let report = OneShotConstruction::run(BoundedModel::new(n));
+    assert_eq!(
+        (report.final_j, report.final_covered),
+        (final_j, final_covered),
+        "n = {n}"
+    );
+    let got: Vec<&[usize]> = report
+        .steps
+        .iter()
+        .map(|s| s.signature.as_slice())
+        .collect();
+    assert_eq!(got, signatures, "n = {n}");
+}
+
+#[test]
+fn oneshot_construction_results_are_pinned() {
+    // Recorded runs: any change to the registers Algorithm 4 covers, or
+    // when it covers them, moves these.
+    assert_oneshot_golden(
+        16,
+        3,
+        4,
+        &[
+            &[4, 0, 0, 0, 0, 0, 0, 0],
+            &[3, 3, 0, 0, 0, 0, 0, 0],
+            &[2, 2, 2, 0, 0, 0, 0, 0],
+            &[2, 2, 2, 4, 0, 0, 0, 0],
+        ],
+    );
+    assert_oneshot_golden(
+        32,
+        6,
+        6,
+        &[
+            &[7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            &[6, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            &[5, 5, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            &[4, 4, 4, 4, 0, 0, 0, 0, 0, 0, 0, 0],
+            &[3, 3, 3, 3, 3, 0, 0, 0, 0, 0, 0, 0],
+            &[2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 0, 0],
+            &[2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 0, 0],
+        ],
+    );
+    assert_oneshot_golden(
+        64,
+        9,
+        10,
+        &[
+            &[10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            &[9, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            &[8, 8, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            &[7, 7, 7, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            &[6, 6, 6, 6, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            &[5, 5, 5, 5, 5, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            &[4, 4, 4, 4, 4, 4, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            &[3, 3, 3, 3, 3, 3, 3, 3, 0, 0, 0, 0, 0, 0, 0, 0],
+            &[2, 2, 2, 2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 0, 0, 0],
+            &[2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 0, 0, 0, 0, 0, 0],
+        ],
+    );
+}
+
+#[test]
+fn longlived_construction_on_algorithm4_is_pinned() {
+    // Recorded run: insertions pile onto R[1] until it is 3-covered,
+    // then spill onto R[2] and R[3]; pids 3, 7 and 8 complete without
+    // pausing on a register covered fewer than three times.
+    let report = LongLivedConstruction::run_any(BoundedModel::new(16));
+    assert_eq!(
+        (report.reached_k, report.covered, report.lower_bound),
+        (8, 3, 2)
+    );
+    let got: Vec<(usize, usize, usize, &[usize])> = report
+        .insertions
+        .iter()
+        .map(|i| (i.pid, i.covers, i.k, i.signature.as_slice()))
+        .collect();
+    let want: [(usize, usize, usize, &[usize]); 8] = [
+        (0, 0, 1, &[1, 0, 0, 0, 0, 0, 0, 0]),
+        (1, 0, 2, &[2, 0, 0, 0, 0, 0, 0, 0]),
+        (2, 0, 3, &[3, 0, 0, 0, 0, 0, 0, 0]),
+        (4, 1, 4, &[3, 1, 0, 0, 0, 0, 0, 0]),
+        (5, 1, 5, &[3, 2, 0, 0, 0, 0, 0, 0]),
+        (6, 1, 6, &[3, 3, 0, 0, 0, 0, 0, 0]),
+        (9, 2, 7, &[3, 3, 1, 0, 0, 0, 0, 0]),
+        (10, 2, 8, &[3, 3, 2, 0, 0, 0, 0, 0]),
+    ];
+    assert_eq!(got, want);
+}
+
 #[test]
 fn sequential_walkthrough_trace_is_stable() {
     // The model trace of a two-call sequential run of Algorithm 4 pins
-    // the register access pattern of the pseudocode.
+    // the register access pattern of the pseudocode. m = 3 registers.
+    //
+    // p0: invoke; lines 1–4 read R[1] = ⊥, so myrnd = 0 and the for-loop
+    // is empty; the line-13 scan of R[1..=1] is two one-read collects;
+    // line 15 opens phase 1 with an empty sequence; return (1, 0):
+    // 1 + 1 + 2 + 1 + 1 = 6 slots.
+    //
+    // p1: invoke; lines 1–4 read R[1] (p0's word) and R[2] = ⊥, so
+    // myrnd = 1 and the for-loop over R[1..1) is empty; the scan of
+    // R[1..=2] is two two-read collects; line 15 opens phase 2 with
+    // sequence [p0]; return (2, 0): 1 + 2 + 4 + 1 + 1 = 9 slots.
+    //
+    // No collect reaches past R[myrnd + 1], so the sentinel R[3] is
+    // neither read nor written.
     use timestamp_suite::ts_model::trace;
-    // m = 3 registers
     let alg = BoundedModel::new(2);
-    // p0 solo: invoke, read R1(⊥), two collects (3 reads each), write
-    // R1, done = 1 + 1 + 6 + 1 + 1 = 10 slots; then p1.
-    let schedule: Vec<usize> = std::iter::repeat_n(0, 10)
-        .chain(std::iter::repeat_n(1, 13))
+    let schedule: Vec<usize> = std::iter::repeat_n(0, 6)
+        .chain(std::iter::repeat_n(1, 9))
         .collect();
     let rendered = trace::render(&alg, &schedule);
-    assert!(
-        rendered.contains("p0 returns Timestamp { rnd: 1, turn: 0 }"),
-        "{rendered}"
+    let expected = [
+        "   0: p0 invokes getTS (p0.0)",
+        "   1: p0 reads  R[1] -> ⊥",
+        "   2: p0 reads  R[1] -> ⊥",
+        "   3: p0 reads  R[1] -> ⊥",
+        "   4: p0 writes R[1] := ⟨rnd 1, w 0⟩ seq []",
+        "   5: p0 returns Timestamp { rnd: 1, turn: 0 }",
+        "   6: p1 invokes getTS (p1.0)",
+        "   7: p1 reads  R[1] -> ⟨rnd 1, w 0⟩ seq []",
+        "   8: p1 reads  R[2] -> ⊥",
+        "   9: p1 reads  R[1] -> ⟨rnd 1, w 0⟩ seq []",
+        "  10: p1 reads  R[2] -> ⊥",
+        "  11: p1 reads  R[1] -> ⟨rnd 1, w 0⟩ seq []",
+        "  12: p1 reads  R[2] -> ⊥",
+        "  13: p1 writes R[2] := ⟨rnd 2, w 1⟩ seq [0]",
+        "  14: p1 returns Timestamp { rnd: 2, turn: 0 }",
+    ];
+    assert_eq!(
+        rendered.lines().collect::<Vec<_>>(),
+        expected,
+        "\n{rendered}"
     );
-    assert!(
-        rendered.contains("p1 returns Timestamp { rnd: 2, turn: 0 }"),
-        "{rendered}"
-    );
-    // The sentinel register R[3] is read but never written.
-    assert!(rendered.contains("reads  R[3]"), "{rendered}");
-    assert!(!rendered.contains("writes R[3]"), "{rendered}");
+    assert!(!rendered.contains("R[3]"), "{rendered}");
 }
