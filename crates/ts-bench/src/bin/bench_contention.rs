@@ -7,9 +7,9 @@
 //! - **register read/write** — a 90/10 read/write mix against one shared
 //!   register (`AtomicRegister<u64>` vs `PackedRegister<u64>`); this is
 //!   the raw cost of the epoch machinery vs a hardware atomic.
-//! - **scan** — `double_collect_scan` over an 8-register array while
+//! - **scan** — `adaptive_scan` over an 8-register array while
 //!   `threads − 1` writers interfere, epoch vs packed arrays (one
-//!   register per cache line, one block dirty word).
+//!   register per cache line).
 //! - **getTS** — `SimpleOneShot` (fresh objects, every thread takes its
 //!   one-shot timestamp on each) and `CollectMax` (one long-lived
 //!   object), packed default vs `EpochBackend` variants.
@@ -38,7 +38,7 @@ use ts_core::{
     SimpleOneShot,
 };
 use ts_register::{AtomicRegister, PackedRegister, RegisterArray};
-use ts_snapshot::double_collect_scan;
+use ts_snapshot::adaptive_scan;
 
 /// One measured configuration.
 #[derive(Debug, Clone, Serialize)]
@@ -161,7 +161,7 @@ fn bench_scan<B: RegisterBackend<u64>>(threads: usize, scans: u64) -> f64 {
         let stop = &stop;
         s.spawn(move |_| {
             for _ in 0..scans {
-                std::hint::black_box(double_collect_scan(array));
+                std::hint::black_box(adaptive_scan(array).0);
             }
             stop.store(true, Ordering::Relaxed);
         });

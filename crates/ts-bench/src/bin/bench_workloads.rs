@@ -19,20 +19,6 @@
 //! waits; the columns are `null` on rows whose target has no stats
 //! hook.
 //!
-//! The scan ladder joins under the `writer_storm` scenario as
-//! `classic_scan` / `adaptive_scan` / `helping_scan` cells: slot 0
-//! scans a 1024-register array while every other slot writes into
-//! block 0, paced to scanner progress so the storm covers the whole
-//! run — the grid measures exactly the O(n)-recollect vs
-//! O(dirty)-recollect vs adopt-a-helped-view ladder at each thread
-//! count. The contrast needs real parallelism: with 4+ hardware
-//! threads the paced stores hold `classic_scan` in full-sweep retries
-//! while the adaptive ladder keeps validating; on a timeshared
-//! single-CPU host stores land between scanner quanta and the cells
-//! converge (the CI ratio gate arms on `host_threads` accordingly).
-//! Storm rows reuse the service columns for the ladder's own counters
-//! (`helped_scans`, `dirty_recollects` feed the row's stats hook).
-//!
 //! The `ts-replica` layer joins under the closed-loop issue scenarios
 //! as `replicated_f{0,1,2}` cells (collect-max over quorum-replicated
 //! registers, fault-free) plus seeded faulty-network profiles
@@ -74,12 +60,11 @@ use ts_apps::{FcfsLock, KExclusion};
 use ts_bench::Table;
 use ts_core::workload::WorkloadTarget;
 use ts_core::{
-    BoundedTimestamp, CollectMax, EpochBackend, GrowableTimestamp, HelpingScanWorkload,
-    OneShotPool, PackedBackend, ScanMode, ServiceStats, SimpleOneShot,
+    BoundedTimestamp, CollectMax, EpochBackend, GrowableTimestamp, OneShotPool, PackedBackend,
+    ServiceStats, SimpleOneShot,
 };
 use ts_replica::{ClusterConfig, FaultPlan, ReplicatedCollectMax, ReplicatedTryRegisters};
 use ts_service::{IssueMode, ServiceConfig};
-use ts_snapshot::ScanPolicy;
 use ts_workloads::replay::{case_target, corpus_cases, corpus_traces, replay_trace, ReplayReport};
 use ts_workloads::{
     catalog, run_scenario, run_scenario_with, Arrival, Campaign, EngineOptions, FaultEvent,
@@ -358,31 +343,6 @@ const SERVICE_SCENARIOS: &[&str] = &["closed_getts", "open_bursty"];
 /// measure backpressure, not the replication cost being compared.
 const REPLICATED_SCENARIOS: &[&str] = &["closed_getts", "closed_getts_heavy"];
 
-/// The writer-storm scenario runs *only* the scan-ladder targets (and
-/// they run only under it): slot 0 scans while every other slot writes
-/// flat out, so the grid carries a like-for-like classic vs adaptive vs
-/// helping comparison at each thread count without dragging the paper
-/// objects through a scenario whose op mix they would reinterpret.
-const STORM_SCENARIOS: &[&str] = &["writer_storm"];
-
-/// The scan-ladder grid: one role-sliced storm target per scan mode,
-/// `threads - 1` writers clustered in the low registers of a
-/// 1024-register array (every store dirties block 0 — the worst case
-/// for a retrying scanner, and the configuration where the dirty
-/// bitmap's O(dirty) retries beat the classic full-sweep recollect).
-fn storm_targets(threads: usize) -> Vec<Box<dyn WorkloadTarget>> {
-    let policy = ScanPolicy {
-        starvation_bound: 4,
-    };
-    [ScanMode::Classic, ScanMode::Adaptive, ScanMode::Helping]
-        .into_iter()
-        .map(|mode| {
-            Box::new(HelpingScanWorkload::new(threads - 1, 1024, mode, policy))
-                as Box<dyn WorkloadTarget>
-        })
-        .collect()
-}
-
 /// The replicated grid: `CollectMax` over quorum-replicated registers,
 /// one cell per fault tolerance level (fault-free f ∈ {0, 1, 2} —
 /// 1, 3, 5 replicas) plus two faulty-network profiles at f = 1
@@ -631,14 +591,8 @@ fn main() {
         };
         for scenario in &scenarios {
             // Fresh targets per scenario so cells don't contaminate each
-            // other (register contents, pool generations, vpids). The
-            // storm scenario swaps the whole family for the scan-ladder
-            // targets.
-            let mut cell_targets = if STORM_SCENARIOS.contains(&scenario.name) {
-                storm_targets(threads)
-            } else {
-                targets(threads, pool_size)
-            };
+            // other (register contents, pool generations, vpids).
+            let mut cell_targets = targets(threads, pool_size);
             if SERVICE_SCENARIOS.contains(&scenario.name) {
                 cell_targets.extend(service_targets(threads));
             }

@@ -38,7 +38,7 @@
 //! once, and at most `2M` writes in all are invalidation writes (Claim
 //! 6.13). Packing the words lets a prefix read touch as few lines as the
 //! prefix spans (`m = 16` words fill 64 bytes), and since the scan
-//! compares words (below) it needs no stamps or dirty words.
+//! compares words (below) it needs no write stamps.
 //!
 //! Two facts make this the paper's algorithm and not an approximation
 //! of it.

@@ -25,8 +25,7 @@
 //! - **The scan** of line 13 is the shared body's double collect of
 //!   `R[1..=myrnd+1]` that compares words (see
 //!   [`crate::bounded`]). It needs nothing from the storage beyond
-//!   word reads, so these registers need no padding, stamps or dirty
-//!   words either.
+//!   word reads, so these registers need no padding or stamps either.
 //!
 //! No access allocates except a segment's first touch and an opener's
 //! one cell, and none takes an `Arc`, pins an epoch or defers a free.

@@ -64,8 +64,8 @@ pub use stats::{ServiceStats, SlotCounters};
 pub use timestamp::{ShardedTimestamp, Timestamp};
 pub use traits::{LongLivedTimestamp, OneShotTimestamp};
 pub use workload::{
-    CollectMaxFast, GateError, GateProgress, HelpingScanWorkload, OneShotPool, ReplayGranularity,
-    ScanMode, StepGate, VpidAllocator, WorkloadOp, WorkloadTarget, WorkloadWorker,
+    CollectMaxFast, GateError, GateProgress, OneShotPool, ReplayGranularity, StepGate,
+    VpidAllocator, WorkloadOp, WorkloadTarget, WorkloadWorker,
 };
 
 // Re-exported so downstream constructors can name backends without a

@@ -8,20 +8,19 @@
 //! - **Algorithm 4** ([`BoundedModel`]) has no twin: its machine runs
 //!   the production `getTS` body of [`crate::bounded`] over a replaying
 //!   storage, so checking it checks the code that ships.
-//! - **The others** are twins of their concrete objects, written to
-//!   follow the pseudocode line by line, so checking them checks the
-//!   algorithm, not a re-derivation.
+//! - **The others** ([`SimpleModel`], [`CollectMaxModel`],
+//!   [`CollectMaxFastModel`], [`BrokenCounterModel`]) are twins of their
+//!   concrete objects, written to follow the pseudocode line by line, so
+//!   checking them checks the algorithm, not a re-derivation.
 
 mod bounded;
 mod broken;
 mod collectmax;
 mod collectmax_fast;
-mod helping_scan;
 mod simple;
 
 pub use bounded::{BoundedMachine, BoundedModel, Word};
 pub use broken::{BrokenCounterMachine, BrokenCounterModel};
 pub use collectmax::{CollectMaxMachine, CollectMaxModel};
 pub use collectmax_fast::{CollectMaxFastMachine, CollectMaxFastModel};
-pub use helping_scan::{HelpingScanMachine, HelpingScanModel};
 pub use simple::{SimpleMachine, SimpleModel};

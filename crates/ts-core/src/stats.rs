@@ -118,16 +118,6 @@ pub struct ServiceStats {
     /// ran out of deliverable messages (dropped, duplicated-away or
     /// partitioned traffic). The fault-pressure signal.
     pub quorum_retries: u64,
-    /// Scans that resolved by adopting a writer-published helped view
-    /// instead of validating their own collect (the wait-free escape
-    /// hatch of `ts-snapshot`'s helping scan). The scanner-starvation
-    /// signal.
-    pub helped_scans: u64,
-    /// Dirty-block recollect passes performed across all scans — each
-    /// re-read only the registers of blocks whose dirty word moved.
-    /// `dirty_recollects / scans` is the contention-per-scan signal;
-    /// zero means every first collect validated.
-    pub dirty_recollects: u64,
     /// Quorum phases that exhausted their step deadline without
     /// gathering a quorum of replies (each produced one `Unavailable`).
     pub quorum_timeouts: u64,
@@ -203,8 +193,6 @@ impl ServiceStats {
         self.quorum_rounds += other.quorum_rounds;
         self.quorum_repairs += other.quorum_repairs;
         self.quorum_retries += other.quorum_retries;
-        self.helped_scans += other.helped_scans;
-        self.dirty_recollects += other.dirty_recollects;
         self.quorum_timeouts += other.quorum_timeouts;
         self.quorum_backoff_steps += other.quorum_backoff_steps;
         self.quorum_degraded += other.quorum_degraded;
@@ -243,8 +231,6 @@ mod tests {
             quorum_rounds: 20,
             quorum_repairs: 5,
             quorum_retries: 2,
-            helped_scans: 0,
-            dirty_recollects: 0,
             quorum_timeouts: 0,
             quorum_backoff_steps: 0,
             quorum_degraded: 0,
@@ -275,8 +261,8 @@ mod tests {
             stamps: 4,
             fast_hits: 3,
             shard_stamps: vec![4],
-            helped_scans: 2,
-            dirty_recollects: 5,
+            quorum_retries: 2,
+            quorum_timeouts: 5,
             ..Default::default()
         };
         a.absorb(&b);
@@ -284,8 +270,8 @@ mod tests {
         assert_eq!(a.stamps, 6);
         assert_eq!(a.fast_hits, 3);
         assert_eq!(a.shard_stamps, vec![2, 4]);
-        assert_eq!(a.helped_scans, 2);
-        assert_eq!(a.dirty_recollects, 5);
+        assert_eq!(a.quorum_retries, 2);
+        assert_eq!(a.quorum_timeouts, 5);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::traits::Register;
 /// This is the executable stand-in for the paper's base object: registers
 /// `r_1, ..., r_m` whose contents the model allows to be unbounded. Through
 /// [`StampedRegister`](crate::StampedRegister) it holds the contents that
-/// outgrow a word, such as `ts-snapshot`'s help records. Values are
+/// outgrow a word. Values are
 /// cloned out on read, so `T` is typically either small or cheaply
 /// clonable (e.g. contains an `Arc`).
 ///

@@ -6,8 +6,7 @@
 //!
 //! - [`EpochBackend`] — an atomic pointer to an immutable heap cell with
 //!   epoch-based reclamation ([`StampedRegister`]). Supports values of
-//!   **any size** (`ts-snapshot`'s help records hold whole views), at
-//!   the cost of an allocation per write and an epoch pin per
+//!   **any size**, at the cost of an allocation per write and an epoch pin per
 //!   operation.
 //! - [`PackedBackend`] — the value bit-packed into a single `AtomicU64`
 //!   next to its write stamp ([`PackedRegister`]). Reads and writes are
@@ -25,8 +24,7 @@
 //! Use `PackedBackend` when every value the register will ever hold fits
 //! [`Packable`]'s 32-bit budget — e.g. the `{0, 1, 2}` slots of the
 //! simple one-shot algorithm or collect-max counters. Use `EpochBackend`
-//! when values are unbounded or non-`Copy` — e.g. the help board's
-//! views. An object can often move its large parts out of the register
+//! when values are unbounded or non-`Copy`. An object can often move its large parts out of the register
 //! instead: Algorithm 4, bounded or growable, packs `(rnd, writer)` into
 //! the word and keeps each sequence in a write-once cell of its writer.
 //! The contention benchmark (`bench_contention` in `ts-bench`)
@@ -62,13 +60,8 @@
 //! caveat (`WordRegister::stamp`, value-as-stamp). The scan compares
 //! stamps only register-wise and only through this accessor.
 //!
-//! Two pieces sit deliberately *outside* the Acquire/Release budget:
-//! the per-block dirty words
-//! ([`RegisterArray::block_summary`](crate::RegisterArray::block_summary))
-//! use `SeqCst` bumps and loads, because their quiescence proof counts
-//! events across *different* threads' writes and must not let the
-//! bumps reorder around the bracketed register accesses; and the
-//! collect-max cached maximum (`ts-core`) uses CAS/fetch-max RMWs,
+//! One piece sits deliberately *outside* the Acquire/Release budget:
+//! the collect-max cached maximum (`ts-core`) uses CAS/fetch-max RMWs,
 //! whose read-modify-write atomicity — not ordering — carries its
 //! monotonicity argument.
 

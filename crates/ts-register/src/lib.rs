@@ -7,16 +7,16 @@
 //! provides a wait-free, linearizable register of any `T: Clone` built
 //! from an atomic pointer swap with epoch-based memory reclamation
 //! ([`StampedRegister`], [`EpochBackend`]). Every paper object keeps its
-//! registers in words, so epoch registers serve only `ts-snapshot`'s
-//! `HelpBoard`, the `EpochBackend` variants of the word objects, and the
-//! benchmark rows that measure them.
+//! registers in words, so epoch registers serve only the `EpochBackend`
+//! variants of the word objects and the benchmark rows that measure
+//! them.
 //!
 //! | Register type | Holds | Used by |
 //! |---|---|---|
 //! | [`PackedRegister`] / [`PackedRegisterArray`] | a [`Packable`] value of ≤ 32 bits | every paper object's registers |
 //! | [`WordRegister`] | one `u64` | single-word cells, the broken counter |
 //! | [`AtomicRegister`] | any `T: Clone`, behind a lock-free pointer | `bench_contention`'s baseline row, tests |
-//! | [`StampedRegister`] / [`RegisterArray`] on [`EpochBackend`] | any `T: Clone`, with a write stamp | `HelpBoard`, the `EpochBackend` variants, perfbench's ladder rows |
+//! | [`StampedRegister`] / [`RegisterArray`] on [`EpochBackend`] | any `T: Clone`, with a write stamp | the `EpochBackend` variants, perfbench's ladder rows |
 //!
 //! [`SegTable`] is the append-only segmented table that objects growing
 //! on demand keep their cells in: the growable timestamp object's
@@ -49,15 +49,11 @@
 //! # Contention-aware layout
 //!
 //! [`CachePadded`] puts contended state on its own cache line(s);
-//! [`RegisterArray`] lays registers out one per line and keeps a
-//! dirty word per block of [`BLOCK_REGISTERS`] registers — begun and
-//! completed write counts in one `AtomicU64` ([`WriteSummary`]) — that
-//! lets the `ts-snapshot` scan prove "nothing changed while I
-//! collected" from one load of each block word before and after, and
-//! skip its second collect; arrays that are written hot and scanned
-//! rarely drop those words
-//! ([`RegisterArray::without_scan_words`]). The memory-ordering
-//! contract every backend obeys lives in the [`backend`] module docs.
+//! [`RegisterArray`] lays registers out one per line, and a write is
+//! one store to its register plus the meter: no shared word, no RMW.
+//! The `ts-snapshot` scan validates a collect by the registers' own
+//! stamps. The memory-ordering contract every backend obeys lives in
+//! the [`backend`] module docs.
 //!
 //! # Example
 //!
@@ -85,7 +81,7 @@ mod table;
 mod traits;
 mod word;
 
-pub use array::{PackedRegisterArray, RegisterArray, WriteSummary, BLOCK_REGISTERS};
+pub use array::{PackedRegisterArray, RegisterArray};
 pub use atomic::AtomicRegister;
 pub use backend::{BackendRegister, EpochBackend, PackedBackend, RegisterBackend};
 pub use error::CapacityError;

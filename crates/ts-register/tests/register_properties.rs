@@ -4,8 +4,8 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use ts_register::{
-    AtomicRegister, EpochBackend, PackedBackend, PackedRegister, Register, RegisterArray,
-    RegisterBackend, SpaceMeter, StampedRegister, WordRegister, WriteSummary,
+    AtomicRegister, PackedBackend, PackedRegister, Register, RegisterArray, SpaceMeter,
+    StampedRegister, WordRegister,
 };
 
 proptest! {
@@ -169,99 +169,6 @@ proptest! {
 }
 
 proptest! {
-    /// A block dirty word, sequentially: the generation never
-    /// decreases, counts begun == completed at quiescence, and equals
-    /// the number of writes applied to the block (here the whole
-    /// one-block array).
-    #[test]
-    fn dirty_words_generation_is_monotone_and_exact(
-        ops in proptest::collection::vec((0usize..6, any::<u32>()), 0..80),
-    ) {
-        let array: RegisterArray<u32, PackedBackend> = RegisterArray::with_backend(6, 0);
-        let mut last_generation = array.block_summary(0).generation();
-        prop_assert_eq!(last_generation, 0);
-        for (applied, &(idx, v)) in ops.iter().enumerate() {
-            array.write(idx, v).unwrap();
-            let s = array.block_summary(0);
-            prop_assert!(
-                s.generation() >= last_generation,
-                "generation went backwards: {} after {}",
-                s.generation(),
-                last_generation
-            );
-            prop_assert_eq!(s.generation(), (applied + 1) as u32);
-            prop_assert_eq!(s.begun(), s.completed(), "quiescent array has no in-flight writes");
-            last_generation = s.generation();
-        }
-    }
-
-    /// Block-word mismatch ⇒ some register stamp changed (and
-    /// conversely, an unchanged block word over a quiescent window ⇒ no
-    /// stamp moved): the two change-detection mechanisms of the scan
-    /// agree.
-    #[test]
-    fn dirty_words_mismatch_implies_a_stamp_changed(
-        before_ops in proptest::collection::vec((0usize..5, any::<u32>()), 0..20),
-        after_ops in proptest::collection::vec((0usize..5, any::<u32>()), 0..20),
-    ) {
-        let array: RegisterArray<u32, PackedBackend> = RegisterArray::with_backend(5, 0);
-        for &(idx, v) in &before_ops {
-            array.write(idx, v).unwrap();
-        }
-        let s0 = array.block_summary(0);
-        let stamps0 = array.collect_stamps();
-        for &(idx, v) in &after_ops {
-            array.write(idx, v).unwrap();
-        }
-        let s1 = array.block_summary(0);
-        let stamps1 = array.collect_stamps();
-        if !WriteSummary::no_writes_during(s0, s1) {
-            // The block word said "something changed": a per-register
-            // stamp must agree (packed stamps are exact per register).
-            prop_assert!(!after_ops.is_empty());
-            prop_assert_ne!(stamps0, stamps1);
-        } else {
-            prop_assert!(after_ops.is_empty());
-            prop_assert_eq!(stamps0, stamps1);
-        }
-    }
-
-    /// Concurrent writers: the block word's begun count observed after
-    /// the storm equals the total writes, and every intermediate
-    /// observation is monotone in both halves.
-    #[test]
-    fn dirty_words_counts_are_monotone_under_concurrency(
-        writers in 1usize..4,
-        writes_each in 1u64..300,
-    ) {
-        let array = Arc::new(RegisterArray::<u32, PackedBackend>::with_backend(4, 0));
-        crossbeam::scope(|s| {
-            for w in 0..writers {
-                let array = Arc::clone(&array);
-                s.spawn(move |_| {
-                    for i in 0..writes_each {
-                        array.write(w % 4, i as u32).unwrap();
-                    }
-                });
-            }
-            let array = Arc::clone(&array);
-            s.spawn(move |_| {
-                let mut last = array.block_summary(0);
-                for _ in 0..200 {
-                    let s = array.block_summary(0);
-                    assert!(s.begun() >= last.begun(), "begun went backwards");
-                    assert!(s.completed() >= last.completed(), "completed went backwards");
-                    assert!(s.begun() >= s.completed(), "completed overtook begun");
-                    last = s;
-                }
-            });
-        })
-        .unwrap();
-        let end = array.block_summary(0);
-        prop_assert_eq!(end.begun() as u64, writers as u64 * writes_each);
-        prop_assert_eq!(end.completed(), end.begun());
-    }
-
     /// `read_with` torn/stale properties hold on padded arrays: a
     /// single-writer register's values are observed monotonically
     /// through the array API, and the final value is the last write.
@@ -296,123 +203,6 @@ proptest! {
         })
         .unwrap();
         prop_assert_eq!(array.read(0).unwrap(), rounds);
-        prop_assert_eq!(array.block_summary(0).generation(), rounds);
-    }
-}
-
-/// Shared body for the dirty-word soundness property, generic over the
-/// register backend so one strategy run covers both.
-///
-/// Brackets a write batch between two `block_summaries` readings and
-/// checks, per block:
-///
-/// - **soundness** — a block whose word pair proves quiescence
-///   (`no_writes_during`) had no stamp move inside the window, so a
-///   retrying scanner that skips it cannot miss a write;
-/// - **completeness** — every block that was actually written is
-///   flagged (sequentially the flagged set is *exactly* the written
-///   set; under concurrency it may only over-approximate).
-fn check_dirty_word_soundness<B: RegisterBackend<u32>>(
-    capacity: usize,
-    writes: &[(usize, u32)],
-) -> Result<(), proptest::test_runner::TestCaseError> {
-    let array: RegisterArray<u32, B> = RegisterArray::with_backend(capacity, 0);
-    let pre = array.block_summaries();
-    let stamps_pre = array.collect_stamps();
-    let mut written_blocks = std::collections::HashSet::new();
-    for &(idx, v) in writes {
-        let idx = idx % capacity;
-        array.write(idx, v).unwrap();
-        written_blocks.insert(RegisterArray::<u32, B>::block_of(idx));
-    }
-    let post = array.block_summaries();
-    let stamps_post = array.collect_stamps();
-    for b in 0..array.block_count() {
-        let range = array.block_range(b);
-        if WriteSummary::no_writes_during(pre[b], post[b]) {
-            prop_assert_eq!(
-                &stamps_pre[range.clone()],
-                &stamps_post[range.clone()],
-                "block {} claimed quiescence but a stamp moved",
-                b
-            );
-            prop_assert!(
-                !written_blocks.contains(&b),
-                "written block {} not flagged",
-                b
-            );
-        } else {
-            prop_assert!(
-                written_blocks.contains(&b),
-                "block {} flagged without a write (sequential run)",
-                b
-            );
-        }
-    }
-    Ok(())
-}
-
-proptest! {
-    /// Dirty-word soundness across the block boundary capacities
-    /// (63 = one partial block, 64 = one exact block, 65 = a full
-    /// block plus a one-register tail), both backends:
-    /// a clear bitmap window implies no stamp in that block moved,
-    /// and every written block is flagged.
-    #[test]
-    fn dirty_words_are_sound_and_complete(
-        size_sel in 0usize..3,
-        writes in proptest::collection::vec((0usize..65, any::<u32>()), 0..60),
-    ) {
-        let capacity = [63usize, 64, 65][size_sel];
-        check_dirty_word_soundness::<PackedBackend>(capacity, &writes)?;
-        check_dirty_word_soundness::<EpochBackend>(capacity, &writes)?;
-    }
-
-    /// Block dirty words observed concurrently are monotone in both
-    /// halves and, once the writers join, prove quiescence again for
-    /// every block — including the partial tail block of a 65-register
-    /// array.
-    #[test]
-    fn dirty_words_are_monotone_under_concurrency(
-        writes_each in 1u64..200,
-    ) {
-        let array = Arc::new(RegisterArray::<u32, PackedBackend>::with_backend(65, 0));
-        crossbeam::scope(|s| {
-            for w in 0..2usize {
-                let array = Arc::clone(&array);
-                // One writer per block: register 0 (block 0) and
-                // register 64 (the tail block).
-                s.spawn(move |_| {
-                    for i in 0..writes_each {
-                        array.write(w * 64, i as u32).unwrap();
-                    }
-                });
-            }
-            let array = Arc::clone(&array);
-            s.spawn(move |_| {
-                let mut last = array.block_summaries();
-                for _ in 0..100 {
-                    let cur = array.block_summaries();
-                    for (b, (prev, next)) in last.iter().zip(&cur).enumerate() {
-                        assert!(next.begun() >= prev.begun(), "block {b} begun went backwards");
-                        assert!(
-                            next.completed() >= prev.completed(),
-                            "block {b} completed went backwards"
-                        );
-                        assert!(next.begun() >= next.completed(), "block {b} completed overtook");
-                    }
-                    last = cur;
-                }
-            });
-        })
-        .unwrap();
-        let quiet = array.block_summaries();
-        for (b, s) in quiet.iter().enumerate() {
-            prop_assert_eq!(s.begun(), s.completed(), "block {} still in flight at join", b);
-            prop_assert_eq!(s.generation() as u64, writes_each, "block {} lost writes", b);
-        }
-        prop_assert!(WriteSummary::no_writes_during(quiet[0], array.block_summary(0)));
-        prop_assert!(WriteSummary::no_writes_during(quiet[1], array.block_summary(1)));
     }
 }
 

@@ -53,11 +53,9 @@
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use ts_core::model::{BrokenCounterModel, CollectMaxFastModel, CollectMaxModel, HelpingScanModel};
+use ts_core::model::{BrokenCounterModel, CollectMaxFastModel, CollectMaxModel};
 use ts_core::workload::{ReplayGranularity, StepGate, WorkloadOp, WorkloadTarget};
-use ts_core::{
-    BrokenCounter, CollectMax, CollectMaxFast, GrowableTimestamp, HelpingScanWorkload, Timestamp,
-};
+use ts_core::{BrokenCounter, CollectMax, CollectMaxFast, GrowableTimestamp, Timestamp};
 use ts_model::replay::{minimized_trace, trace_from_schedule, ReplayTrace, StepKind};
 use ts_model::{CacheMode, Explorer, PctScheduler};
 use ts_replica::{QuorumModel, QuorumTsCrashTarget, QuorumTsTarget};
@@ -463,7 +461,6 @@ pub struct TraceCorpusEntry {
 /// | `quorum_ts_n3_rotating_repair` | hand-written: three rotated read windows observe a half-installed write | no |
 /// | `quorum_ts_broken_wq1_minimized` | Explorer counterexample on the non-intersecting write quorum, minimized | yes |
 /// | `quorum_crash_skip_resync_minimized` | Explorer counterexample on crash + amnesiac restart without resync, minimized | yes |
-/// | `helping_scan_n2_starved_adoption` | hand-written: a storm-starved scanner adopts the writer's helped view | no |
 ///
 /// The fast-path probe drives `CollectMaxFastModel` through its three
 /// nastiest windows on one schedule: p0 stalls *between its cache CAS
@@ -611,29 +608,6 @@ pub fn corpus_traces() -> Vec<TraceCorpusEntry> {
     // *message-interleaving* counterexample — two clients whose
     // write-back sets never meet hand out equal timestamps to
     // non-overlapping ops.
-    // Starved-scanner adoption (HelpingScanModel, n = 2): the scanner
-    // bumps the era to 1 and collects (4 steps); the writer's calm op
-    // dirties the register (5 steps); the scanner's validate patches,
-    // raises distress, and polls an empty board (3 steps); the writer's
-    // next op sees distress and helps — era read, collect, clean
-    // validate, publish (tag 1), store (8 steps); the scanner's next
-    // validate patches again, but its poll now adopts the tag-1 record
-    // (3 steps). Without helping this schedule starves the scan twice.
-    let starved_scan: Vec<usize> =
-        [vec![0; 4], vec![1; 5], vec![0; 3], vec![1; 8], vec![0; 3]].concat();
-    let helping_trace =
-        trace_from_schedule(&HelpingScanModel::new(2), "helping_scan", &starved_scan);
-    assert!(!helping_trace.violating, "adoption is linearizable");
-    // The scan must resolve via the board: pid 0 reads writer 0's board
-    // slot (register 3) exactly twice — the empty poll and the
-    // adopting poll.
-    let board_polls = helping_trace
-        .steps
-        .iter()
-        .filter(|s| s.pid == 0 && s.kind == StepKind::Read && s.reg == Some(3))
-        .count();
-    assert_eq!(board_polls, 2, "the starved scan lost its adoption poll");
-
     let broken_quorum = QuorumModel::broken(2, 1);
     let quorum_counterexample = Explorer::new(broken_quorum, 1)
         .with_reduction(false)
@@ -711,10 +685,6 @@ pub fn corpus_traces() -> Vec<TraceCorpusEntry> {
             name: "quorum_crash_skip_resync_minimized",
             trace: crash_trace,
         },
-        TraceCorpusEntry {
-            name: "helping_scan_n2_starved_adoption",
-            trace: helping_trace,
-        },
     ]
 }
 
@@ -761,15 +731,7 @@ pub struct ReplayCase {
 ///   `restart_skip_resync(Wipe)` lifecycle calls, and the duplicate
 ///   timestamp the missing resync permits must reproduce on real
 ///   replicas (the adversary reports no timestamp, so
-///   `expect_exact_outputs` is off);
-/// - the starved-scanner trace against [`HelpingScanWorkload`] — the
-///   helping scan replayed access-for-access (era bump, validate
-///   passes, board polls), proving on real threads that the starved
-///   scan resolves by *adopting* the storm writer's published view.
-///   Scan outputs are views, not timestamps, so the scanner opts out of
-///   the output diff (`expect_exact_outputs: false`, like the
-///   `growable_op_order` case); the writers' timestamps are still
-///   property-checked.
+///   `expect_exact_outputs` is off).
 pub fn corpus_cases() -> Vec<ReplayCase> {
     vec![
         ReplayCase {
@@ -837,13 +799,6 @@ pub fn corpus_cases() -> Vec<ReplayCase> {
             // event, not a getTS — the real slot reports no timestamp.
             expect_exact_outputs: false,
         },
-        ReplayCase {
-            name: "helping_scan_starved_adoption",
-            trace_name: "helping_scan_n2_starved_adoption",
-            target: "helping_scan",
-            expect_violation: false,
-            expect_exact_outputs: false,
-        },
     ]
 }
 
@@ -878,7 +833,6 @@ pub fn case_target(case: &ReplayCase, trace: &ReplayTrace) -> Box<dyn WorkloadTa
             trace.processes - 1,
             (trace.registers - 1) / 2,
         )),
-        "helping_scan" => Box::new(HelpingScanWorkload::for_replay(trace.processes)),
         other => panic!("unknown replay target {other:?}"),
     }
 }
@@ -1055,31 +1009,6 @@ mod tests {
                 "seed {seed}: bodies completed out of released order"
             );
         }
-    }
-
-    #[test]
-    fn starved_scan_adoption_replays_on_real_threads() {
-        let traces = corpus_traces();
-        let entry = traces
-            .iter()
-            .find(|e| e.name == "helping_scan_n2_starved_adoption")
-            .unwrap();
-        let target = HelpingScanWorkload::for_replay(entry.trace.processes);
-        let report = replay_trace(&target, &entry.trace);
-        assert!(report.violation.is_none(), "{:?}", report.violation);
-        assert_eq!(report.completed.len(), entry.trace.completed_ops().len());
-        // The real scan must have resolved the same way the model did:
-        // by adoption, not by a late direct validation.
-        let stats = target.service_stats().expect("target keeps counters");
-        assert_eq!(stats.helped_scans, 1, "the replayed scan must adopt");
-        assert_eq!(stats.calls, 2, "both writer ops completed");
-        // The writers' timestamps are checked; the scanner opts out.
-        let writer_ops = report.completed.iter().filter(|op| op.ts.is_some()).count();
-        assert_eq!(writer_ops, 2);
-        assert_eq!(
-            report.worker_observed_return_order(),
-            expected_completion_order(&entry.trace, ReplayGranularity::MemoryAccess)
-        );
     }
 
     #[test]

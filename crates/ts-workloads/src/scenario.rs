@@ -117,14 +117,6 @@ pub struct Scenario {
 /// | `closed_scan_heavy` | closed loop | Zipf: scan ≫ getTS ≫ compare | — |
 /// | `open_bursty` | open loop, bursts of 32 | Zipf: getTS-heavy | — |
 /// | `churn` | closed loop | getTS only | exit/replace every `ops_per_life` |
-/// | `writer_storm` | closed loop | getTS only | — |
-///
-/// `writer_storm` is the scan-ladder scenario: it runs only against the
-/// role-sliced `helping_scan` targets (slot 0 scans, every other slot
-/// writes as fast as the closed loop allows), so the op mix is a
-/// formality — workers substitute their role's operation regardless of
-/// the sampled kind. It exists as a distinct catalog entry so the
-/// adaptive-vs-classic scan comparison has first-class grid cells.
 ///
 /// `rate_hz` is the aggregate open-loop arrival rate; `ops_per_life`
 /// bounds each churn life. Callers scale both to the machine (smoke
@@ -168,12 +160,6 @@ pub fn catalog(rate_hz: u64, ops_per_life: u64) -> Vec<Scenario> {
             arrival: Arrival::ClosedLoop,
             mix: OpMix::get_ts_only(),
             churn: Some(Churn { ops_per_life }),
-        },
-        Scenario {
-            name: "writer_storm",
-            arrival: Arrival::ClosedLoop,
-            mix: OpMix::get_ts_only(),
-            churn: None,
         },
     ]
 }

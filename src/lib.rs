@@ -6,7 +6,7 @@
 //! depend on the individual crates instead:
 //!
 //! - [`ts_register`] — atomic multi-writer multi-reader register substrate
-//! - [`ts_snapshot`] — collect / scan / snapshot substrate
+//! - [`ts_snapshot`] — the stamp-validated double-collect scan
 //! - [`ts_model`] — formal execution model and mini model-checker
 //! - [`ts_core`] — the paper's timestamp algorithms
 //! - [`ts_lowerbound`] — covering-argument machinery and bound formulas

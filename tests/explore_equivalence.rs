@@ -20,8 +20,7 @@
 use std::hash::Hash;
 
 use timestamp_suite::ts_core::model::{
-    BoundedModel, BrokenCounterModel, CollectMaxFastModel, CollectMaxModel, HelpingScanModel,
-    SimpleModel,
+    BoundedModel, BrokenCounterModel, CollectMaxFastModel, CollectMaxModel, SimpleModel,
 };
 use timestamp_suite::ts_core::OverwritePolicy;
 use timestamp_suite::ts_model::toy::{ConstantAlgorithm, CounterAlgorithm};
@@ -180,23 +179,6 @@ fn collect_max_fast_agrees() {
 }
 
 #[test]
-fn helping_scan_agrees() {
-    // The helping-scan protocol has the richest branch structure in
-    // the suite (era CAS retries, distress-gated writer paths, board
-    // adoption): raw (uncached) ground truth on the single-op pair,
-    // exact-cache oracle for the larger configurations.
-    check("helping_scan_n2", HelpingScanModel::new(2), 1, false, true);
-    check(
-        "helping_scan_n2x2",
-        HelpingScanModel::new(2),
-        2,
-        false,
-        false,
-    );
-    check("helping_scan_n3", HelpingScanModel::new(3), 1, false, false);
-}
-
-#[test]
 fn bounded_model_agrees() {
     // Algorithm 4's machine re-runs the production body, with the
     // default (any-register) footprints.
@@ -237,7 +219,6 @@ fn fingerprint_cache_matches_exact_cache_under_reduction() {
     fp_check("counter_n4", CounterAlgorithm::new(4), 1);
     fp_check("collectmax_n3", CollectMaxModel::new(3), 1);
     fp_check("collectmax_fast_n3", CollectMaxFastModel::new(3), 1);
-    fp_check("helping_scan_n3", HelpingScanModel::new(3), 1);
     fp_check("simple_n4", SimpleModel::new(4), 1);
 }
 

@@ -117,9 +117,13 @@ fn always_overwrite_survives_the_same_schedule() {
     assert!(!violated);
 }
 
-/// The same hazard does not require hand-crafting under `Never` — random
-/// schedules find it too, which double-checks the hand construction is
-/// not an artifact of our scheduling quirks.
+/// Random schedules do *not* find the hazard: `RandomScheduler` found it
+/// in 0 of 4,000 seeds at each of n = 6, 7 and 8, so this test asserts
+/// nothing. It only reports whether its 400 seeds hit the bug, and
+/// keeps the random search compiled and running against the `Never`
+/// policy. The hand-built schedule above is the only demonstration of
+/// the bug; making a search find it by itself is the ROADMAP item
+/// "The model checker finds the paper's Section 6.1 bug by itself".
 #[test]
 fn random_search_also_finds_the_never_bug() {
     use timestamp_suite::ts_model::RandomScheduler;
@@ -129,9 +133,9 @@ fn random_search_also_finds_the_never_bug() {
             .violation
             .is_some()
     });
-    // The window is narrow; if this ever flakes, widen the seed range.
-    // The deterministic tests above are the load-bearing ones.
+    // Expected to miss (see above); the deterministic tests are the
+    // load-bearing ones.
     if !found {
-        eprintln!("note: random search missed the Never bug in 400 seeds (expected occasionally)");
+        eprintln!("note: random search missed the Never bug in 400 seeds, as it does at n <= 8");
     }
 }
