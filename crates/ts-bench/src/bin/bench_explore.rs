@@ -16,24 +16,24 @@
 //! Output: a markdown table (JSON lines under `TS_BENCH_JSON`), plus a
 //! machine-readable baseline written to `BENCH_explore.json` (override
 //! with `--out PATH`, `--out -` to skip). The CI `model-check` job
-//! regenerates the baseline with `--smoke` and gates on two invariants:
-//! at least one model keeps a ≥ 5x full-vs-DPOR explored-state
-//! reduction, and per-model DPOR state counts do not regress versus the
-//! checked-in baseline (the counts are deterministic, so any drift is a
-//! real change to the search, not noise).
+//! regenerates the baseline with `--smoke` and gates on three
+//! invariants: at least one model keeps a ≥ 5x full-vs-DPOR
+//! explored-state reduction, every DPOR row has a row in the checked-in
+//! baseline, and no DPOR state count or verdict moves against it (the
+//! counts are deterministic, so any drift is a real change to the
+//! search, not noise).
 //!
-//! Flags: `--smoke` drops the largest (slowest) configurations so the
-//! CI job stays in budget; `--threads N` sets the parallel mode's
-//! worker count (default 2); `--out PATH` relocates the baseline file.
+//! Flags: `--smoke` marks the output as a CI smoke run (every
+//! configuration runs in it: the largest takes about a second);
+//! `--threads N` sets the parallel mode's worker count (default 2);
+//! `--out PATH` relocates the baseline file.
 
 use std::time::Instant;
 
 use serde::Serialize;
 
 use ts_bench::Table;
-use ts_core::model::{
-    BoundedModel, BrokenCounterModel, CollectMaxFastModel, CollectMaxModel, SimpleModel,
-};
+use ts_core::model::{BoundedModel, BrokenCounterModel, CollectMaxModel, SimpleModel};
 use ts_model::toy::CounterAlgorithm;
 use ts_model::{Algorithm, CacheMode, Explorer, Machine};
 
@@ -167,7 +167,7 @@ fn main() {
     measure(
         &mut results,
         "collect_max_fast_n3",
-        CollectMaxFastModel::new(3),
+        CollectMaxModel::with_cache(3),
         1,
         cfg.threads,
     );
@@ -178,15 +178,13 @@ fn main() {
         1,
         cfg.threads,
     );
-    if !cfg.smoke {
-        measure(
-            &mut results,
-            "collect_max_fast_n2x2",
-            CollectMaxFastModel::new(2),
-            2,
-            cfg.threads,
-        );
-    }
+    measure(
+        &mut results,
+        "collect_max_fast_n2x2",
+        CollectMaxModel::with_cache(2),
+        2,
+        cfg.threads,
+    );
 
     let mut table = Table::new(
         "bench_explore — explorer state counts: full enumeration vs DPOR vs partitioned",

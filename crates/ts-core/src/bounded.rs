@@ -103,15 +103,19 @@
 //! accounting below. [`GrowableTimestamp`](crate::GrowableTimestamp) is
 //! the second: the Section 7 object, whose registers and cells grow on
 //! demand. The third is the model checker's
-//! [`BoundedMachine`](crate::model::BoundedMachine), which replays one
-//! call's logged observations and stops at its first access past them.
+//! [`BoundedModel`](crate::model::BoundedModel), whose storage replays
+//! one call's logged observations and stops at its first access past
+//! them.
 //!
 //! That stop is the trait's `Halt` type. A read or write returns
 //! `Result<_, Halt>`, and the body passes a halt on with `?`, so the
 //! model's halt carries the access the call is poised on. The two real
 //! objects use [`Infallible`]: every access of theirs happens, the `?`s
 //! compile away, and their code is what it would be without the seam.
-//! All three monomorphize, so none pays for the others.
+//! The body names its program point and live locals before its
+//! accesses (the trait's `at`), on which the model keys its states; the
+//! real objects' `at` does nothing. All three monomorphize, so none
+//! pays for the others.
 //!
 //! This module also carries the paper's accounting instrumentation
 //! (Section 6.3): phases, invalidation writes, and register usage are
@@ -338,6 +342,25 @@ pub(crate) trait Storage {
     /// The write-once cell of writer `writer`'s line-15 sequence: the
     /// writer fields of `R[1..myrnd]` in its opening scan.
     fn line15(&self, writer: usize) -> &OnceLock<Box<[u32]>>;
+
+    /// Names the program point of the next access and the locals the
+    /// call still reads.
+    fn at(&self, _point: Point<'_>) {}
+}
+
+/// Where an Algorithm 4 call is, with the locals it still reads.
+pub(crate) enum Point<'a> {
+    /// Lines 1–4, with the last non-`⊥` word read.
+    Prefix { last: u64 },
+    /// Lines 6, 7 and 11 at `j`; `last` is `R[myrnd]`.
+    Loop { j: usize, last: u64 },
+    /// Line 9.
+    Turn,
+    /// Line 13 over `R[1..=hi]`: `hi`, the view so far and, past the
+    /// first collect, whether the current one has matched it.
+    Scan(usize, &'a [u64], Option<bool>),
+    /// Line 15.
+    Open,
 }
 
 /// The register word of a write by `writer` in round `rnd`.
@@ -397,16 +420,20 @@ fn scan<S: Storage>(storage: &S, hi: usize) -> Result<(Vec<u64>, u64), S::Halt> 
     // length, so the view would regrow on the hot path.
     let mut view = Vec::with_capacity(hi);
     for j in 1..=hi {
+        storage.at(Point::Scan(hi, &view, None));
         view.push(storage.read(j)?);
     }
     let mut collects = 1;
     loop {
         collects += 1;
         let mut same = true;
-        for (j, seen) in (1..).zip(view.iter_mut()) {
+        // Sliced to `hi`, so the indexing below needs no bounds checks.
+        let seen = &mut view[..hi];
+        for j in 1..=hi {
+            storage.at(Point::Scan(hi, seen, Some(same)));
             let cur = storage.read(j)?;
-            same &= cur == *seen;
-            *seen = cur;
+            same &= cur == seen[j - 1];
+            seen[j - 1] = cur;
         }
         if same {
             return Ok((view, collects));
@@ -439,6 +466,7 @@ pub(crate) fn get_ts<S: Storage>(
     let mut last = BOT;
     let mut j = 1usize;
     loop {
+        storage.at(Point::Prefix { last });
         let cur = storage.read(j)?;
         if cur == BOT {
             break;
@@ -476,6 +504,7 @@ pub(crate) fn get_ts<S: Storage>(
     // Lines 5–12: look for the first valid register among R[1..myrnd-1].
     for j in 1..myrnd {
         // Line 6: has the next phase opened?
+        storage.at(Point::Loop { j, last });
         reads.line6 += 1;
         if storage.read(myrnd + 1)? != BOT {
             // Line 12.
@@ -489,6 +518,7 @@ pub(crate) fn get_ts<S: Storage>(
         let cur = storage.read(j)?;
         if writer_field::<S>(cur) == seq[j - 1] {
             // Lines 8–9: R[j] is valid — invalidate it, take turn j.
+            storage.at(Point::Turn);
             storage.write(j, word::<S>(myrnd, me), false)?;
             let ts = Timestamp::new(myrnd as u64, j as u64);
             return Ok((ts, Exit::Turn, reads));
@@ -529,6 +559,7 @@ pub(crate) fn get_ts<S: Storage>(
             storage.line15(me).set(seq).is_ok(),
             "a call opens at most one phase"
         );
+        storage.at(Point::Open);
         storage.write(myrnd + 1, word::<S>(myrnd + 1, me), true)?;
     }
     // Line 16.

@@ -1,12 +1,14 @@
 //! Deliberately incorrect timestamp objects (failure injection).
 //!
 //! These exist so the test suite can demonstrate that its checkers — the
-//! model explorer, the happens-before stress tests, the property tests —
-//! actually *fail* on broken implementations rather than passing
-//! vacuously. They are exported (rather than test-only) because the
-//! benchmark harness also uses them to calibrate the checker's detection
-//! latency.
+//! model explorer, the happens-before stress tests, the property tests,
+//! the history recorder and the schedule replay — actually *fail* on
+//! broken implementations rather than passing vacuously. They are
+//! exported (rather than test-only) because the root integration tests
+//! and the replay corpus in `ts-workloads` drive them from outside this
+//! crate.
 
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -15,6 +17,7 @@ use ts_register::WordRegister;
 use crate::error::GetTsError;
 use crate::timestamp::Timestamp;
 use crate::traits::OneShotTimestamp;
+use crate::words;
 
 fn one_shot_guard(used: &[AtomicBool], pid: usize) -> Result<(), GetTsError> {
     if pid >= used.len() {
@@ -115,7 +118,7 @@ impl fmt::Debug for BrokenStaleRead {
 }
 
 /// Broken object: read-increment-write on one shared register, with no
-/// collect — the real twin of the model crate's toy counter.
+/// collect — the real object behind the model crate's toy counter.
 ///
 /// `getTS()` reads the register, writes `read + 1`, and returns the
 /// written value. Correct for up to three one-shot processes; **broken
@@ -125,18 +128,16 @@ impl fmt::Debug for BrokenStaleRead {
 /// non-larger value. Unlike [`BrokenConstant`] and [`BrokenStaleRead`],
 /// this bug *requires an adversarial interleaving* — sequential runs
 /// are clean — which makes it the canonical target for the schedule
-/// replay harness: the model explorer finds the interleaving on the
-/// twin ([`BrokenCounterModel`](crate::model::BrokenCounterModel)), and
+/// replay harness: the model explorer finds the interleaving by
+/// re-running this object's `getTS` body
+/// ([`BrokenCounterModel`](crate::model::BrokenCounterModel)), and
 /// replaying the minimized schedule against this object reproduces the
-/// violation on real threads.
-///
-/// [`get_ts_paused`](BrokenCounter::get_ts_paused) exposes the
-/// read/write phase boundary so a replay controller can hold the
-/// stalled writer exactly where the counterexample needs it.
+/// violation on real threads, which pause before the read and before
+/// the write exactly where the counterexample needs them.
 ///
 /// Its [`WorkloadTarget`](crate::workload::WorkloadTarget) impl is
 /// **replay-only**: each slot supports exactly one `GetTs` (matching
-/// the one-shot twin), and a second op panics. To drive it with the
+/// the one-shot model), and a second op panics. To drive it with the
 /// scenario engine, wrap it in
 /// [`OneShotPool`](crate::workload::OneShotPool) like the other
 /// one-shot objects.
@@ -154,31 +155,46 @@ impl BrokenCounter {
         }
     }
 
-    /// `getTS` with a pause hook: `pause` runs immediately before the
-    /// shared read and again before the shared write (the step-barrier
-    /// seam used by schedule replay).
-    ///
-    /// # Errors
-    ///
-    /// [`GetTsError::PidOutOfRange`] or [`GetTsError::AlreadyUsed`]
-    /// exactly as [`OneShotTimestamp::get_ts`].
-    pub fn get_ts_paused(
-        &self,
-        pid: usize,
-        mut pause: impl FnMut(),
-    ) -> Result<Timestamp, GetTsError> {
+    /// `getTS` for `pid` on `words`: this object, or a view of it.
+    pub(crate) fn get_ts_on<S>(&self, words: &S, pid: usize) -> Result<Timestamp, GetTsError>
+    where
+        S: words::Words<Point = (), Halt = Infallible>,
+    {
         one_shot_guard(&self.used, pid)?;
-        pause();
-        let v = self.register.read();
-        pause();
-        self.register.write(v + 1);
-        Ok(Timestamp::scalar(v + 1))
+        let Ok(t) = get_ts(words);
+        Ok(Timestamp::scalar(t))
+    }
+}
+
+/// The broken counter's `getTS`: read register 0, write one more,
+/// return it (or the storage's halt).
+pub(crate) fn get_ts<S: words::Words<Point = ()>>(s: &S) -> Result<u64, S::Halt> {
+    let v = s.read(0)?;
+    s.write(0, v + 1)?;
+    Ok(v + 1)
+}
+
+impl words::Words for BrokenCounter {
+    type Halt = Infallible;
+    type Point = ();
+
+    fn registers(&self) -> usize {
+        1
+    }
+
+    fn read(&self, _: usize) -> Result<u64, Infallible> {
+        Ok(self.register.read())
+    }
+
+    fn write(&self, _: usize, value: u64) -> Result<(), Infallible> {
+        self.register.write(value);
+        Ok(())
     }
 }
 
 impl OneShotTimestamp for BrokenCounter {
     fn get_ts(&self, pid: usize) -> Result<Timestamp, GetTsError> {
-        self.get_ts_paused(pid, || {})
+        self.get_ts_on(self, pid)
     }
 
     fn processes(&self) -> usize {
@@ -237,31 +253,27 @@ mod tests {
 
     #[test]
     fn broken_counter_stalled_writer_rolls_back() {
-        // Drive the rollback by hand through the pause hook: p0 reads 0
+        // Drive the rollback by hand through a step gate: p0 reads 0
         // and stalls before its write; p1 and p2 finish (register
         // reaches 2, t1 = 1, t2 = 2); p0's pending write lands 1,
         // rolling the register back; p3's strictly-later call returns 2
         // again — equal to t2, violating the property.
-        use std::sync::mpsc;
+        use crate::words::Gated;
+        use crate::workload::StepGate;
+        let timeout = std::time::Duration::from_secs(10);
         let ts = BrokenCounter::new(4);
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let (arrived_tx, arrived_rx) = mpsc::channel::<()>();
+        let gate = StepGate::new();
         std::thread::scope(|s| {
-            let ts = &ts;
-            let handle = s.spawn(move || {
-                ts.get_ts_paused(0, || {
-                    arrived_tx.send(()).unwrap();
-                    release_rx.recv().unwrap();
-                })
-                .unwrap()
+            let handle = s.spawn(|| {
+                let t = ts.get_ts_on(&Gated::new(&ts, &gate), 0).unwrap();
+                gate.finish();
+                t
             });
-            arrived_rx.recv().unwrap(); // p0 poised on its read
-            release_tx.send(()).unwrap();
-            arrived_rx.recv().unwrap(); // p0 read 0, poised to write 1
+            gate.release_next(timeout).unwrap(); // p0 reads 0, poised to write 1
             let t1 = ts.get_ts(1).unwrap();
             let t2 = ts.get_ts(2).unwrap();
             assert!(Timestamp::compare(&t1, &t2));
-            release_tx.send(()).unwrap(); // p0's stale write rolls back
+            gate.release_next(timeout).unwrap(); // p0's stale write rolls back
             let t0 = handle.join().unwrap();
             assert_eq!(t0, Timestamp::scalar(1));
             let t3 = ts.get_ts(3).unwrap(); // strictly after p2 responded

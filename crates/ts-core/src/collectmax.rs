@@ -34,25 +34,62 @@
 //! 2. **validation failure** (the CAS lost a race): fall back to the
 //!    classic full collect — seeded with the cache value the failed CAS
 //!    observed — write `max + 1` to the own register, then publish it
-//!    into the cache with a `fetch_max` retry chain.
+//!    into the cache with a CAS retry chain (a `fetch_max`).
 //!
-//! Correctness rests on four invariants, spelled out at
-//! [`CollectMax::get_ts_fast_paused`]; the fast path is model-checked
-//! by `ts_core::model::CollectMaxFastModel` (Explorer + PCT sweeps in
-//! `tests/model_check.rs`) and replayed against this implementation
-//! from the checked-in trace corpus.
+//! `getTS` is one body, `get_ts`, over the crate's register-word
+//! storage. Whether the cache word exists is a constant of the storage
+//! type: without it the body is the classic collect alone, the
+//! algorithm Theorem 1.1's covering construction runs on. The object is
+//! the storage with the cache; `Registers` is its register-only view,
+//! which the replay harness drives. `ts_core::model::CollectMaxModel`
+//! re-runs the same body with and without the cache word, so the
+//! explorer and PCT sweeps of `tests/model_check.rs` check this code.
+//!
+//! # Why the fast path never returns a stale max
+//!
+//! Four invariants carry the timestamp property across both branches:
+//!
+//! - **I1 (monotone cache)**: the cached maximum is only ever
+//!   advanced — by the fast path's `CAS(m → m+1)` and the slow path's
+//!   fetch-max chain — so its value never decreases.
+//! - **I2 (completion publishes)**: every call that returns `t` made
+//!   the cache `>= t` before returning (the fast path's own successful
+//!   CAS; the slow path's fetch-max chain, which only stops once the
+//!   cache is `>= t`).
+//! - **I3 (registers cover completions)**: every call that returns `t`
+//!   wrote `t` to its own register before returning, and each process's
+//!   register values are strictly increasing (both branches return
+//!   values strictly above the process's previous value, by I1/I2 for
+//!   the fast path and by the collect including the own register for
+//!   the slow path).
+//! - **I4 (cache observations are floors)**: the slow path seeds its
+//!   collect with the cache value its failed CAS observed, so a call
+//!   along *either* branch returns strictly more than any cache value
+//!   it observed — which is what makes [`CollectMax::read_max`] a sound
+//!   lower bound even while the cache transiently exceeds every
+//!   register (a fast-path call parked between its CAS and its register
+//!   write).
+//!
+//! If call `A` (returning `t_A`) completes before call `B` begins: a
+//! fast-path `B` loads the cache after `A` made it `>= t_A` (I1, I2) and
+//! returns at least `t_A + 1`; a collecting `B` reads `A`'s register,
+//! which still holds `>= t_A` (I3), and returns at least `t_A + 1`.
+//! Overlapping calls are unconstrained by the timestamp property,
+//! exactly as in the collect-only algorithm.
 
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ts_register::{
-    CachePadded, EpochBackend, PackedBackend, RegisterArray, RegisterBackend, SpaceMeter,
+    CachePadded, EpochBackend, PackedBackend, Register, RegisterArray, RegisterBackend, SpaceMeter,
 };
 
 use crate::error::GetTsError;
 use crate::stats::{ServiceStats, SlotCounters};
 use crate::timestamp::Timestamp;
 use crate::traits::LongLivedTimestamp;
+use crate::words;
 
 /// A reservation of `k` consecutive timestamps from one
 /// [`CollectMax::get_ts_batch`] call — an iterator yielding
@@ -146,8 +183,11 @@ pub struct CollectMax<B: RegisterBackend<u64> = PackedBackend> {
     registers: RegisterArray<u64, B>,
     /// Cached maximum: `>=` the value of every *completed* `getTS`
     /// call, advanced only by CAS/fetch-max (hence monotone). Padded so
-    /// fast-path CASes never share a line with any register.
-    cached_max: CachePadded<AtomicU64>,
+    /// fast-path CASes never share a line with any register, and boxed
+    /// so the object holds no `UnsafeCell` of its own: the compiler may
+    /// then keep the register array's base and length in machine
+    /// registers across a collect's atomic loads through `&self`.
+    cached_max: Box<CachePadded<AtomicU64>>,
     /// Also the call counter: every call, on every path, writes its
     /// own register exactly once, so calls = metered writes and the
     /// fast path needs no counter of its own.
@@ -192,11 +232,10 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
         assert!(processes > 0, "need at least one process");
         let meter = SpaceMeter::new(processes);
         Self {
-            // The array meters its own register traffic, so the
-            // explicit record_* calls of the pre-array implementation
-            // are gone from the getTS paths.
+            // The array meters its writes; a collect's reads are
+            // metered as one sweep.
             registers: RegisterArray::with_backend_and_meter(processes, 0, meter.clone()),
-            cached_max: CachePadded::new(AtomicU64::new(0)),
+            cached_max: Box::new(CachePadded::new(AtomicU64::new(0))),
             meter,
             counters: SlotCounters::new(processes),
         }
@@ -276,13 +315,13 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
     /// all fast-path singles are pairwise disjoint — the stamps they
     /// issue are globally unique, not merely ordered. Only the
     /// collect fallback of [`get_ts`](LongLivedTimestamp::get_ts) (and
-    /// the replay-only classic path) can duplicate a concurrent
-    /// reservation's value, exactly as two concurrent collect calls
-    /// could before; the timestamp property is indifferent to it.
+    /// the register-only collect the replay harness drives) can
+    /// duplicate a concurrent reservation's value, exactly as two
+    /// concurrent collect calls could before; the timestamp property is
+    /// indifferent to it.
     ///
-    /// The invariants I1–I4 of
-    /// [`get_ts_fast_paused`](Self::get_ts_fast_paused) carry over with
-    /// `k` in place of 1: completion publishes (the winning CAS itself
+    /// The invariants I1–I4 of the `getTS` body (module docs) carry over
+    /// with `k` in place of 1: completion publishes (the winning CAS itself
     /// made the cache `>= m+k`, I2), the register covers the batch top
     /// (I3; the write is monotone because the reservation base `m` is
     /// at least the cache value this process's previous call
@@ -329,180 +368,33 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
         Ok(StampBatch::new(m + 1, m + k))
     }
 
-    /// `getTS` along the **classic collect path** with a pause hook:
-    /// `pause` runs immediately before every announced shared-memory
-    /// access (each of the `n` register reads, then the write of the
-    /// process's own register).
-    ///
-    /// This is the step-barrier seam of the schedule-replay harness: a
-    /// controller whose `pause` blocks on a
-    /// [`StepGate`](crate::workload::StepGate) can hold this call
-    /// between any two accesses — e.g. keep the final write pending
-    /// while other processes complete, the paper's stalled-writer
-    /// adversary. With a no-op hook this is the collect fallback of
-    /// `get_ts` (the closure inlines away). Its model twin is
-    /// `ts_core::model::CollectMaxModel`, and the checked-in trace
-    /// corpus depends on its announced-access sequence staying exactly
-    /// `n` reads + 1 write.
-    ///
-    /// One access is deliberately *not* announced: after the own-register
-    /// write, the call publishes its value into the cached maximum with
-    /// a silent `fetch_max`. The cache never feeds back into this path
-    /// (it is read only by the fast path), so the silent access cannot
-    /// change any announced access's observation or this call's output —
-    /// announcing it would desynchronize every pre-fast-path trace for
-    /// no replay fidelity gain. It must happen, though: a later
-    /// *fast-path* call is entitled to see this call's value in the
-    /// cache (invariant I2 below).
-    ///
-    /// # Errors
-    ///
-    /// [`GetTsError::PidOutOfRange`] if `pid >= processes`.
-    pub fn get_ts_paused(
-        &self,
-        pid: usize,
-        mut pause: impl FnMut(),
-    ) -> Result<Timestamp, GetTsError> {
+    /// `getTS` for `pid` on `words` — this object or a view of it: a
+    /// collect is metered as one sweep and counted as slow.
+    pub(crate) fn get_ts_on<S>(&self, words: &S, pid: usize) -> Result<Timestamp, GetTsError>
+    where
+        S: words::Words<Point = Point, Halt = Infallible>,
+    {
         let n = self.register_count();
         if pid >= n {
             return Err(GetTsError::PidOutOfRange { pid, processes: n });
         }
-        let mut max = 0u64;
-        self.registers
-            .sweep_values(&mut pause, |v| max = max.max(v));
-        let t = max + 1;
-        pause();
-        self.write_register(pid, t);
-        // Silent cache publication (see above): not an announced
-        // sub-step, but required so fast-path readers observe this
-        // call's value once it completes.
-        self.cached_max.fetch_max(t, Ordering::AcqRel);
-        self.counters.add(pid, SLOW, 1);
-        Ok(Timestamp::scalar(t))
-    }
-
-    /// `getTS` along the **cached-max fast path** (what
-    /// [`get_ts`](LongLivedTimestamp::get_ts) runs), with a pause hook
-    /// before every shared-memory access — the replay seam for the fast
-    /// path's model twin, `ts_core::model::CollectMaxFastModel`.
-    ///
-    /// Access sequence (each preceded by one `pause()`):
-    /// cache load; cache CAS; then either the own-register write (CAS
-    /// succeeded) or the `n`-read collect, the own-register write, and
-    /// the fetch-max retry chain (one cache load, then one CAS per
-    /// retry).
-    ///
-    /// # Why the fast path never returns a stale max
-    ///
-    /// Four invariants carry the timestamp property across both paths:
-    ///
-    /// - **I1 (monotone cache)**: the cached maximum is only ever
-    ///   advanced — by the fast path's `CAS(m → m+1)` and the slow
-    ///   path's `fetch_max` — so its value never decreases.
-    /// - **I2 (completion publishes)**: every call that returns `t`
-    ///   made the cache `>= t` before returning (the fast path's own
-    ///   successful CAS; the slow path's fetch-max chain, which only
-    ///   stops once the cache is `>= t`).
-    /// - **I3 (registers cover completions)**: every call that returns
-    ///   `t` wrote `t` to its own register before returning, and each
-    ///   process's register values are strictly increasing (both paths
-    ///   return values strictly above the process's previous value, by
-    ///   I1/I2 for the fast path and by the collect including the own
-    ///   register for the slow path).
-    /// - **I4 (cache observations are floors)**: the slow path seeds
-    ///   its collect with the cache value its failed CAS observed, so
-    ///   a call along *either* branch returns strictly more than any
-    ///   cache value it observed — which is what makes
-    ///   [`read_max`](Self::read_max) a sound lower bound even while
-    ///   the cache transiently exceeds every register (a fast-path
-    ///   call parked between its CAS and its register write).
-    ///
-    /// If call `A` (returning `t_A`) completes before call `B` begins:
-    /// a fast-path `B` loads the cache after `A` made it `>= t_A` (I1,
-    /// I2) and returns at least `t_A + 1`; a slow-path or classic
-    /// [`get_ts_paused`](Self::get_ts_paused) `B` collects `A`'s
-    /// register, which still holds
-    /// `>= t_A` (I3), and returns at least `t_A + 1`. Overlapping calls
-    /// are unconstrained by the timestamp property, exactly as in the
-    /// collect-only algorithm.
-    ///
-    /// # Errors
-    ///
-    /// [`GetTsError::PidOutOfRange`] if `pid >= processes`.
-    pub fn get_ts_fast_paused(
-        &self,
-        pid: usize,
-        mut pause: impl FnMut(),
-    ) -> Result<Timestamp, GetTsError> {
-        let n = self.register_count();
-        if pid >= n {
-            return Err(GetTsError::PidOutOfRange { pid, processes: n });
+        let Ok((t, fast)) = get_ts(words, pid);
+        if !fast {
+            self.meter.record_sweep();
+            self.counters.add(pid, SLOW, 1);
         }
-        pause();
-        let m = self.cached_max.load(Ordering::Acquire);
-        let t = m + 1;
-        pause();
-        let observed =
-            match self
-                .cached_max
-                .compare_exchange(m, t, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => {
-                    // Fast path: we advanced the cache m -> m+1 ourselves,
-                    // so t is fresh. Publish it in our register for
-                    // collectors (I3).
-                    pause();
-                    self.write_register(pid, t);
-                    return Ok(Timestamp::scalar(t));
-                }
-                Err(now) => now,
-            };
-        // Validation failed — someone advanced the cache under us. Fall
-        // back to the classic collect, seeded with the cache value the
-        // failed CAS observed (I4: the cache can transiently exceed
-        // every register, and folding it in keeps every observed cache
-        // value a floor for later outputs), then publish into the cache
-        // (I2) with a CAS retry chain (fetch_max spelled out so every
-        // access has a pause point).
-        let mut max = observed;
-        self.registers
-            .sweep_values(&mut pause, |v| max = max.max(v));
-        let t = max + 1;
-        pause();
-        self.write_register(pid, t);
-        pause();
-        let mut cur = self.cached_max.load(Ordering::Acquire);
-        while cur < t {
-            pause();
-            match self
-                .cached_max
-                .compare_exchange(cur, t, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => break,
-                Err(now) => cur = now,
-            }
-        }
-        self.counters.add(pid, SLOW, 1);
         Ok(Timestamp::scalar(t))
     }
 
     /// Read-only observation: the cached maximum, as a timestamp, from
     /// a single `Acquire` load.
     ///
-    /// Contract (invariants I1/I2/I4 of
-    /// [`get_ts_fast_paused`](Self::get_ts_fast_paused)): the result is
-    /// monotone across reads, `>=` the value of every `get_ts` call
-    /// completed before the read, and a strict lower bound on every
-    /// timestamp a *later* [`get_ts`](LongLivedTimestamp::get_ts) call
-    /// can return — both its branches start from a cache observation at
-    /// least this large. One documented exemption: the replay-only
-    /// classic path [`get_ts_paused`](Self::get_ts_paused) collects
-    /// registers without consulting the cache (its announced-access
-    /// sequence is pinned by the trace corpus), so while the cache runs
-    /// ahead of the registers — fast-path callers parked between their
-    /// CAS and their register write — a concurrent-with-them classic
-    /// call may return less than an earlier `read_max`. Completed calls
-    /// are always covered, on every path.
+    /// Contract (invariants I1/I2/I4 of the `getTS` body, in the module
+    /// docs): the result is monotone across reads, `>=` the value of
+    /// every `get_ts` call completed before the read, and a strict lower
+    /// bound on every timestamp a *later*
+    /// [`get_ts`](LongLivedTimestamp::get_ts) call can return — both its
+    /// branches start from a cache observation at least this large.
     pub fn read_max(&self) -> Timestamp {
         Timestamp::scalar(self.cached_max.load(Ordering::Acquire))
     }
@@ -512,15 +404,126 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
     /// kept for diagnostics and for benchmarking against
     /// [`read_max`](Self::read_max).
     pub fn read_max_collect(&self) -> Timestamp {
-        let mut max = 0u64;
-        self.registers.sweep_values(|| {}, |v| max = max.max(v));
-        Timestamp::scalar(max)
+        self.meter.record_sweep();
+        let max = self.registers.registers().iter().map(|r| r.read());
+        Timestamp::scalar(max.max().unwrap_or(0))
+    }
+}
+
+/// Where a collect-max call is, with the locals it still reads. The
+/// fast path names no point: its poised access says where it is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Point {
+    /// Collecting, with the maximum so far.
+    Collect(u64),
+    /// Writing the collected maximum plus one to the own register.
+    Collected,
+    /// Publishing the call's timestamp into the cache.
+    Publish(u64),
+}
+
+/// `getTS` for `pid`: the timestamp, and whether the call took the fast
+/// path, or the storage's halt.
+pub(crate) fn get_ts<S: words::Words<Point = Point>>(
+    s: &S,
+    pid: usize,
+) -> Result<(u64, bool), S::Halt> {
+    let mut max = 0;
+    if S::CACHE {
+        let m = s.load_cache()?;
+        match s.cas_cache(m, m + 1)? {
+            // We advanced the cache m -> m+1 ourselves, so m+1 is
+            // fresh. Publish it in our register for collectors (I3).
+            Ok(_) => {
+                s.write(pid, m + 1)?;
+                return Ok((m + 1, true));
+            }
+            // Someone advanced the cache under us: collect, seeded with
+            // the value the failed CAS observed (I4).
+            Err(now) => max = now,
+        }
+    }
+    for j in 0..s.registers() {
+        s.at(Point::Collect(max));
+        max = max.max(s.read(j)?);
+    }
+    let t = max + 1;
+    s.at(Point::Collected);
+    s.write(pid, t)?;
+    if S::CACHE {
+        // I2: a fetch-max spelled out as a CAS chain.
+        s.at(Point::Publish(t));
+        let mut cur = s.load_cache()?;
+        while cur < t {
+            match s.cas_cache(cur, t)? {
+                Ok(_) => break,
+                Err(now) => cur = now,
+            }
+        }
+    }
+    Ok((t, false))
+}
+
+impl<B: RegisterBackend<u64>> words::Words for CollectMax<B> {
+    const CACHE: bool = true;
+    type Halt = Infallible;
+    type Point = Point;
+
+    fn registers(&self) -> usize {
+        self.register_count()
+    }
+
+    fn read(&self, j: usize) -> Result<u64, Infallible> {
+        Ok(self.registers.registers()[j].read())
+    }
+
+    fn write(&self, j: usize, value: u64) -> Result<(), Infallible> {
+        self.write_register(j, value);
+        Ok(())
+    }
+
+    fn load_cache(&self) -> Result<u64, Infallible> {
+        Ok(self.cached_max.load(Ordering::Acquire))
+    }
+
+    fn cas_cache(&self, current: u64, new: u64) -> Result<Result<u64, u64>, Infallible> {
+        let cache = &self.cached_max;
+        Ok(cache.compare_exchange(current, new, Ordering::AcqRel, Ordering::Acquire))
+    }
+}
+
+/// A [`CollectMax`] without its cache: `getTS` on it is the classic
+/// collect, the algorithm of `ts_core::model::CollectMaxModel::new`.
+///
+/// One access is not the algorithm's: a register write also publishes
+/// its value into the cache with a silent `fetch_max`, so a later
+/// fast-path call on the object still sees every completed call (I2).
+/// The cache never feeds back into this view, so the silent access
+/// changes no observation.
+pub(crate) struct Registers<'a, B: RegisterBackend<u64>>(pub(crate) &'a CollectMax<B>);
+
+impl<B: RegisterBackend<u64>> words::Words for Registers<'_, B> {
+    type Halt = Infallible;
+    type Point = Point;
+
+    fn registers(&self) -> usize {
+        self.0.register_count()
+    }
+
+    fn read(&self, j: usize) -> Result<u64, Infallible> {
+        words::Words::read(self.0, j)
+    }
+
+    fn write(&self, j: usize, value: u64) -> Result<(), Infallible> {
+        self.0.write_register(j, value);
+        self.0.cached_max.fetch_max(value, Ordering::AcqRel);
+        Ok(())
     }
 }
 
 impl<B: RegisterBackend<u64>> LongLivedTimestamp for CollectMax<B> {
     fn get_ts(&self, pid: usize) -> Result<Timestamp, GetTsError> {
-        self.get_ts_fast_paused(pid, || {})
+        self.get_ts_on(self, pid)
     }
 
     fn processes(&self) -> usize {
@@ -545,6 +548,8 @@ impl<B: RegisterBackend<u64>> fmt::Debug for CollectMax<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::words::Gated;
+    use crate::workload::StepGate;
     use std::sync::Arc;
 
     #[test]
@@ -590,8 +595,7 @@ mod tests {
     fn out_of_range_pid_is_rejected() {
         let ts = CollectMax::new(2);
         assert!(ts.get_ts(2).is_err());
-        assert!(ts.get_ts_paused(2, || {}).is_err());
-        assert!(ts.get_ts_fast_paused(2, || {}).is_err());
+        assert!(ts.get_ts_on(&Registers(&ts), 2).is_err());
     }
 
     #[test]
@@ -607,8 +611,8 @@ mod tests {
     fn classic_path_still_orders_and_feeds_the_fast_path() {
         let ts = CollectMax::new(2);
         // Classic collect path completes with 3...
-        let a = ts.get_ts_paused(0, || {}).unwrap();
-        let b = ts.get_ts_paused(1, || {}).unwrap();
+        let a = ts.get_ts_on(&Registers(&ts), 0).unwrap();
+        let b = ts.get_ts_on(&Registers(&ts), 1).unwrap();
         // ...and the silent fetch_max must make the fast path see it.
         let c = ts.get_ts(0).unwrap();
         assert!(Timestamp::compare(&a, &b));
@@ -636,14 +640,19 @@ mod tests {
     }
 
     #[test]
-    fn fast_paused_announces_the_documented_access_sequence() {
+    fn gated_calls_announce_the_documented_access_sequence() {
+        let gate = StepGate::new();
+        gate.release_all();
         let ts = CollectMax::new(2);
-        let mut pauses = 0u32;
-        let t = ts.get_ts_fast_paused(0, || pauses += 1).unwrap();
+        let t = ts.get_ts_on(&Gated::new(&ts, &gate), 0).unwrap();
         assert_eq!(t, Timestamp::scalar(1));
         // Solo fast path: cache load, CAS, own write.
-        assert_eq!(pauses, 3);
+        assert_eq!(gate.progress().announced, 3);
         assert_eq!(ts.fast_path_hits(), 1);
+        // Register-only: two reads and the own write.
+        ts.get_ts_on(&Gated::new(&Registers(&ts), &gate), 1)
+            .unwrap();
+        assert_eq!(gate.progress().announced, 3 + 3);
     }
 
     #[test]
@@ -784,7 +793,7 @@ mod tests {
                             if p % 2 == 0 {
                                 ts.get_ts(p).unwrap()
                             } else {
-                                ts.get_ts_paused(p, || {}).unwrap()
+                                ts.get_ts_on(&Registers(&ts), p).unwrap()
                             }
                         })
                     })

@@ -11,10 +11,11 @@
 //!
 //! The paper proves long-lived objects need Ω(n) registers while one-shot
 //! objects need only Θ(√n), and exhibits matching algorithms. This crate
-//! implements them all, twice: as real thread-safe objects over the
-//! `ts-register` substrate, and as deterministic step machines over the
-//! `ts-model` formal model (for model checking and the lower-bound
-//! constructions).
+//! implements each of them once, as real thread-safe objects over the
+//! `ts-register` substrate whose `getTS` bodies are generic over their
+//! storage, and runs the same bodies as deterministic step machines over
+//! the `ts-model` formal model ([`model`], for model checking and the
+//! lower-bound constructions).
 //!
 //! | Type | Paper artifact | Registers |
 //! |---|---|---|
@@ -50,6 +51,7 @@ mod simple;
 mod stats;
 mod timestamp;
 mod traits;
+mod words;
 pub mod workload;
 
 pub use bounded::{BoundedTimestamp, OverwritePolicy, PhaseStats};

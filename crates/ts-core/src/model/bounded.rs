@@ -1,26 +1,25 @@
 //! Algorithm 4 (the `⌈2√M⌉`-register object) for the model checker.
 //!
-//! There is no twin here: a [`BoundedMachine`] runs the production
-//! `getTS` body of [`crate::bounded`] over a storage that replays the
-//! call's observations so far, in order, and stops at the first access
-//! past them. That access is the machine's poised step. Observing it
-//! appends to the log and runs the body again, so every step the
-//! explorer, the schedulers and the covering constructions take is a
-//! step of the code [`BoundedTimestamp`](crate::BoundedTimestamp) runs.
+//! A call's machine is a [`Rerun`] of the production `getTS` body of
+//! [`crate::bounded`] over a storage that replays the call's
+//! observations so far, so every step the explorer, the schedulers and
+//! the covering constructions take is a step of the code
+//! [`BoundedTimestamp`](crate::BoundedTimestamp) runs.
 //!
 //! A model register holds a [`Word`]: the word the real object stores,
 //! bit for bit, plus the line-15 sequence that the real object keeps in
 //! the writer's cell. The model's only shared state is its registers,
 //! so the cell travels with the word that publishes it.
 
-use std::cell::Cell;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use ts_model::{Algorithm, Machine, Poised, ProcId};
+use ts_model::rerun::{Body, Log, Rerun, Step};
+use ts_model::{Algorithm, ProcId};
 
 use crate::bounded::{
-    get_ts, registers_for_budget, rnd_of, writer_field, OverwritePolicy, Storage, WRITER_BITS,
+    get_ts, registers_for_budget, rnd_of, writer_field, OverwritePolicy, Point, Storage,
+    WRITER_BITS,
 };
 use crate::timestamp::Timestamp;
 use crate::BoundedTimestamp;
@@ -37,6 +36,12 @@ pub struct Word {
 
 impl Word {
     const BOT: Word = Word { word: 0, seq: None };
+
+    /// The register word the real object stores.
+    #[cfg(test)]
+    pub(crate) fn word(&self) -> u64 {
+        self.word
+    }
 }
 
 /// `⊥`, or `⟨rnd r, w k⟩` for a write by writer index `k` in round `r`,
@@ -58,28 +63,45 @@ impl fmt::Debug for Word {
     }
 }
 
-/// The storage one run of the body sees: `log` replayed in order, then
-/// a halt at the first access past it.
-struct Replay<'a> {
-    log: &'a [Option<Word>],
-    next: Cell<usize>,
+/// Where a model call is: the body's program point with the locals it
+/// still reads, a word read standing with the line-15 sequence its
+/// writer published, if the call has seen it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum At {
+    /// Lines 1–4, with the last non-`⊥` word read.
+    Prefix(Word),
+    /// Lines 6, 7 and 11 at `j`, with `R[myrnd]` as read.
+    Loop(usize, Word),
+    /// Line 9.
+    Turn,
+    /// Line 13 over `R[1..=hi]`: `hi`, the view so far and, past the
+    /// first collect, whether the current one has matched it.
+    Scan(usize, Box<[u64]>, Option<bool>),
+    /// Line 15.
+    Open,
+}
+
+/// The storage one run of the body sees: the call's log, with the
+/// line-15 cells filled from the words read.
+struct Replay<'l, 'a> {
+    log: &'l Log<'a, BoundedCall>,
     m: usize,
-    /// The line-15 cells, by writer index, filled from the words read.
+    /// The line-15 cells, by writer index.
     cells: Box<[OnceLock<Box<[u32]>>]>,
 }
 
-impl Replay<'_> {
-    /// The logged observation of the next access, if it was made.
-    fn replay(&self) -> Option<&Option<Word>> {
-        let k = self.next.get();
-        self.next.set(k + 1);
-        self.log.get(k)
+impl Replay<'_, '_> {
+    /// `word` with the sequence its writer published, if read.
+    fn word(&self, word: u64) -> Word {
+        let cell = (word != 0).then(|| &self.cells[writer_field::<Self>(word) as usize - 1]);
+        let seq = cell.and_then(OnceLock::get).map(|seq| Arc::from(&seq[..]));
+        Word { word, seq }
     }
 }
 
-impl Storage for Replay<'_> {
+impl Storage for Replay<'_, '_> {
     const WRITER_BITS: u32 = WRITER_BITS;
-    type Halt = Poised<Word, Timestamp>;
+    type Halt = Step<BoundedCall>;
 
     fn registers(&self) -> usize {
         self.m
@@ -88,10 +110,7 @@ impl Storage for Replay<'_> {
     /// The logged value; a word carrying a sequence fills its writer's
     /// cell, as the real object's cell is set before its word is seen.
     fn read(&self, j: usize) -> Result<u64, Self::Halt> {
-        let Some(observed) = self.replay() else {
-            return Err(Poised::Read { reg: j - 1 });
-        };
-        let value = observed.as_ref().expect("a logged read holds its value");
+        let value = self.log.read(j - 1)?;
         if let Some(seq) = &value.seq {
             let writer = writer_field::<Self>(value.word) as usize - 1;
             let _ = self.cells[writer].set(seq.iter().copied().collect());
@@ -101,46 +120,46 @@ impl Storage for Replay<'_> {
 
     /// A line-15 write carries the sequence the body has just stored.
     fn write(&self, j: usize, word: u64, opens_phase: bool) -> Result<(), Self::Halt> {
-        if self.replay().is_some() {
-            return Ok(());
-        }
-        let seq = opens_phase.then(|| {
-            let writer = writer_field::<Self>(word) as usize - 1;
-            let seq = self.cells[writer]
-                .get()
-                .expect("line 15 stores r.seq first");
-            Arc::from(&seq[..])
-        });
-        Err(Poised::Write {
-            reg: j - 1,
-            value: Word { word, seq },
+        self.log.write(j - 1, || {
+            let seq = opens_phase.then(|| {
+                let writer = writer_field::<Self>(word) as usize - 1;
+                let seq = self.cells[writer]
+                    .get()
+                    .expect("line 15 stores r.seq first");
+                Arc::from(&seq[..])
+            });
+            Word { word, seq }
         })
     }
 
     fn line15(&self, writer: usize) -> &OnceLock<Box<[u32]>> {
         &self.cells[writer]
     }
+
+    fn at(&self, point: Point<'_>) {
+        self.log.at(match point {
+            Point::Prefix { last } => At::Prefix(self.word(last)),
+            Point::Loop { j, last } => At::Loop(j, self.word(last)),
+            Point::Turn => At::Turn,
+            Point::Scan(hi, view, same) => At::Scan(hi, view.into(), same),
+            Point::Open => At::Open,
+        });
+    }
 }
 
-/// One Algorithm 4 `getTS` call as a step machine: the production body
-/// re-run over its observation log.
+/// One Algorithm 4 `getTS` call: writer index `me` on an object of
+/// budget `M = budget` over `m` registers.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct BoundedMachine {
-    /// The call's writer index.
+pub struct BoundedCall {
     me: usize,
     m: usize,
     budget: usize,
     policy: OverwritePolicy,
-    /// What each step so far observed: the value read, or `None` for a
-    /// write.
-    log: Vec<Option<Word>>,
-    /// Where the body stops on `log`.
-    poised: Poised<Word, Timestamp>,
 }
 
-impl BoundedMachine {
-    /// Creates the machine for writer index `writer` on an object of
-    /// budget `M = budget`, over `max(⌈2√M⌉, 2)` registers.
+impl BoundedCall {
+    /// The call of writer index `writer` on an object of budget
+    /// `M = budget`, over `max(⌈2√M⌉, 2)` registers.
     ///
     /// # Panics
     ///
@@ -148,48 +167,27 @@ impl BoundedMachine {
     pub fn new(writer: usize, budget: usize, policy: OverwritePolicy) -> Self {
         assert!(writer < budget, "writer {writer} outside budget {budget}");
         assert!(budget <= BoundedTimestamp::MAX_BUDGET);
-        let mut machine = Self {
+        Self {
             me: writer,
             m: registers_for_budget(budget).max(2),
             budget,
             policy,
-            log: Vec::new(),
-            poised: Poised::Read { reg: 0 },
-        };
-        machine.poised = machine.run();
-        machine
-    }
-
-    /// Runs the body over the log up to its first unlogged access.
-    fn run(&self) -> Poised<Word, Timestamp> {
-        let storage = Replay {
-            log: &self.log,
-            next: Cell::new(0),
-            m: self.m,
-            cells: (0..self.budget).map(|_| OnceLock::new()).collect(),
-        };
-        match get_ts(&storage, self.me, self.policy) {
-            Ok((ts, ..)) => Poised::Done(ts),
-            Err(step) => step,
         }
     }
 }
 
-impl Machine for BoundedMachine {
+impl Body for BoundedCall {
     type Value = Word;
     type Output = Timestamp;
+    type Point = At;
 
-    fn poised(&self) -> Poised<Word, Timestamp> {
-        self.poised.clone()
-    }
-
-    fn observe(&mut self, observed: Option<Word>) {
-        match (&self.poised, &observed) {
-            (Poised::Read { .. }, Some(_)) | (Poised::Write { .. }, None) => {}
-            (poised, obs) => panic!("invalid observe({obs:?}) while poised on {poised:?}"),
-        }
-        self.log.push(observed);
-        self.poised = self.run();
+    fn run(&self, log: &Log<'_, Self>) -> Result<Timestamp, Step<Self>> {
+        let storage = Replay {
+            log,
+            m: self.m,
+            cells: (0..self.budget).map(|_| OnceLock::new()).collect(),
+        };
+        get_ts(&storage, self.me, self.policy).map(|(ts, ..)| ts)
     }
 }
 
@@ -254,7 +252,7 @@ impl BoundedModel {
 }
 
 impl Algorithm for BoundedModel {
-    type Machine = BoundedMachine;
+    type Machine = Rerun<BoundedCall>;
 
     fn processes(&self) -> usize {
         self.n
@@ -268,16 +266,16 @@ impl Algorithm for BoundedModel {
         Word::BOT
     }
 
-    fn invoke(&self, pid: ProcId, op_index: usize) -> BoundedMachine {
+    fn invoke(&self, pid: ProcId, op_index: usize) -> Rerun<BoundedCall> {
         assert!(
             op_index < self.ops_per_process,
             "invocation budget exceeded for p{pid}"
         );
-        BoundedMachine::new(
+        Rerun::new(BoundedCall::new(
             pid * self.ops_per_process + op_index,
             self.n * self.ops_per_process,
             self.policy,
-        )
+        ))
     }
 
     fn compare(&self, t1: &Timestamp, t2: &Timestamp) -> bool {
@@ -292,9 +290,7 @@ impl Algorithm for BoundedModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::GetTsId;
-    use crate::traits::OneShotTimestamp;
-    use ts_model::{Explorer, RandomScheduler, System};
+    use ts_model::{Explorer, Machine, RandomScheduler, System};
 
     #[test]
     fn solo_sequence_matches_concrete_walkthrough() {
@@ -314,53 +310,6 @@ mod tests {
             assert_eq!(got, *want, "call {p}");
         }
         assert!(sys.check_property().is_none());
-    }
-
-    /// The real object's registers `R[1..m]` as words.
-    fn words(ts: &BoundedTimestamp) -> Vec<u64> {
-        (1..=ts.registers())
-            .map(|j| {
-                let Ok(word) = Storage::read(ts, j);
-                word
-            })
-            .collect()
-    }
-
-    /// Runs `model` solo, one call after another in `order` of
-    /// `(pid, op_index)`, next to `call` on `object`; after each call
-    /// the stamps and every register word must agree.
-    fn assert_agrees(
-        model: BoundedModel,
-        object: &BoundedTimestamp,
-        order: impl IntoIterator<Item = usize>,
-        call: impl Fn(&BoundedTimestamp, usize) -> Timestamp,
-    ) {
-        let mut sys = System::new(model);
-        for (k, pid) in order.into_iter().enumerate() {
-            let got = sys.run_solo_to_completion(pid, 100_000).unwrap();
-            assert_eq!(got, call(object, k), "call {k}");
-            let model_words: Vec<u64> = sys.config().regs.iter().map(|r| r.word).collect();
-            assert_eq!(model_words, words(object), "call {k}");
-        }
-        assert!(sys.check_property().is_none());
-    }
-
-    #[test]
-    fn model_and_object_agree_word_for_word() {
-        for n in 1..=64 {
-            assert_agrees(
-                BoundedModel::new(n),
-                &BoundedTimestamp::one_shot(n),
-                0..n,
-                |ts, k| ts.get_ts(k).unwrap(),
-            );
-            assert_agrees(
-                BoundedModel::with_ops(1, n, OverwritePolicy::Paper),
-                &BoundedTimestamp::with_budget(n),
-                std::iter::repeat_n(0, n),
-                |ts, k| ts.get_ts_with_id(GetTsId::new(0, k as u32)).unwrap(),
-            );
-        }
     }
 
     #[test]
@@ -446,7 +395,7 @@ mod tests {
 
     #[test]
     fn machine_rejects_invalid_observation() {
-        let mut m = BoundedMachine::new(0, 1, OverwritePolicy::Paper);
+        let mut m = Rerun::new(BoundedCall::new(0, 1, OverwritePolicy::Paper));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             m.observe(None) // poised on a read
         }));

@@ -16,7 +16,13 @@
 //! single hardware atomic, with no heap traffic and no epoch pinning.
 //! The epoch-backed variant ([`EpochSimpleOneShot`]) exists for
 //! apples-to-apples substrate comparisons in `bench_contention`.
+//!
+//! `simple-getTS` is written once, as `get_ts` over the crate's
+//! register-word storage: the object is one storage, and the model
+//! checker's `ts_core::model::SimpleModel` re-runs the same body over a
+//! replaying one.
 
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -25,6 +31,7 @@ use ts_register::{BackendRegister, EpochBackend, PackedBackend, RegisterBackend,
 use crate::error::GetTsError;
 use crate::timestamp::Timestamp;
 use crate::traits::OneShotTimestamp;
+use crate::words;
 
 /// One-shot timestamp object using `⌈n/2⌉` registers (Algorithms 1–2),
 /// generic over the register storage backend.
@@ -94,17 +101,59 @@ impl<B: RegisterBackend<u64>> SimpleOneShot<B> {
     /// `observed_sum() + ⌈n/2⌉` (each register adds at most 2). Used as
     /// the workload engine's *scan* operation.
     pub fn observed_sum(&self) -> u64 {
-        (0..self.registers.len()).map(|i| self.read(i)).sum()
+        let reads = (0..self.registers.len()).map(|i| words::Words::read(self, i));
+        reads.map(|Ok(v)| v).sum()
+    }
+}
+
+/// Where a `simple-getTS` call is in its walk, with the sum so far.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Point {
+    /// Reading the next register (and writing it, if it is the own).
+    Walk(u64),
+    /// Re-reading the own register after incrementing it.
+    Reread(u64),
+}
+
+/// Algorithm 2 for `pid`: walk all registers, incrementing the own one
+/// (register `i` is shared by processes `2i` and `2i+1`); the sum of the
+/// observed values, or the storage's halt.
+pub(crate) fn get_ts<S: words::Words<Point = Point>>(s: &S, pid: usize) -> Result<u64, S::Halt> {
+    let own = pid / 2;
+    let mut sum = 0;
+    for i in 0..s.registers() {
+        s.at(Point::Walk(sum));
+        let v = s.read(i)?;
+        if i == own {
+            // R[i] := R[i] + 1, then sum := sum + R[i] — read, write,
+            // re-read, exactly as in the pseudocode.
+            s.write(i, v + 1)?;
+            s.at(Point::Reread(sum));
+            sum += s.read(i)?;
+        } else {
+            sum += v;
+        }
+    }
+    Ok(sum)
+}
+
+impl<B: RegisterBackend<u64>> words::Words for SimpleOneShot<B> {
+    type Halt = Infallible;
+    type Point = Point;
+
+    fn registers(&self) -> usize {
+        self.registers.len()
     }
 
-    fn read(&self, i: usize) -> u64 {
+    fn read(&self, i: usize) -> Result<u64, Infallible> {
         self.meter.record_read(i);
-        ts_register::Register::read(&self.registers[i])
+        Ok(ts_register::Register::read(&self.registers[i]))
     }
 
-    fn write(&self, i: usize, v: u64) {
+    fn write(&self, i: usize, value: u64) -> Result<(), Infallible> {
         self.meter.record_write(i);
-        ts_register::Register::write(&self.registers[i], v);
+        ts_register::Register::write(&self.registers[i], value);
+        Ok(())
     }
 }
 
@@ -121,20 +170,7 @@ impl<B: RegisterBackend<u64>> OneShotTimestamp for SimpleOneShot<B> {
         if self.used[pid].swap(true, Ordering::AcqRel) {
             return Err(GetTsError::AlreadyUsed { pid });
         }
-        // Register i is written by processes 2i and 2i+1 (0-indexed).
-        let own = pid / 2;
-        let mut sum = 0u64;
-        for i in 0..self.registers.len() {
-            if i == own {
-                // R[i] := R[i] + 1, then sum := sum + R[i] — read,
-                // write, re-read, exactly as in the pseudocode.
-                let v = self.read(i);
-                self.write(i, v + 1);
-                sum += self.read(i);
-            } else {
-                sum += self.read(i);
-            }
-        }
+        let Ok(sum) = get_ts(self, pid);
         Ok(Timestamp::scalar(sum))
     }
 
@@ -218,8 +254,8 @@ mod tests {
         for p in 0..6 {
             ts.get_ts(p).unwrap();
         }
-        for i in 0..ts.registers() {
-            let v = ts.read(i);
+        for i in 0..ts.registers.len() {
+            let Ok(v) = words::Words::read(&ts, i);
             assert!(v <= 2, "register {i} = {v}");
         }
     }

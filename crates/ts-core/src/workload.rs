@@ -71,13 +71,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use ts_register::{CachePadded, RegisterBackend};
 
 use crate::broken::BrokenCounter;
-use crate::collectmax::CollectMax;
+use crate::collectmax::{CollectMax, Registers};
 use crate::error::GetTsError;
 use crate::growable::GrowableTimestamp;
 use crate::ids::GetTsId;
 use crate::stats::ServiceStats;
 use crate::timestamp::Timestamp;
 use crate::traits::{LongLivedTimestamp, OneShotTimestamp};
+use crate::words::Gated;
 
 /// Hands out globally unique virtual process ids (vpids).
 ///
@@ -427,9 +428,8 @@ pub trait WorkloadWorker {
     /// op-start pause — and then runs [`step`](WorkloadWorker::step)
     /// unpaused, which is the [`ReplayGranularity::Op`] contract.
     /// [`StampWorker`] overrides it to hand the gate to
-    /// [`StampSource::issue`], so objects that expose their
-    /// shared-memory phases (e.g. `CollectMax::get_ts_paused`) announce
-    /// one sub-step per access.
+    /// [`StampSource::issue`], so objects whose `getTS` runs on a gated
+    /// storage (e.g. [`CollectMax`]) announce one sub-step per access.
     fn step_gated(&mut self, op: WorkloadOp, gate: &StepGate) -> WorkloadOp {
         gate.pause();
         self.step(op)
@@ -621,12 +621,14 @@ impl<B: RegisterBackend<u64>> StampSource for CollectMax<B> {
     type State<'a> = usize;
     type Stamp = Timestamp;
 
-    /// Ungated: the cached-max fast path. Gated: the classic collect,
-    /// which the model twin and the checked-in traces follow.
+    /// Ungated: [`get_ts`](LongLivedTimestamp::get_ts), the cached-max
+    /// fast path. Gated: the same body on the register-only view — the
+    /// classic collect, which `model::CollectMaxModel::new` re-runs and
+    /// the checked-in `collect_max` traces follow.
     fn issue(&self, slot: &mut usize, gate: Option<&StepGate>) -> (Timestamp, Timestamp) {
         let t = match gate {
             None => self.get_ts(*slot),
-            Some(gate) => self.get_ts_paused(*slot, || gate.pause()),
+            Some(gate) => self.get_ts_on(&Gated::new(&Registers(self), gate), *slot),
         };
         let t = t.expect("slot < processes");
         (t, t)
@@ -674,20 +676,21 @@ impl<B: RegisterBackend<u64>> WorkloadTarget for CollectMax<B> {
 }
 
 // ---------------------------------------------------------------------
-// CollectMaxFast: the same object replayed along its cached-max fast
-// path instead of the classic collect.
+// CollectMaxFast: the same object replayed with its cache word.
 // ---------------------------------------------------------------------
 
-/// [`CollectMax`] wrapped so that gated replay drives
-/// [`CollectMax::get_ts_fast_paused`] — the cached-max fast path with
-/// one announced sub-step per shared access — instead of the classic
-/// collect path the bare `CollectMax` target announces.
+/// [`CollectMax`] wrapped so that gated replay runs `getTS` on the
+/// object itself — the cached-max fast path and its collect fallback,
+/// with one announced sub-step per shared access, cache accesses
+/// included — instead of on the register-only view the bare
+/// `CollectMax` target gates.
 ///
 /// Two targets exist because their announced access sequences differ
-/// and each must match its own model twin: bare `CollectMax` ↔
-/// `CollectMaxModel` (the checked-in pre-fast-path traces), this
-/// wrapper ↔ `CollectMaxFastModel` (the fast-path regression traces).
-/// Ungated stepping is identical in both (`get_ts` *is* the fast path).
+/// and each must match its own model: bare `CollectMax` ↔
+/// `CollectMaxModel::new` (the checked-in register-only traces), this
+/// wrapper ↔ `CollectMaxModel::with_cache` (the fast-path regression
+/// traces). Ungated stepping is identical in both (`get_ts` *is* the
+/// fast path).
 #[derive(Debug)]
 pub struct CollectMaxFast<B: RegisterBackend<u64> = crate::PackedBackend>(CollectMax<B>);
 
@@ -710,7 +713,7 @@ impl<B: RegisterBackend<u64>> StampSource for CollectMaxFast<B> {
     fn issue(&self, slot: &mut usize, gate: Option<&StepGate>) -> (Timestamp, Timestamp) {
         let t = match gate {
             None => self.0.get_ts(*slot),
-            Some(gate) => self.0.get_ts_fast_paused(*slot, || gate.pause()),
+            Some(gate) => self.0.get_ts_on(&Gated::new(&self.0, gate), *slot),
         };
         let t = t.expect("slot < processes");
         (t, t)
@@ -1007,9 +1010,9 @@ impl<T: OneShotTimestamp> WorkloadTarget for OneShotPool<T> {
 // Unlike the other one-shot objects (which the scenario engine drives
 // through `OneShotPool`'s fresh-object cycling), this target is
 // replay-only: each slot supports exactly ONE `GetTs`, mirroring its
-// one-shot model twin (`ops_per_process = Some(1)`), and a second op
+// one-shot model (`ops_per_process = Some(1)`), and a second op
 // panics with a clear message (a `Scan`, or a `Compare` that lacks two
-// stamps, substitutes a second `GetTs`). Traces built from the twin can
+// stamps, substitutes a second `GetTs`). Traces built from its model can
 // never request a second op per process (the model refuses to invoke
 // one), so the panic is reachable only by driving this target outside
 // the replay harness — wrap it in `OneShotPool` for scenario use
@@ -1021,7 +1024,10 @@ impl StampSource for BrokenCounter {
     type Stamp = Timestamp;
 
     fn issue(&self, pid: &mut usize, gate: Option<&StepGate>) -> (Timestamp, Timestamp) {
-        let t = self.get_ts_paused(*pid, || gate.map_or((), StepGate::pause));
+        let t = match gate {
+            None => self.get_ts_on(self, *pid),
+            Some(gate) => self.get_ts_on(&Gated::new(self, gate), *pid),
+        };
         let t = t.expect(
             "broken_counter is a replay-only one-shot target: each slot supports exactly \
              one GetTs (wrap it in OneShotPool for scenario-engine use)",

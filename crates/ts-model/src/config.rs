@@ -114,12 +114,13 @@ impl<M: Machine> Configuration<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::toy::CounterMachine;
+    use crate::rerun::Rerun;
+    use crate::toy::{Counter, CounterMachine};
 
     fn covering_machine(reg: usize) -> CounterMachine {
         // A CounterMachine first reads register 0, then writes; drive it
         // past the read so that it covers its register.
-        let mut m = CounterMachine::new(reg);
+        let mut m = Rerun::new(Counter::new(reg));
         m.observe(Some(0)); // deliver the read
         m
     }

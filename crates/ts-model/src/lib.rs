@@ -7,6 +7,9 @@
 //!
 //! - [`Machine`] / [`Algorithm`] — deterministic step machines describing
 //!   one method call, and factories that mint them per invocation;
+//! - [`rerun::Rerun`] — the machine of a call whose code the model
+//!   re-runs over the call's observations, so the checked code is the
+//!   code that ships;
 //! - [`Configuration`] — the paper's `(s_1..s_n, v_1..v_m)` tuples, with
 //!   covering detection and indistinguishability;
 //! - [`System`] — a configuration coupled with an invocation/response
@@ -49,6 +52,7 @@ mod machine;
 mod pct;
 pub mod program;
 pub mod replay;
+pub mod rerun;
 mod schedule;
 mod shrink;
 mod solo;

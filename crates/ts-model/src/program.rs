@@ -15,7 +15,7 @@
 //! full-vs-DPOR disagreement on violations or outcome sets.
 
 use crate::algorithm::Algorithm;
-use crate::machine::{Machine, Poised};
+use crate::rerun::{Body, Log, Rerun, Step};
 use crate::schedule::ProcId;
 
 /// One step of a straight-line register program.
@@ -64,71 +64,54 @@ impl ProgStep {
     }
 }
 
-/// A machine executing one straight-line program to completion.
+/// One straight-line program's call, its output seeded with `seed`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ProgramMachine {
+pub struct Program {
     steps: Vec<ProgStep>,
-    pc: usize,
-    acc: u64,
+    seed: u64,
 }
 
-impl Machine for ProgramMachine {
+impl Program {
+    /// The steps from the one at `point`'s pc on (none once done).
+    fn rest(&self, point: Option<&(usize, u64)>) -> &[ProgStep] {
+        &self.steps[point.map_or(self.steps.len(), |&(pc, _)| pc)..]
+    }
+}
+
+impl Body for Program {
     type Value = u64;
     type Output = u64;
+    /// The pc and the output folded so far.
+    type Point = (usize, u64);
 
-    fn poised(&self) -> Poised<u64, u64> {
-        match self.steps.get(self.pc) {
-            None => Poised::Done(self.acc),
-            Some(ProgStep::Read { reg }) => Poised::Read { reg: *reg },
-            Some(ProgStep::Write { reg, value }) => Poised::Write {
-                reg: *reg,
-                value: *value,
-            },
-            Some(ProgStep::Cas { reg, expected, new }) => Poised::Cas {
-                reg: *reg,
-                expected: *expected,
-                new: *new,
-            },
-        }
-    }
-
-    fn observe(&mut self, observed: Option<u64>) {
-        let step = &self.steps[self.pc];
-        match (step.observes(), observed) {
-            (true, Some(value)) => {
-                // Order-sensitive fold: distinct observation sequences
-                // give distinct outputs (up to 64-bit collisions), so
-                // the outcome set distinguishes interleavings.
-                self.acc = self.acc.wrapping_mul(1_000_003).wrapping_add(value);
+    fn run(&self, log: &Log<'_, Self>) -> Result<u64, Step<Self>> {
+        // Order-sensitive fold: distinct observation sequences give
+        // distinct outputs (up to 64-bit collisions), so the outcome
+        // set distinguishes interleavings.
+        let fold = |acc: u64, value: &u64| acc.wrapping_mul(1_000_003).wrapping_add(*value);
+        let mut acc = self.seed;
+        for (pc, step) in self.steps.iter().enumerate() {
+            log.at((pc, acc));
+            match step {
+                ProgStep::Read { reg } => acc = fold(acc, log.read(*reg)?),
+                ProgStep::Write { reg, value } => log.write(*reg, || *value)?,
+                ProgStep::Cas { reg, expected, new } => {
+                    acc = fold(acc, log.cas(*reg, *expected, *new)?);
+                }
             }
-            (false, None) => {}
-            (expects, got) => panic!(
-                "observation mismatch at pc {}: expects_value={expects}, got {got:?}",
-                self.pc
-            ),
         }
-        self.pc += 1;
+        Ok(acc)
     }
 
     // Straight-line programs make the remaining footprints exact.
-    fn may_read(&self) -> Option<Vec<usize>> {
-        Some(
-            self.steps[self.pc.min(self.steps.len())..]
-                .iter()
-                .filter(|s| s.observes())
-                .map(ProgStep::reg)
-                .collect(),
-        )
+    fn may_read(&self, _step: &Step<Self>, point: Option<&(usize, u64)>) -> Option<Vec<usize>> {
+        let rest = self.rest(point).iter().filter(|s| s.observes());
+        Some(rest.map(ProgStep::reg).collect())
     }
 
-    fn may_write(&self) -> Option<Vec<usize>> {
-        Some(
-            self.steps[self.pc.min(self.steps.len())..]
-                .iter()
-                .filter(|s| s.mutates())
-                .map(ProgStep::reg)
-                .collect(),
-        )
+    fn may_write(&self, _step: &Step<Self>, point: Option<&(usize, u64)>) -> Option<Vec<usize>> {
+        let rest = self.rest(point).iter().filter(|s| s.mutates());
+        Some(rest.map(ProgStep::reg).collect())
     }
 }
 
@@ -173,7 +156,7 @@ impl ProgramAlgorithm {
 }
 
 impl Algorithm for ProgramAlgorithm {
-    type Machine = ProgramMachine;
+    type Machine = Rerun<Program>;
 
     fn processes(&self) -> usize {
         self.programs.len()
@@ -187,12 +170,11 @@ impl Algorithm for ProgramAlgorithm {
         0
     }
 
-    fn invoke(&self, pid: ProcId, _op_index: usize) -> ProgramMachine {
-        ProgramMachine {
+    fn invoke(&self, pid: ProcId, _op_index: usize) -> Rerun<Program> {
+        Rerun::new(Program {
             steps: self.programs[pid].clone(),
-            pc: 0,
-            acc: pid as u64 + 1,
-        }
+            seed: pid as u64 + 1,
+        })
     }
 
     fn compare(&self, t1: &u64, t2: &u64) -> bool {

@@ -97,7 +97,7 @@ pub struct ReplayTrace {
     pub schema: String,
     /// Label of the generating algorithm ("collect_max",
     /// "broken_counter", ...). Replay harnesses use it to pick the real
-    /// twin object.
+    /// object.
     pub algorithm: String,
     /// Number of processes the algorithm instance was configured for.
     pub processes: usize,

@@ -9,71 +9,52 @@
 //! violation at n = 4.
 
 use crate::algorithm::Algorithm;
-use crate::machine::{Machine, Poised};
+use crate::machine::Poised;
+use crate::rerun::{Body, Log, Rerun, Step};
 use crate::schedule::ProcId;
 
-/// Phase of a [`CounterMachine`].
+/// One counter call on register `reg`: read it, write `read + 1`,
+/// return `read + 1`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Phase {
-    Start,
-    Write(u64),
-    Done(u64),
-}
-
-/// Step machine: read register, write `read + 1`, return `read + 1`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CounterMachine {
+pub struct Counter {
     reg: usize,
-    phase: Phase,
 }
 
-impl CounterMachine {
-    /// Creates a machine operating on register `reg`.
+impl Counter {
+    /// The call on register `reg`.
     pub fn new(reg: usize) -> Self {
-        Self {
-            reg,
-            phase: Phase::Start,
-        }
+        Self { reg }
     }
 }
 
-impl Machine for CounterMachine {
+impl Body for Counter {
     type Value = u64;
     type Output = u64;
+    type Point = ();
 
-    fn poised(&self) -> Poised<u64, u64> {
-        match &self.phase {
-            Phase::Start => Poised::Read { reg: self.reg },
-            Phase::Write(v) => Poised::Write {
-                reg: self.reg,
-                value: *v,
-            },
-            Phase::Done(v) => Poised::Done(*v),
-        }
+    fn run(&self, log: &Log<'_, Self>) -> Result<u64, Step<Self>> {
+        let v = *log.read(self.reg)?;
+        log.write(self.reg, || v + 1)?;
+        Ok(v + 1)
     }
 
-    fn observe(&mut self, observed: Option<u64>) {
-        self.phase = match (&self.phase, observed) {
-            (Phase::Start, Some(v)) => Phase::Write(v + 1),
-            (Phase::Write(v), None) => Phase::Done(*v),
-            (phase, obs) => panic!("invalid observe({obs:?}) in phase {phase:?}"),
-        };
-    }
-
-    fn may_read(&self) -> Option<Vec<usize>> {
-        Some(match self.phase {
-            Phase::Start => vec![self.reg],
-            Phase::Write(_) | Phase::Done(_) => vec![],
+    fn may_read(&self, step: &Step<Self>, _point: Option<&()>) -> Option<Vec<usize>> {
+        Some(match step {
+            Poised::Read { .. } => vec![self.reg],
+            _ => vec![],
         })
     }
 
-    fn may_write(&self) -> Option<Vec<usize>> {
-        Some(match self.phase {
-            Phase::Start | Phase::Write(_) => vec![self.reg],
-            Phase::Done(_) => vec![],
+    fn may_write(&self, step: &Step<Self>, _point: Option<&()>) -> Option<Vec<usize>> {
+        Some(match step {
+            Poised::Done(_) => vec![],
+            _ => vec![self.reg],
         })
     }
 }
+
+/// Step machine of one [`Counter`] call.
+pub type CounterMachine = Rerun<Counter>;
 
 /// One-shot "timestamp" from a single shared counter register.
 ///
@@ -109,7 +90,7 @@ impl Algorithm for CounterAlgorithm {
 
     fn invoke(&self, pid: ProcId, _op_index: usize) -> CounterMachine {
         assert!(pid < self.processes, "pid {pid} out of range");
-        CounterMachine::new(0)
+        Rerun::new(Counter::new(0))
     }
 
     fn compare(&self, t1: &u64, t2: &u64) -> bool {
@@ -146,30 +127,30 @@ impl ConstantAlgorithm {
     }
 }
 
-/// Machine for [`ConstantAlgorithm`]: immediately done with output 0.
+/// A [`ConstantAlgorithm`] call: done at once with output 0.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ConstantMachine;
+pub struct Constant;
 
-impl Machine for ConstantMachine {
+impl Body for Constant {
     type Value = u64;
     type Output = u64;
+    type Point = ();
 
-    fn poised(&self) -> Poised<u64, u64> {
-        Poised::Done(0)
+    fn run(&self, _log: &Log<'_, Self>) -> Result<u64, Step<Self>> {
+        Ok(0)
     }
 
-    fn observe(&mut self, _observed: Option<u64>) {
-        panic!("ConstantMachine has no steps to advance past");
-    }
-
-    fn may_read(&self) -> Option<Vec<usize>> {
+    fn may_read(&self, _step: &Step<Self>, _point: Option<&()>) -> Option<Vec<usize>> {
         Some(vec![])
     }
 
-    fn may_write(&self) -> Option<Vec<usize>> {
+    fn may_write(&self, _step: &Step<Self>, _point: Option<&()>) -> Option<Vec<usize>> {
         Some(vec![])
     }
 }
+
+/// Step machine of one [`Constant`] call.
+pub type ConstantMachine = Rerun<Constant>;
 
 impl Algorithm for ConstantAlgorithm {
     type Machine = ConstantMachine;
@@ -187,7 +168,7 @@ impl Algorithm for ConstantAlgorithm {
     }
 
     fn invoke(&self, _pid: ProcId, _op_index: usize) -> ConstantMachine {
-        ConstantMachine
+        Rerun::new(Constant)
     }
 
     fn compare(&self, t1: &u64, t2: &u64) -> bool {
@@ -210,11 +191,12 @@ impl Algorithm for ConstantAlgorithm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::Machine;
     use crate::system::System;
 
     #[test]
     fn counter_machine_lifecycle() {
-        let mut m = CounterMachine::new(0);
+        let mut m = Rerun::new(Counter::new(0));
         assert_eq!(m.poised(), Poised::Read { reg: 0 });
         m.observe(Some(4));
         assert_eq!(m.poised(), Poised::Write { reg: 0, value: 5 });
@@ -225,8 +207,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid observe")]
     fn counter_machine_rejects_mismatched_observation() {
-        let mut m = CounterMachine::new(0);
+        let mut m = Rerun::new(Counter::new(0));
         m.observe(None); // poised on a read, must receive Some
+    }
+
+    #[test]
+    fn identity_is_the_poised_step_and_point_not_the_log() {
+        let mut a = Rerun::new(Counter::new(0));
+        let b = a.clone();
+        a.observe(Some(4));
+        assert_ne!(a, b);
+        let mut c = Rerun::new(Counter::new(0));
+        c.observe(Some(4));
+        assert_eq!(a, c);
+        a.observe(None);
+        c.observe(None);
+        assert_eq!(a, c, "done machines compare by output alone");
     }
 
     #[test]

@@ -134,6 +134,12 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
         }
     }
 
+    /// The registers, for a caller that reads them unmetered and meters
+    /// a whole collect with one [`SpaceMeter::record_sweep`].
+    pub fn registers(&self) -> &[CachePadded<B::Reg>] {
+        &self.registers
+    }
+
     /// Reads register `index`.
     ///
     /// # Errors
@@ -207,29 +213,12 @@ impl<T: Clone + Send + Sync, B: RegisterBackend<T>> RegisterArray<T, B> {
     /// `ts-snapshot` scan confirms a collect by re-reading the stamps;
     /// use it when an atomic view is required.
     pub fn collect(&self) -> Vec<Stamped<T>> {
-        self.record_sweep();
-        (0..self.capacity())
-            .map(|i| self.registers[i].read_stamped())
-            .collect()
-    }
-
-    /// Reads every register's value once, in index order, handing each
-    /// to `visit` and running `pause` before each read: a collect that
-    /// allocates nothing, for callers that only fold the values, with a
-    /// seam where a replay controller can hold the sweep between reads.
-    pub fn sweep_values(&self, mut pause: impl FnMut(), mut visit: impl FnMut(T)) {
-        self.record_sweep();
-        for i in 0..self.capacity() {
-            pause();
-            visit(self.registers[i].read());
-        }
-    }
-
-    /// Meters a whole-array sweep as one read of each register.
-    fn record_sweep(&self) {
         if let Some(meter) = &self.meter {
             meter.record_sweep();
         }
+        (0..self.capacity())
+            .map(|i| self.registers[i].read_stamped())
+            .collect()
     }
 }
 

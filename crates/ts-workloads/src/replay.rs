@@ -22,8 +22,9 @@
 //!   against the model's recorded output.
 //!
 //! At access granularity the replay is *deterministic*: every register
-//! read and write is serialized in trace order, so a correct twin must
-//! reproduce the model outputs exactly — and a broken twin must
+//! read and write is serialized in trace order. The `ts_core` models
+//! re-run their objects' own `getTS` bodies, so a correct object must
+//! reproduce the model outputs exactly — and a broken one must
 //! reproduce the model's **violation**. The checked-in corpus under
 //! `tests/traces/` (regenerated by [`corpus_traces`], replayed by
 //! [`corpus_cases`]) keeps both directions as regression tests.
@@ -36,13 +37,14 @@
 //! use ts_core::model::CollectMaxModel;
 //! use ts_workloads::replay::replay_trace;
 //!
-//! // Model an adversarial overlap: p0 stalls mid-collect while p1
-//! // completes, then p0 finishes. (Each collect-max op on n = 2 is
-//! // invoke, 2 reads, write, return = 5 steps.)
+//! // Model an adversarial overlap on the register-only collect: p0
+//! // stalls mid-collect while p1 completes, then p0 finishes. (Each op
+//! // on n = 2 is invoke, 2 reads, write, return = 5 steps.)
 //! let schedule = vec![0, 0, 1, 1, 1, 1, 1, 0, 0, 0];
 //! let trace = trace_from_schedule(&CollectMaxModel::new(2), "collect_max", &schedule);
 //!
-//! // Replay it against the real object on real threads.
+//! // Replay it on real threads: gated, the real object runs the same
+//! // body on its registers, pausing before every access.
 //! let real = CollectMax::new(2);
 //! let report = replay_trace(&real, &trace);
 //! assert_eq!(report.steps_replayed, trace.steps.len());
@@ -53,7 +55,7 @@
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use ts_core::model::{BrokenCounterModel, CollectMaxFastModel, CollectMaxModel};
+use ts_core::model::{BrokenCounterModel, CollectMaxModel};
 use ts_core::workload::{ReplayGranularity, StepGate, WorkloadOp, WorkloadTarget};
 use ts_core::{BrokenCounter, CollectMax, CollectMaxFast, GrowableTimestamp, Timestamp};
 use ts_model::replay::{minimized_trace, trace_from_schedule, ReplayTrace, StepKind};
@@ -141,13 +143,13 @@ pub struct ReplayReport {
     /// Operations that completed within the trace.
     pub completed: Vec<ReplayedOp>,
     /// First timestamp-property violation over the replayed history,
-    /// if any (expected exactly when the trace's twin is broken).
+    /// if any (expected exactly when the trace's model is broken).
     pub violation: Option<ReplayViolation>,
     /// Completed ops whose real output equaled the model's recording.
     pub output_matches: usize,
     /// Completed ops whose real output differed from the model's
     /// recording. Zero at [`ReplayGranularity::MemoryAccess`] when the
-    /// real object and its model twin agree; usually nonzero at
+    /// trace's model re-runs the real object's code; usually nonzero at
     /// [`ReplayGranularity::Op`] or when replaying a trace against a
     /// *different* object family (order-only replay).
     pub output_mismatches: usize,
@@ -453,7 +455,7 @@ pub struct TraceCorpusEntry {
 ///
 /// | name | source | violating |
 /// |---|---|---|
-/// | `broken_counter_n4_minimized` | Explorer counterexample on the broken-counter twin at n = 4, shrunk to 1-minimal | yes |
+/// | `broken_counter_n4_minimized` | Explorer counterexample on the broken-counter model at n = 4, shrunk to 1-minimal | yes |
 /// | `collect_max_n2_pct` | PCT (seed 7, depth 3) schedule of collect-max, n = 2 × 2 ops | no |
 /// | `collect_max_n3_stalled_writer` | hand-written: p0 stalls mid-collect across two complete ops, then finishes | no |
 /// | `collect_max_fast_n2_stalled_cas` | hand-written fast-path stale-max probe (see below) | no |
@@ -462,9 +464,9 @@ pub struct TraceCorpusEntry {
 /// | `quorum_ts_broken_wq1_minimized` | Explorer counterexample on the non-intersecting write quorum, minimized | yes |
 /// | `quorum_crash_skip_resync_minimized` | Explorer counterexample on crash + amnesiac restart without resync, minimized | yes |
 ///
-/// The fast-path probe drives `CollectMaxFastModel` through its three
-/// nastiest windows on one schedule: p0 stalls *between its cache CAS
-/// and its register write* (the only window where the cache exceeds
+/// The fast-path probe drives `CollectMaxModel::with_cache` through its
+/// three nastiest windows on one schedule: p0 stalls *between its cache
+/// CAS and its register write* (the only window where the cache exceeds
 /// every register) while p1 completes a full op; p0 then loses a CAS
 /// outright and takes the collect fallback plus the fetch-max chain;
 /// and a final p1 op must observe the fallback's publication through
@@ -536,7 +538,7 @@ pub fn corpus_traces() -> Vec<TraceCorpusEntry> {
     ]
     .concat();
     let fast_trace = trace_from_schedule(
-        &CollectMaxFastModel::new(2),
+        &CollectMaxModel::with_cache(2),
         "collect_max_fast",
         &fast_probe,
     );
@@ -646,7 +648,7 @@ pub fn corpus_traces() -> Vec<TraceCorpusEntry> {
     // observe the newer value and destroy the violation), so every
     // client op is the plain 6-step shape: invoke, 2 reads, 2
     // installs, return. That is exactly what lets the real replay
-    // align `get_ts_paused` sub-steps with the trace.
+    // align the gated client's sub-steps with the trace.
     for pid in 0..2 {
         let steps = crash_trace.steps.iter().filter(|s| s.pid == pid).count();
         assert_eq!(steps, 6, "client p{pid} must replay without widening");
@@ -701,7 +703,7 @@ pub struct ReplayCase {
     /// Whether the replayed history must violate the property.
     pub expect_violation: bool,
     /// Whether every completed op's real output must equal the model's
-    /// (true exactly for access-granular twins).
+    /// (true exactly for access-granular targets of the trace's model).
     pub expect_exact_outputs: bool,
 }
 
@@ -993,7 +995,7 @@ mod tests {
         // replayed against the real object: outputs must match exactly
         // and the property must hold for every seed.
         for seed in 0..20u64 {
-            let model = CollectMaxFastModel::new(3);
+            let model = CollectMaxModel::with_cache(3);
             let run = PctScheduler::new(seed, 3)
                 .ops_per_process(2)
                 .run(model.clone());

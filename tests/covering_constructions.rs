@@ -1,6 +1,6 @@
 //! Cross-crate integration of the lower-bound machinery: the covering
-//! constructions driven end-to-end against the model twins of the
-//! paper's algorithms.
+//! constructions driven end-to-end against the models of the paper's
+//! algorithms, which re-run the real objects' `getTS` code.
 
 use timestamp_suite::ts_core::model::{BoundedModel, CollectMaxModel, SimpleModel};
 use timestamp_suite::ts_lowerbound::lemma21::probe;

@@ -6,7 +6,7 @@
 //! lexicographically least violation winning); these tests are the
 //! regression net over that construction.
 
-use timestamp_suite::ts_core::model::{CollectMaxFastModel, CollectMaxModel};
+use timestamp_suite::ts_core::model::CollectMaxModel;
 use timestamp_suite::ts_model::toy::{ConstantAlgorithm, CounterAlgorithm};
 use timestamp_suite::ts_model::{CacheMode, Explorer};
 
@@ -80,10 +80,10 @@ fn parallel_counterexample_is_the_lexicographic_minimum_of_candidates() {
     // Two runs at different thread counts must report the same
     // schedule, and that schedule must actually reproduce.
     use timestamp_suite::ts_model::System;
-    let one = Explorer::new(CollectMaxFastModel::new(2), 2)
+    let one = Explorer::new(CollectMaxModel::with_cache(2), 2)
         .with_threads(1)
         .run();
-    let many = Explorer::new(CollectMaxFastModel::new(2), 2)
+    let many = Explorer::new(CollectMaxModel::with_cache(2), 2)
         .with_threads(4)
         .run();
     assert_eq!(one, many);

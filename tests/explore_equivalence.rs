@@ -20,7 +20,7 @@
 use std::hash::Hash;
 
 use timestamp_suite::ts_core::model::{
-    BoundedModel, BrokenCounterModel, CollectMaxFastModel, CollectMaxModel, SimpleModel,
+    BoundedModel, BrokenCounterModel, CollectMaxModel, SimpleModel,
 };
 use timestamp_suite::ts_core::OverwritePolicy;
 use timestamp_suite::ts_model::toy::{ConstantAlgorithm, CounterAlgorithm};
@@ -157,21 +157,21 @@ fn collect_max_fast_agrees() {
     // of n=2 x 2 ops is ~2.7M paths — minutes in debug builds).
     check(
         "collectmax_fast_n2",
-        CollectMaxFastModel::new(2),
+        CollectMaxModel::with_cache(2),
         1,
         false,
         true,
     );
     check(
         "collectmax_fast_n2x2",
-        CollectMaxFastModel::new(2),
+        CollectMaxModel::with_cache(2),
         2,
         false,
         false,
     );
     check(
         "collectmax_fast_n3",
-        CollectMaxFastModel::new(3),
+        CollectMaxModel::with_cache(3),
         1,
         false,
         false,
@@ -217,8 +217,10 @@ fn fingerprint_cache_matches_exact_cache_under_reduction() {
         assert_eq!(exact, fp, "{label}");
     }
     fp_check("counter_n4", CounterAlgorithm::new(4), 1);
+    fp_check("broken_counter_n4", BrokenCounterModel::new(4), 1);
+    fp_check("bounded_n3", BoundedModel::new(3), 1);
     fp_check("collectmax_n3", CollectMaxModel::new(3), 1);
-    fp_check("collectmax_fast_n3", CollectMaxFastModel::new(3), 1);
+    fp_check("collectmax_fast_n3", CollectMaxModel::with_cache(3), 1);
     fp_check("simple_n4", SimpleModel::new(4), 1);
 }
 

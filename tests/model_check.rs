@@ -2,9 +2,7 @@
 //! exploration for small instances, randomized schedules for larger
 //! ones, and detection checks against deliberately broken objects.
 
-use timestamp_suite::ts_core::model::{
-    BoundedModel, CollectMaxFastModel, CollectMaxModel, SimpleModel,
-};
+use timestamp_suite::ts_core::model::{BoundedModel, CollectMaxModel, SimpleModel};
 use timestamp_suite::ts_model::toy::{ConstantAlgorithm, CounterAlgorithm};
 use timestamp_suite::ts_model::{Explorer, PctScheduler, RandomScheduler};
 
@@ -79,12 +77,12 @@ fn collect_max_fast_path_exhaustive_long_lived() {
     // parking between its cache advance and its register write while
     // others complete — and any stale max would surface as a property
     // violation here.
-    let report = Explorer::new(CollectMaxFastModel::new(2), 2).run();
+    let report = Explorer::new(CollectMaxModel::with_cache(2), 2).run();
     assert!(report.violation.is_none(), "{:?}", report.violation);
     assert!(report.executions > 0, "vacuous exploration");
     assert!(!report.truncated);
     assert!(!report.depth_bounded);
-    let report = Explorer::new(CollectMaxFastModel::new(3), 1).run();
+    let report = Explorer::new(CollectMaxModel::with_cache(3), 1).run();
     assert!(report.violation.is_none(), "{:?}", report.violation);
     assert!(!report.depth_bounded);
 }
@@ -95,7 +93,7 @@ fn collect_max_fast_exhaustive_three_processes_two_ops() {
     // from a *previous* operation can overlap a later fast-path read.
     // Out of reach for plain enumeration; the DPOR reduction brings it
     // into the CI budget.
-    let report = Explorer::new(CollectMaxFastModel::new(3), 2).run();
+    let report = Explorer::new(CollectMaxModel::with_cache(3), 2).run();
     assert!(report.violation.is_none(), "{:?}", report.violation);
     assert!(report.executions > 0, "vacuous exploration");
     assert!(!report.truncated);
@@ -104,14 +102,14 @@ fn collect_max_fast_exhaustive_three_processes_two_ops() {
 
 #[test]
 fn collect_max_fast_path_pct_sweep_three_processes() {
-    // PCT depth-6 on the fast-path twin, mirroring the classic-path
+    // PCT depth-6 on the fast-path model, mirroring the classic-path
     // sweep below. Stalled-CAS overtakes are depth-2/3 ordering bugs;
     // depth 6 also covers chained overtakes across consecutive ops, and
     // the DPOR-era exhaustive gates freed enough budget to double it.
     for seed in 0..100u64 {
         let report = PctScheduler::new(seed, 6)
             .ops_per_process(2)
-            .run(CollectMaxFastModel::new(3));
+            .run(CollectMaxModel::with_cache(3));
         assert!(report.steps > 0, "seed {seed}: empty run");
         assert!(
             report.violation.is_none(),
@@ -145,7 +143,7 @@ fn collect_max_pct_sweep_three_processes() {
 #[test]
 fn pct_sweeps_stay_clean_suite_wide() {
     // The same PCT coverage for the other real algorithm models, so
-    // every model twin gets exhaustive + random + PCT checking.
+    // every ts-core model gets exhaustive + random + PCT checking.
     for seed in 0..40u64 {
         let report = PctScheduler::new(seed, 6).run(SimpleModel::new(8));
         assert!(report.violation.is_none(), "simple seed {seed}");
@@ -167,7 +165,7 @@ fn random_schedules_stay_clean_across_algorithms() {
         assert!(r.violation.is_none(), "collectmax seed {seed}");
         let r = RandomScheduler::new(seed)
             .ops_per_process(3)
-            .run(CollectMaxFastModel::new(5));
+            .run(CollectMaxModel::with_cache(5));
         assert!(r.violation.is_none(), "collectmax-fast seed {seed}");
     }
 }

@@ -64,7 +64,7 @@ fn longlived_baseline_sits_above_theorem11_bound() {
 
 #[test]
 fn model_twins_agree_with_concrete_space_usage() {
-    // The model twin and the real object must write the same number of
+    // The model and the real object must write the same number of
     // registers on sequential one-shot workloads.
     for n in [4usize, 8, 16, 32] {
         let real = BoundedTimestamp::one_shot(n);
@@ -88,7 +88,7 @@ fn model_twins_agree_with_concrete_space_usage() {
 #[test]
 fn simple_model_twin_matches_concrete_outputs() {
     // Sequential one-shot runs must return identical timestamps from
-    // the model twin and the real object, pid by pid.
+    // the model and the real object, pid by pid.
     for n in [3usize, 6, 11] {
         let real = SimpleOneShot::new(n);
         let mut sys = timestamp_suite::ts_model::System::new(SimpleModel::new(n));
