@@ -36,6 +36,7 @@ use ts_bench::Table;
 use ts_core::model::{BoundedModel, BrokenCounterModel, CollectMaxModel, SimpleModel};
 use ts_model::toy::CounterAlgorithm;
 use ts_model::{Algorithm, CacheMode, Explorer, Machine};
+use ts_replica::QuorumModel;
 
 /// One (model, mode) exploration measurement.
 #[derive(Debug, Clone, Serialize)]
@@ -185,6 +186,19 @@ fn main() {
         2,
         cfg.threads,
     );
+    for (model, algorithm, ops) in [
+        ("quorum_n3_f1", QuorumModel::new(3, 1), 1),
+        ("quorum_n2_f1x2", QuorumModel::new(2, 1), 2),
+        ("quorum_broken_n2_f1", QuorumModel::broken(2, 1), 1),
+        ("quorum_crash_stop_n2_f1", QuorumModel::crash_stop(2, 1), 1),
+        (
+            "quorum_skip_resync_n2_f1",
+            QuorumModel::crash_skip_resync(2, 1),
+            1,
+        ),
+    ] {
+        measure(&mut results, model, algorithm, ops, cfg.threads);
+    }
 
     let mut table = Table::new(
         "bench_explore — explorer state counts: full enumeration vs DPOR vs partitioned",

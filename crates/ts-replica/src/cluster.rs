@@ -50,10 +50,11 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ts_core::workload::VpidAllocator;
+use ts_core::workload::{StepGate, VpidAllocator};
 use ts_core::{CachePadded, ServiceStats, Timestamp};
 use ts_register::SegTable;
 
@@ -841,62 +842,128 @@ impl Cluster {
             }
         }
     }
+}
 
-    // ---- step-addressed single-replica access (the QuorumTs path) ----
+/// Crash sentinel: the word a replica answers with when it is crashed
+/// or cut off. It can never be a real proposal (proposals are `max + 1`
+/// over observed non-sentinel words).
+pub const BOT: u64 = u64::MAX;
 
-    /// Reads replica `replica`'s word for `reg` — one protocol step,
-    /// delivered synchronously (the step hook still fires).
-    pub(crate) fn replica_fetch(&self, replica: u32, reg: u32) -> u64 {
-        let client = self.client_id();
-        let msg = Message {
-            kind: MsgKind::ReadQuery,
-            op: self.router.next_op(client),
-            from: client,
-            to: replica,
-            reg,
-            seq: 0,
-            writer: 0,
-            word: 0,
-            expected: 0,
-        };
-        self.router.fire_hook(&msg);
-        let reply = self.replicas[replica as usize].handle(&msg);
-        self.router.fire_hook(&reply);
-        reply.word
+/// The replicas a [`QuorumTs`] `getTS` call talks to: one exchange per
+/// replica word of the object's register.
+pub(crate) trait Transport {
+    /// Why an exchange did not happen, which ends the call there:
+    /// [`Infallible`] for a transport whose every exchange happens.
+    type Halt;
+
+    fn replicas(&self) -> usize;
+
+    /// Replica `r`'s word, or [`BOT`] if it is down.
+    fn fetch(&self, r: usize) -> Result<u64, Self::Halt>;
+
+    /// Installs `new` on replica `r` if its word is `expected`; returns
+    /// the word it held, or [`BOT`] if it is down.
+    fn install(&self, r: usize, expected: u64, new: u64) -> Result<u64, Self::Halt>;
+
+    /// Names the program point of the next exchange.
+    fn at(&self, _point: &Point) {}
+}
+
+/// Where a quorum `getTS` call is: the locals the rest of it reads,
+/// which are the model's state key.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Point {
+    /// Rotation offsets of the replicas that answered, in read order;
+    /// installs go to the first `write_quorum` of them.
+    window: Vec<usize>,
+    /// Their answers.
+    observed: Vec<u64>,
+    /// The next rotation offset to read, or to widen an install to.
+    scan: usize,
+    /// While installing: the write-set member, its expected word and
+    /// the proposal.
+    pub(crate) install: Option<(usize, u64, u64)>,
+}
+
+/// One `getTS` by `pid`: read a majority of the replicas, starting at
+/// rotation offset `pid` and widening past any that is down, propose
+/// the maximum plus one, and install it on the first `write_quorum`
+/// replicas that answered, retargeting an install whose replica went
+/// down since at the next unread one.
+pub(crate) fn get_ts<T: Transport>(t: &T, pid: usize, write_quorum: usize) -> Result<u64, T::Halt> {
+    let n = t.replicas();
+    let read_quorum = n / 2 + 1;
+    let mut point = Point {
+        window: Vec::with_capacity(read_quorum),
+        observed: Vec::with_capacity(read_quorum),
+        scan: 0,
+        install: None,
+    };
+    while point.observed.len() < read_quorum {
+        assert!(point.scan < n, "fewer than a quorum of replicas answered");
+        t.at(&point);
+        let word = t.fetch((pid + point.scan) % n)?;
+        if word != BOT {
+            point.window.push(point.scan);
+            point.observed.push(word);
+        }
+        point.scan += 1;
+    }
+    let proposal = point.observed.iter().max().expect("non-empty quorum") + 1;
+    for j in 0..write_quorum {
+        let mut expected = point.observed[j];
+        loop {
+            point.install = Some((j, expected, proposal));
+            t.at(&point);
+            let prior = t.install((pid + point.window[j]) % n, expected, proposal)?;
+            if prior == BOT {
+                // Down since we read it: install on the next unread
+                // replica instead. Expecting `0` is a guess; a lost
+                // install retries with the word it saw.
+                assert!(point.scan < n, "fewer than a quorum of replicas answered");
+                point.window[j] = point.scan;
+                point.scan += 1;
+                expected = 0;
+            } else if prior == expected || prior >= proposal {
+                // Landed, or the replica already holds at least ours.
+                break;
+            } else {
+                expected = prior;
+            }
+        }
+    }
+    Ok(proposal)
+}
+
+/// A transport, pausing at a gate before every exchange.
+pub(crate) struct Gated<'a, T>(pub(crate) &'a T, pub(crate) &'a StepGate);
+
+impl<T: Transport> Transport for Gated<'_, T> {
+    type Halt = T::Halt;
+
+    fn replicas(&self) -> usize {
+        self.0.replicas()
     }
 
-    /// Conditionally installs `new` over `expected` on one replica —
-    /// one protocol step. Returns the word held before (equality with
-    /// `expected` means it landed).
-    pub(crate) fn replica_install(&self, replica: u32, reg: u32, expected: u64, new: u64) -> u64 {
-        let client = self.client_id();
-        let msg = Message {
-            kind: MsgKind::Install,
-            op: self.router.next_op(client),
-            from: client,
-            to: replica,
-            reg,
-            seq: new as u32,
-            writer: 0,
-            word: new,
-            expected,
-        };
-        self.router.fire_hook(&msg);
-        let reply = self.replicas[replica as usize].handle(&msg);
-        self.router.fire_hook(&reply);
-        reply.word
+    fn fetch(&self, r: usize) -> Result<u64, T::Halt> {
+        self.1.pause();
+        self.0.fetch(r)
+    }
+
+    fn install(&self, r: usize, expected: u64, new: u64) -> Result<u64, T::Halt> {
+        self.1.pause();
+        self.0.install(r, expected, new)
     }
 }
 
-/// The replicated timestamp object whose steps are **messages**: the
-/// real twin of [`QuorumModel`](crate::QuorumModel).
+/// The replicated timestamp object whose steps are **messages**.
 ///
-/// Each `getTS` reads `f + 1` replicas (rotating by pid), proposes
-/// `max + 1`, then conditionally installs it on its write quorum —
-/// every replica interaction is one gated step, so the model
-/// checker's message interleavings replay against these real replicas
-/// through the usual
-/// [`StepGate`](ts_core::workload::StepGate) pacing.
+/// Each `getTS` reads `f + 1` replicas (rotating by pid, and widening
+/// past any that is down), proposes `max + 1`, then conditionally
+/// installs it on its write quorum. Every replica exchange is one step
+/// of [`QuorumModel`](crate::QuorumModel), which runs this same code,
+/// so the model checker's message interleavings replay against these
+/// real replicas through the usual [`StepGate`] pacing.
 ///
 /// [`QuorumTs::broken`] shrinks the write quorum to a single replica:
 /// reads and writes then no longer intersect, and the explorer finds
@@ -945,38 +1012,46 @@ impl QuorumTs {
         self.write_quorum == self.cluster.quorum()
     }
 
-    /// `getTS` without gating.
+    /// `getTS` for process `pid`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `f + 1` replicas answer: the rest are
+    /// crashed, or cut off from this client by a partition.
     pub fn get_ts(&self, pid: usize) -> Timestamp {
-        self.get_ts_paused(pid, || {})
+        self.get_ts_on(self, pid)
     }
 
-    /// `getTS` with a pause before **every replica interaction** (the
-    /// message-step granularity the replayer schedules).
-    pub fn get_ts_paused(&self, pid: usize, mut pause: impl FnMut()) -> Timestamp {
-        let n = self.cluster.replicas();
-        let read_quorum = self.cluster.quorum();
-        let mut observed = Vec::with_capacity(read_quorum);
-        for i in 0..read_quorum {
-            pause();
-            observed.push(self.cluster.replica_fetch(((pid + i) % n) as u32, self.reg));
-        }
-        let proposal = observed.iter().copied().max().expect("non-empty quorum") + 1;
-        for (j, expected) in observed.iter().copied().take(self.write_quorum).enumerate() {
-            let replica = ((pid + j) % n) as u32;
-            let mut expected = expected;
-            loop {
-                pause();
-                let prior = self
-                    .cluster
-                    .replica_install(replica, self.reg, expected, proposal);
-                if prior == expected || prior >= proposal {
-                    // Landed, or someone already installed >= ours.
-                    break;
-                }
-                expected = prior;
-            }
-        }
-        Timestamp::scalar(proposal)
+    /// `getTS` for process `pid` over `transport`, which reaches this
+    /// object's replicas.
+    pub(crate) fn get_ts_on(
+        &self,
+        transport: &impl Transport<Halt = Infallible>,
+        pid: usize,
+    ) -> Timestamp {
+        let Ok(t) = get_ts(transport, pid, self.write_quorum);
+        Timestamp::scalar(t)
+    }
+
+    /// One exchange with replica `r`, synchronous (the step hook still
+    /// fires): the word it answers with, or [`BOT`] if it or this
+    /// client is crashed or isolated.
+    fn exchange(&self, kind: MsgKind, r: usize, expected: u64, new: u64) -> u64 {
+        let client = self.cluster.client_id();
+        let msg = Message {
+            kind,
+            op: self.cluster.router.next_op(client),
+            from: client,
+            to: r as u32,
+            reg: self.reg,
+            seq: new as u32,
+            writer: 0,
+            word: new,
+            expected,
+        };
+        self.cluster
+            .interact_direct(msg)
+            .map_or(BOT, |reply| reply.word)
     }
 
     /// Largest word any replica holds (observation probe for tests).
@@ -985,6 +1060,22 @@ impl QuorumTs {
             .map(|r| self.cluster.replica(r).stored(self.reg).1)
             .max()
             .unwrap_or(0)
+    }
+}
+
+impl Transport for QuorumTs {
+    type Halt = Infallible;
+
+    fn replicas(&self) -> usize {
+        self.cluster.replicas()
+    }
+
+    fn fetch(&self, r: usize) -> Result<u64, Infallible> {
+        Ok(self.exchange(MsgKind::ReadQuery, r, 0, 0))
+    }
+
+    fn install(&self, r: usize, expected: u64, new: u64) -> Result<u64, Infallible> {
+        Ok(self.exchange(MsgKind::Install, r, expected, new))
     }
 }
 
@@ -1111,6 +1202,19 @@ mod tests {
             last = Some(t);
         }
         assert_eq!(ts.read_max(), 10);
+    }
+
+    #[test]
+    fn quorum_ts_widens_past_a_crashed_replica() {
+        let ts = QuorumTs::new(1);
+        ts.cluster().crash(0);
+        // Replica 0 answers nothing: the call reads 1 and 2 and
+        // installs there, and the crashed replica keeps its word.
+        assert_eq!(ts.get_ts(0), Timestamp::scalar(1));
+        let words: Vec<u64> = (0..3)
+            .map(|r| ts.cluster().replica(r).stored(ts.reg).1)
+            .collect();
+        assert_eq!(words, [0, 1, 1]);
     }
 
     #[test]

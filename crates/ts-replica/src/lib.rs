@@ -19,22 +19,23 @@
 //! | [`proto`] | [`WriteStamp`] `(seq, writer)` pairs, the flat [`Message`] envelope |
 //! | [`net`] | [`Router`]: per-client queues, hashed [`FaultPlan`] knobs, partitions, the per-delivery step hook |
 //! | [`replica`] | [`Replica`]: one locked `(stamp, word)` cell per register, handlers, the armed monotonicity invariant |
-//! | [`cluster`] | [`Cluster`]: ABD reads/writes, retransmission, [`with_cluster`] scoping; [`QuorumTs`], the message-step timestamp object |
+//! | [`cluster`] | [`Cluster`]: ABD reads/writes, retransmission, [`with_cluster`] scoping; [`QuorumTs`], the message-step timestamp object, and its one `getTS` body over a replica transport |
 //! | [`backend`] | [`QuorumBackend`] / [`QuorumRegister`]: the [`RegisterBackend`](ts_register::RegisterBackend) seam |
-//! | [`model`] | [`QuorumModel`] / [`QuorumMachine`]: the model twin (one register per replica, one step per message) |
+//! | [`model`] | [`QuorumModel`] / [`QuorumCall`]: `QuorumTs`'s `getTS` re-run by the model checker (one register per replica, one step per message) |
 //! | [`workload`] | [`QuorumTsTarget`], [`ReplicatedCollectMax`]: grid / replay adapters |
 //!
 //! # The model ↔ real loop, now over messages
 //!
 //! The repo's loop — model-check an algorithm, minimize the violating
 //! schedule, replay it against the real object under a step barrier —
-//! extends to the network: [`QuorumModel`]'s steps are message
-//! deliveries, so an explorer counterexample (e.g. the non-intersecting
-//! write quorum of [`QuorumModel::broken`]) replays step-for-step
-//! against real replicas through [`QuorumTs::get_ts_paused`], and the
-//! router's [step hook](Router::set_step_hook) puts arbitrary cluster
-//! traffic under the same [`StepGate`](ts_core::workload::StepGate)
-//! pacing.
+//! extends to the network. [`QuorumModel`] re-runs [`QuorumTs`]'s own
+//! `getTS` body, one model step per message delivery, so an explorer
+//! counterexample (e.g. the non-intersecting write quorum of
+//! [`QuorumModel::broken`]) replays step-for-step against real replicas
+//! through the same body with a pause at a
+//! [`StepGate`](ts_core::workload::StepGate) before every exchange, and
+//! the router's [step hook](Router::set_step_hook) puts arbitrary
+//! cluster traffic under the same pacing.
 //!
 //! # Example
 //!
@@ -64,9 +65,9 @@ pub mod workload;
 
 pub use backend::{QuorumBackend, QuorumRegister};
 pub use cluster::{
-    with_cluster, Cluster, ClusterConfig, QuorumTs, RestartMode, Unavailable, DEFAULT_DEADLINE,
+    with_cluster, Cluster, ClusterConfig, QuorumTs, RestartMode, Unavailable, BOT, DEFAULT_DEADLINE,
 };
-pub use model::{QuorumMachine, QuorumModel, BOT};
+pub use model::{QuorumCall, QuorumModel};
 pub use net::{FaultPlan, NetStats, Router, StepHook};
 pub use proto::{Message, MsgKind, WriteStamp};
 pub use replica::Replica;

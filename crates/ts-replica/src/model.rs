@@ -1,15 +1,19 @@
-//! The model twin of [`QuorumTs`](crate::QuorumTs): quorum replication
-//! as a [`ts_model`] algorithm, one register per replica.
+//! [`QuorumTs`](crate::QuorumTs) as a [`ts_model`] algorithm, one
+//! register per replica.
 //!
-//! The mapping is literal. Model register `r` *is* replica `r`'s
+//! A client's machine is a [`Rerun`] of `QuorumTs`'s own `getTS` body
+//! over a transport that replays the call's observations and halts at
+//! the first exchange past them. Model register `r` *is* replica `r`'s
 //! stored word; a [`Poised::Read`] is a `ReadQuery`/`ReadReply`
 //! exchange; a [`Poised::Cas`] is an `Install`/`InstallReply` exchange
 //! (the replica's conditional install is exactly a CAS on its word,
-//! and the reply carries the prior word exactly as `observe` does).
-//! One model step = one message delivery, so the explorer enumerates
-//! **message interleavings**, and a counterexample schedule replays
+//! and the reply carries the prior word). One model step = one message
+//! delivery, so the explorer enumerates **message interleavings** of
+//! the code that ships, and a counterexample schedule replays
 //! step-for-step against real [`Replica`](crate::Replica)s through the
-//! standard trace machinery.
+//! standard trace machinery. A machine's state key is its call, its
+//! poised step and the body's last point: phase, window, observed
+//! words, scan index and proposal.
 //!
 //! [`QuorumModel::broken`] is the deliberately faulty variant (write
 //! quorum of 1): reads and writes stop intersecting, and two
@@ -23,44 +27,40 @@
 //! [`QuorumModel::crash_stop`] adds an *adversary process* whose one
 //! "operation" is an environment event, not a `getTS` call: it writes
 //! the crash sentinel [`BOT`] (`u64::MAX`) into one replica-register,
-//! modelling a crash-stop failure of that replica. Client machines
-//! become crash-aware: a read observing [`BOT`] does not count toward
-//! the read quorum (the client *widens* to the next replica, exactly
-//! as the real client's retry loop widens its probe window past a dead
-//! replica), and an install CAS observing [`BOT`] re-targets the next
-//! unused replica. Safety under crash-stop follows because every
-//! register sequence stays monotone (the sentinel is `u64::MAX`, and
-//! nothing ever lowers a register), so the standard quorum-
-//! intersection argument goes through — the explorer confirms it
-//! exhaustively.
+//! modelling a crash-stop failure of that replica — a crashed replica
+//! of the real cluster answers `QuorumTs` with [`BOT`] too. The body
+//! widens past it: a read observing [`BOT`] does not count toward the
+//! read quorum (the call reads the next replica), and an install
+//! observing [`BOT`] re-targets the next unread replica. Safety under
+//! crash-stop follows because every register sequence stays monotone
+//! (the sentinel is `u64::MAX`, and nothing ever lowers a register), so
+//! the standard quorum-intersection argument goes through — the
+//! explorer confirms it exhaustively.
 //!
-//! [`QuorumModel::crash_skip_resync`] is the crash twin of the real
-//! cluster's `restart_skip_resync`: after the crash the adversary
-//! restarts the replica **amnesiac** — a second step writes `0` (the
-//! initial value) over the sentinel, with no catch-up from its peers.
-//! That one omission re-opens the duplicate-timestamp race: a write
-//! acked by a quorum containing the crashed replica loses a live copy,
-//! and a later reader whose quorum hits the amnesiac replica (plus an
-//! untouched one) sees only initial values and proposes an
-//! already-issued timestamp. The explorer finds the interleaving; the
-//! minimized trace joins the replay corpus, and the real cluster's
-//! resync sweep is exactly the mechanism that closes it.
+//! [`QuorumModel::crash_skip_resync`] models the real cluster's
+//! `restart_skip_resync`: after the crash the adversary restarts the
+//! replica **amnesiac** — a second step writes `0` (the initial value)
+//! over the sentinel, with no catch-up from its peers. That one
+//! omission re-opens the duplicate-timestamp race: a write acked by a
+//! quorum containing the crashed replica loses a live copy, and a later
+//! reader whose quorum hits the amnesiac replica (plus an untouched
+//! one) sees only initial values and proposes an already-issued
+//! timestamp. The explorer finds the interleaving; the minimized trace
+//! joins the replay corpus, and the real cluster's resync sweep is
+//! exactly the mechanism that closes it.
 //!
 //! The adversary's op is excluded from the timestamp property via
 //! [`Algorithm::op_observable`] — a crash has no timestamp — but its
 //! steps still interleave and order client ops through the history.
 
 use ts_core::Timestamp;
+use ts_model::rerun::{Body, Log, Rerun, Step};
 use ts_model::{Algorithm, Machine, Poised, ProcId};
 
-/// Crash sentinel: the value a crashed replica-register holds while
-/// the replica is down. `u64::MAX` keeps register sequences monotone
-/// under crash-stop and can never be a real proposal (proposals are
-/// `max + 1` over observed non-sentinel values).
-pub const BOT: u64 = u64::MAX;
+use crate::cluster::{self, Point, Transport, BOT};
 
 /// How replica crashes appear in the model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum CrashMode {
     /// No adversary process; the original fault-free model.
     None,
@@ -72,227 +72,99 @@ enum CrashMode {
     SkipResync,
 }
 
-/// One `getTS` call of the replicated timestamp protocol, as a step
-/// machine. See the module docs for the message ↔ step mapping.
+/// One call of a [`QuorumModel`]: process `pid`'s `getTS`, or the
+/// crash adversary's event.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct QuorumMachine {
-    pid: usize,
+pub struct QuorumCall {
+    model: QuorumModel,
+    pid: ProcId,
+}
+
+/// A call's log as replica words: model register `r` is replica `r`'s.
+struct Replay<'l, 'a> {
+    log: &'l Log<'a, QuorumCall>,
     replicas: usize,
-    read_quorum: usize,
-    write_quorum: usize,
-    /// Whether reads/installs must treat [`BOT`] as "replica crashed"
-    /// and widen past it. Dormant (and unreachable) without a crash
-    /// adversary in the model.
-    bot_aware: bool,
-    /// Rotation-window offsets that answered with a real (non-[`BOT`])
-    /// value, in read order; installs target `window[..write_quorum]`.
-    window: Vec<usize>,
-    /// Values observed at the corresponding `window` slots.
-    observed: Vec<u64>,
-    /// Next unconsidered rotation offset (for widening installs).
-    scan: usize,
-    proposal: u64,
-    phase: Phase,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Phase {
-    /// Reading replica `pid + idx` (mod replicas).
-    Read { idx: usize },
-    /// Conditionally installing the proposal on write-set member `j`
-    /// (an index into `window`).
-    Install { j: usize, expected: u64 },
-    /// Adversary: writing [`BOT`] into register `target` (the crash).
-    CrashBot { target: usize },
-    /// Adversary: amnesiac restart — writing the initial value over
-    /// the sentinel with no resync.
-    CrashRestore { target: usize },
-    /// Returning the proposal.
-    Done,
-}
+impl Transport for Replay<'_, '_> {
+    type Halt = Step<QuorumCall>;
 
-impl QuorumMachine {
-    fn new(pid: usize, replicas: usize, read_quorum: usize, write_quorum: usize) -> Self {
-        Self {
-            pid,
-            replicas,
-            read_quorum,
-            write_quorum,
-            bot_aware: false,
-            window: Vec::with_capacity(read_quorum),
-            observed: Vec::with_capacity(read_quorum),
-            scan: 0,
-            proposal: 0,
-            phase: Phase::Read { idx: 0 },
-        }
+    fn replicas(&self) -> usize {
+        self.replicas
     }
 
-    /// The crash adversary's machine: one crash of register `target`,
-    /// followed by an amnesiac restore iff `restore` (the skip-resync
-    /// variant). `write_quorum` doubles as the restore flag — the
-    /// adversary never installs.
-    fn crasher(target: usize, replicas: usize, restore: bool) -> Self {
-        Self {
-            pid: target,
-            replicas,
-            read_quorum: 0,
-            write_quorum: restore as usize,
-            bot_aware: true,
-            window: Vec::new(),
-            observed: Vec::new(),
-            scan: 0,
-            proposal: 0,
-            phase: Phase::CrashBot { target },
-        }
+    fn fetch(&self, r: usize) -> Result<u64, Step<QuorumCall>> {
+        self.log.read(r).copied()
     }
 
-    /// Replica backing read-set slot `i` (the rotation window).
-    fn reg(&self, i: usize) -> usize {
-        (self.pid + i) % self.replicas
+    fn install(&self, r: usize, expected: u64, new: u64) -> Result<u64, Step<QuorumCall>> {
+        self.log.cas(r, expected, new).copied()
     }
 
-    /// Enters install step `j`, or completes when the write set is
-    /// exhausted.
-    fn begin_install(&mut self, j: usize) {
-        self.phase = if j < self.write_quorum {
-            Phase::Install {
-                j,
-                expected: self.observed[j],
-            }
-        } else {
-            Phase::Done
-        };
+    fn at(&self, point: &Point) {
+        self.log.at(point.clone());
     }
 }
 
-impl Machine for QuorumMachine {
+impl Body for QuorumCall {
     type Value = u64;
     type Output = Timestamp;
+    type Point = Point;
 
-    fn poised(&self) -> Poised<u64, Timestamp> {
-        match &self.phase {
-            Phase::Read { idx } => Poised::Read {
-                reg: self.reg(*idx),
-            },
-            Phase::Install { j, expected } => Poised::Cas {
-                reg: self.reg(self.window[*j]),
-                expected: *expected,
-                new: self.proposal,
-            },
-            Phase::CrashBot { target } => Poised::Write {
-                reg: *target,
-                value: BOT,
-            },
-            Phase::CrashRestore { target } => Poised::Write {
-                reg: *target,
-                value: 0,
-            },
-            Phase::Done => Poised::Done(Timestamp::scalar(self.proposal)),
-        }
-    }
-
-    fn observe(&mut self, observed: Option<u64>) {
-        match self.phase.clone() {
-            Phase::Read { idx } => {
-                let value = observed.expect("a read observes a value");
-                self.scan = idx + 1;
-                if self.bot_aware && value == BOT {
-                    // Crashed replica: widen the read window past it,
-                    // exactly as the real client widens its probe
-                    // window. A single crash adversary guarantees a
-                    // full quorum of live replicas remains.
-                    assert!(
-                        idx + 1 < self.replicas,
-                        "model supports one crashed replica"
-                    );
-                    self.phase = Phase::Read { idx: idx + 1 };
-                    return;
-                }
-                self.window.push(idx);
-                self.observed.push(value);
-                if self.observed.len() < self.read_quorum {
-                    self.phase = Phase::Read { idx: idx + 1 };
-                } else {
-                    self.proposal = self.observed.iter().copied().max().expect("non-empty") + 1;
-                    self.begin_install(0);
-                }
+    fn run(&self, log: &Log<'_, Self>) -> Result<Timestamp, Step<Self>> {
+        let Self { model, pid } = *self;
+        if Some(pid) == model.crash_pid() {
+            // The crash, then the amnesiac restart of skip-resync.
+            log.write(model.f, || BOT)?;
+            if model.crash == CrashMode::SkipResync {
+                log.write(model.f, || 0)?;
             }
-            Phase::Install { j, expected } => {
-                let prior = observed.expect("a CAS observes the prior value");
-                if self.bot_aware && prior == BOT {
-                    // The replica crashed after we read it: re-target
-                    // the install at the next unused replica (expected
-                    // 0 is a guess; the CAS retry loop converges).
-                    assert!(
-                        self.scan < self.replicas,
-                        "model supports one crashed replica"
-                    );
-                    self.window[j] = self.scan;
-                    self.scan += 1;
-                    self.phase = Phase::Install { j, expected: 0 };
-                } else if prior == expected || prior >= self.proposal {
-                    // Landed, or the replica already holds >= ours —
-                    // either way this replica is covered.
-                    self.begin_install(j + 1);
-                } else {
-                    self.phase = Phase::Install { j, expected: prior };
-                }
-            }
-            Phase::CrashBot { target } => {
-                // `crasher()` leaves `write_quorum = 0` for crash-stop
-                // (no restore step) and sets it for skip-resync.
-                self.phase = if self.write_quorum > 0 {
-                    Phase::CrashRestore { target }
-                } else {
-                    Phase::Done
-                };
-            }
-            Phase::CrashRestore { .. } => self.phase = Phase::Done,
-            Phase::Done => panic!("observe called on a completed machine"),
+            return Ok(Timestamp::scalar(0));
         }
-    }
-
-    fn may_read(&self) -> Option<Vec<usize>> {
-        if self.bot_aware {
-            // Widening may touch any replica; the adversary reads none.
-            return Some(match &self.phase {
-                Phase::CrashBot { .. } | Phase::CrashRestore { .. } | Phase::Done => Vec::new(),
-                _ => (0..self.replicas).collect(),
-            });
-        }
-        // CAS observations count as reads. While still reading, the
-        // sound over-approximation is the whole read window (the write
-        // window is a prefix of it, and installs on already-read slots
-        // are still ahead); mid-install it shrinks to the remaining
-        // write window.
-        let range = match &self.phase {
-            Phase::Read { .. } => 0..self.read_quorum,
-            Phase::Install { j, .. } => *j..self.write_quorum,
-            _ => 0..0,
+        let replay = Replay {
+            log,
+            replicas: model.registers(),
         };
-        Some(range.map(|i| self.reg(i)).collect())
+        let t = cluster::get_ts(&replay, pid, model.write_quorum)?;
+        Ok(Timestamp::scalar(t))
     }
 
-    fn may_write(&self) -> Option<Vec<usize>> {
-        if self.bot_aware {
-            return Some(match &self.phase {
-                Phase::CrashBot { target } | Phase::CrashRestore { target } => vec![*target],
-                Phase::Done => Vec::new(),
-                _ => (0..self.replicas).collect(),
-            });
-        }
-        let range = match &self.phase {
-            Phase::Read { .. } => 0..self.write_quorum,
-            Phase::Install { j, .. } => *j..self.write_quorum,
-            _ => 0..0,
-        };
-        Some(range.map(|i| self.reg(i)).collect())
+    fn may_read(&self, step: &Step<Self>, point: Option<&Point>) -> Option<Vec<usize>> {
+        Some(self.footprint(step, point, false))
+    }
+
+    fn may_write(&self, step: &Step<Self>, point: Option<&Point>) -> Option<Vec<usize>> {
+        Some(self.footprint(step, point, true))
     }
 }
 
-/// The replicated timestamp algorithm over `2f + 1` replica-registers;
-/// the model twin of [`QuorumTs`](crate::QuorumTs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+impl QuorumCall {
+    /// DPOR footprint of a call poised on `step` at `point`, for its
+    /// writes or its reads (CAS observations count as reads). A client
+    /// covers its write set or its whole read window before its
+    /// installs, then the write-set members it has not installed on;
+    /// next to a crash adversary it may widen to any replica. The
+    /// adversary writes only its target.
+    fn footprint(&self, step: &Step<Self>, point: Option<&Point>, writes: bool) -> Vec<usize> {
+        let Self { model, pid } = *self;
+        let replicas = model.registers();
+        let offsets = match (step, point.and_then(|point| point.install)) {
+            (Poised::Done(_), _) => 0..0,
+            _ if Some(pid) == model.crash_pid() => {
+                return Vec::from_iter(writes.then_some(model.f))
+            }
+            _ if model.crash != CrashMode::None => return (0..replicas).collect(),
+            (_, Some((j, ..))) => j..model.write_quorum,
+            (_, None) if writes => 0..model.write_quorum,
+            (_, None) => 0..model.f + 1,
+        };
+        offsets.map(|i| (pid + i) % replicas).collect()
+    }
+}
+
+/// The replicated timestamp algorithm over `2f + 1` replica-registers,
+/// re-running [`QuorumTs`](crate::QuorumTs)'s `getTS`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QuorumModel {
     n: usize,
     f: usize,
@@ -344,18 +216,13 @@ impl QuorumModel {
 
     /// Correct quorums plus a crash **and an amnesiac restart with no
     /// resync**: after the [`BOT`] write, the adversary restores the
-    /// register to its initial value. The real cluster's
-    /// `restart_skip_resync` twin — the explorer finds the duplicate-
+    /// register to its initial value. The model of the real cluster's
+    /// `restart_skip_resync` — the explorer finds the duplicate-
     /// timestamp counterexample this reintroduces.
     pub fn crash_skip_resync(n: usize, f: usize) -> Self {
         let mut model = Self::new(n, f);
         model.crash = CrashMode::SkipResync;
         model
-    }
-
-    /// Tolerated failures.
-    pub fn f(&self) -> usize {
-        self.f
     }
 
     /// Whether quorums intersect *and* recovery resyncs (the protocol
@@ -368,15 +235,10 @@ impl QuorumModel {
     pub fn crash_pid(&self) -> Option<ProcId> {
         (self.crash != CrashMode::None).then_some(self.n)
     }
-
-    /// The replica-register the adversary crashes.
-    fn crash_target(&self) -> usize {
-        self.f
-    }
 }
 
 impl Algorithm for QuorumModel {
-    type Machine = QuorumMachine;
+    type Machine = Rerun<QuorumCall>;
 
     fn processes(&self) -> usize {
         self.n + usize::from(self.crash != CrashMode::None)
@@ -390,45 +252,22 @@ impl Algorithm for QuorumModel {
         0
     }
 
-    fn invoke(&self, pid: ProcId, _op_index: usize) -> QuorumMachine {
+    fn invoke(&self, pid: ProcId, _op_index: usize) -> Rerun<QuorumCall> {
         assert!(pid < self.processes(), "pid {pid} out of range");
-        if Some(pid) == self.crash_pid() {
-            return QuorumMachine::crasher(
-                self.crash_target(),
-                self.registers(),
-                self.crash == CrashMode::SkipResync,
-            );
-        }
-        let mut machine = QuorumMachine::new(pid, self.registers(), self.f + 1, self.write_quorum);
-        machine.bot_aware = self.crash != CrashMode::None;
-        machine
+        Rerun::new(QuorumCall { model: *self, pid })
     }
 
     fn compare(&self, t1: &Timestamp, t2: &Timestamp) -> bool {
         Timestamp::compare(t1, t2)
     }
 
+    // A fresh call's footprints are those of every call of `pid`.
     fn op_may_read(&self, pid: ProcId) -> Option<Vec<usize>> {
-        let r = self.registers();
-        if Some(pid) == self.crash_pid() {
-            return Some(Vec::new());
-        }
-        if self.crash != CrashMode::None {
-            // Widening clients may read any replica.
-            return Some((0..r).collect());
-        }
-        Some((0..self.f + 1).map(|i| (pid + i) % r).collect())
+        self.invoke(pid, 0).may_read()
     }
 
     fn op_may_write(&self, pid: ProcId) -> Option<Vec<usize>> {
-        let r = self.registers();
-        if Some(pid) == self.crash_pid() {
-            return Some(vec![self.crash_target()]);
-        }
-        if self.crash != CrashMode::None {
-            return Some((0..r).collect());
-        }
-        Some((0..self.write_quorum).map(|i| (pid + i) % r).collect())
+        self.invoke(pid, 0).may_write()
     }
 
     fn op_observable(&self, pid: ProcId) -> bool {
@@ -441,16 +280,35 @@ impl Algorithm for QuorumModel {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::{Cluster, ClusterConfig, QuorumTs};
     use ts_model::{CacheMode, Explorer, System};
 
-    /// Runs `pid` solo until its current op completes, returning the
-    /// output.
-    fn run_solo(sys: &mut System<QuorumModel>, pid: usize) -> Timestamp {
-        loop {
-            match sys.step(pid).expect("step") {
-                ts_model::StepOutcome::Completed { output } => return output,
-                _ => continue,
+    #[test]
+    fn model_and_object_agree_word_for_word() {
+        for f in 0..=2 {
+            for write_quorum in [1, f + 1] {
+                for n in 1..=5 {
+                    let cluster = Cluster::new(ClusterConfig::new(f));
+                    let object = QuorumTs::with_write_quorum(Arc::clone(&cluster), write_quorum);
+                    let model = QuorumModel::with_write_quorum(n, f, write_quorum);
+                    let mut sys = System::new(model);
+                    // Three solo calls per pid, in pid order; the
+                    // object's register is its cluster's first.
+                    for (k, pid) in (0..3).flat_map(|_| 0..n).enumerate() {
+                        let got = sys.run_solo_to_completion(pid, 1_000).unwrap();
+                        assert_eq!(got, object.get_ts(pid), "f {f}, n {n}, call {k}");
+                        let words: Vec<u64> = (0..2 * f + 1)
+                            .map(|r| cluster.replica(r).stored(0).1)
+                            .collect();
+                        assert_eq!(sys.config().regs, words, "f {f}, n {n}, call {k}");
+                    }
+                    if model.is_correct() {
+                        assert!(sys.check_property().is_none());
+                    }
+                }
             }
         }
     }
@@ -458,9 +316,9 @@ mod tests {
     #[test]
     fn sequential_calls_count_up() {
         let mut sys = System::new(QuorumModel::new(2, 1));
-        let a = run_solo(&mut sys, 0);
-        let b = run_solo(&mut sys, 1);
-        let c = run_solo(&mut sys, 0);
+        let a = sys.run_solo_to_completion(0, 100).unwrap();
+        let b = sys.run_solo_to_completion(1, 100).unwrap();
+        let c = sys.run_solo_to_completion(0, 100).unwrap();
         assert_eq!(a, Timestamp::scalar(1));
         assert_eq!(b, Timestamp::scalar(2));
         assert_eq!(c, Timestamp::scalar(3));

@@ -82,7 +82,7 @@ pub enum MsgKind {
     /// `expected`, install `word` (stamped `seq`). The conditional
     /// install of the timestamp-specialized protocol
     /// ([`QuorumTs`](crate::QuorumTs)) — one atomic step per replica,
-    /// mirroring the model twin's CAS.
+    /// the CAS step of [`QuorumModel`](crate::QuorumModel).
     Install,
     /// Replica → client: the word held *before* an [`MsgKind::Install`]
     /// (equality with `expected` tells the client whether it landed).

@@ -190,9 +190,12 @@ impl Replica {
                 }
             }
             MsgKind::Install => {
-                // Conditional install (the QuorumTs CAS step): land the
-                // new word only if the stored word still equals
-                // `expected`; reply with the *prior* word either way.
+                // Conditional install, the CAS step of `QuorumTs`'s
+                // `getTS` (which its model re-runs): land the new word
+                // only if the stored word still equals `expected`;
+                // reply with the *prior* word either way. A client's
+                // proposal exceeds every word it expects, so on its
+                // installs `msg.word > prior` always holds.
                 let prior = cell.word;
                 cell.land_if(
                     prior == msg.expected && msg.word > prior,

@@ -24,7 +24,7 @@ use ts_core::{
 };
 
 use crate::backend::QuorumBackend;
-use crate::cluster::{with_cluster, Cluster, ClusterConfig, QuorumTs, RestartMode};
+use crate::cluster::{with_cluster, Cluster, ClusterConfig, Gated, QuorumTs, RestartMode};
 use crate::net::FaultPlan;
 
 /// [`QuorumTs`] as a workload target: one slot per process, one gated
@@ -58,11 +58,6 @@ impl QuorumTsTarget {
             processes,
         }
     }
-
-    /// The underlying timestamp object.
-    pub fn object_ref(&self) -> &QuorumTs {
-        &self.ts
-    }
 }
 
 impl StampSource for QuorumTs {
@@ -72,7 +67,7 @@ impl StampSource for QuorumTs {
     fn issue(&self, slot: &mut usize, gate: Option<&StepGate>) -> (Timestamp, Timestamp) {
         let t = match gate {
             None => self.get_ts(*slot),
-            Some(gate) => self.get_ts_paused(*slot, || gate.pause()),
+            Some(gate) => self.get_ts_on(&Gated(self, gate), *slot),
         };
         (t, t)
     }

@@ -473,10 +473,11 @@ pub struct TraceCorpusEntry {
 /// the fast path. No violation — that is the regression being pinned:
 /// the fast path never returns a stale max.
 ///
-/// The `quorum_ts_*` traces extend the corpus to **message
-/// interleavings**: every step of `ts_replica::QuorumModel` is one
-/// message delivery at a replica, so these schedules pin down
-/// network-level reorderings. The reordered-write-back trace stalls p0
+/// The `quorum_*` traces extend the corpus to **message
+/// interleavings**: `ts_replica::QuorumModel` re-runs `QuorumTs`'s own
+/// `getTS`, one step per message delivery at a replica, so these
+/// schedules pin down network-level reorderings of the code that
+/// ships. The reordered-write-back trace stalls p0
 /// between its read phase and its installs while p1 runs a whole
 /// quorum op; p0's late installs then find one replica already ahead
 /// (the covered-install skip). The rotating-repair trace (n = 3 over 3
@@ -486,7 +487,12 @@ pub struct TraceCorpusEntry {
 /// read-repair. The broken trace is the explorer's own counterexample
 /// on the write-quorum-of-1 variant, shrunk to 1-minimal: disjoint
 /// quorums hand out equal timestamps, and the replay case checks the
-/// violation *reproduces* on real replica threads.
+/// violation *reproduces* on real replica threads. The crash trace is
+/// the explorer's counterexample on a crash followed by an amnesiac
+/// restart without resync, shrunk the same way; on real replicas the
+/// adversary's two steps are `Cluster::crash` and
+/// `Cluster::restart_skip_resync`, and a crashed replica answers the
+/// client as the model's sentinel does.
 ///
 /// Everything upstream is seeded or exhaustive, so the same workspace
 /// revision always regenerates byte-identical traces.
@@ -644,11 +650,11 @@ pub fn corpus_traces() -> Vec<TraceCorpusEntry> {
     );
     assert!(crash_trace.violating);
     // The minimized violating schedule never routes a client through
-    // the crashed replica's BOT window (a client that widened would
-    // observe the newer value and destroy the violation), so every
-    // client op is the plain 6-step shape: invoke, 2 reads, 2
-    // installs, return. That is exactly what lets the real replay
-    // align the gated client's sub-steps with the trace.
+    // the crashed replica's BOT window, so every client op is the
+    // plain 6-step shape: invoke, 2 reads, 2 installs, return. The
+    // duplicate comes from a read of the amnesiac replica after its
+    // restore, not from the crash window, which clients widen past:
+    // the counterexample is the missing resync and nothing else.
     for pid in 0..2 {
         let steps = crash_trace.steps.iter().filter(|s| s.pid == pid).count();
         assert_eq!(steps, 6, "client p{pid} must replay without widening");

@@ -27,6 +27,7 @@ use timestamp_suite::ts_model::toy::{ConstantAlgorithm, CounterAlgorithm};
 use timestamp_suite::ts_model::{
     reproduces, shrink, Algorithm, CacheMode, ExploreReport, Explorer, Machine, System,
 };
+use timestamp_suite::ts_replica::QuorumModel;
 
 fn explorer<A: Algorithm + Clone>(algorithm: A, ops: usize) -> Explorer<A> {
     Explorer::new(algorithm, ops).record_outcomes(true)
@@ -197,6 +198,27 @@ fn simple_model_agrees() {
 }
 
 #[test]
+fn quorum_model_agrees() {
+    check("quorum_n3_f1", QuorumModel::new(3, 1), 1, false, false);
+    check(
+        "quorum_broken_n2_f1",
+        QuorumModel::broken(2, 1),
+        1,
+        true,
+        true,
+    );
+    check(
+        "quorum_crash_stop_n2_f1",
+        QuorumModel::crash_stop(2, 1),
+        1,
+        false,
+        false,
+    );
+    let skip_resync = QuorumModel::crash_skip_resync(2, 1);
+    check("quorum_skip_resync_n2_f1", skip_resync, 1, true, false);
+}
+
+#[test]
 fn fingerprint_cache_matches_exact_cache_under_reduction() {
     // Same DPOR search, exact vs fingerprint storage: identical reports
     // (states, transitions, prunes, verdict). A fingerprint collision
@@ -222,6 +244,8 @@ fn fingerprint_cache_matches_exact_cache_under_reduction() {
     fp_check("collectmax_n3", CollectMaxModel::new(3), 1);
     fp_check("collectmax_fast_n3", CollectMaxModel::with_cache(3), 1);
     fp_check("simple_n4", SimpleModel::new(4), 1);
+    fp_check("quorum_n3_f1", QuorumModel::new(3, 1), 1);
+    fp_check("quorum_crash_stop_n2_f1", QuorumModel::crash_stop(2, 1), 1);
 }
 
 #[test]
