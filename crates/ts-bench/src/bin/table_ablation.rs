@@ -1,7 +1,8 @@
 //! E9 — ablation: the invalidation-overwrite policy of lines 10–11.
 //!
 //! Compares Algorithm 4's three overwrite policies under the concurrent
-//! one-shot workload:
+//! one-shot workload, asserting the paper's bounds and cross-round order
+//! for all but `Never`:
 //!
 //! - `Paper` — overwrite only when `R[j].rnd < myrnd`;
 //! - `Always` — the "simple repair" the paper mentions and rejects for
@@ -35,6 +36,14 @@ fn main() {
             OverwritePolicy::Never,
         ] {
             let (run, stats) = run_bounded_oneshot_with_policy(n, policy);
+            let ok = stats.phase_bound_holds()
+                && stats.invalidation_bound_holds()
+                && stats.space_bound_holds()
+                && run.ordered_ok;
+            assert!(
+                ok || policy == OverwritePolicy::Never,
+                "{policy:?}, n = {n}: {stats:?}"
+            );
             table.push_row(vec![
                 n.to_string(),
                 format!("{policy:?}"),

@@ -22,23 +22,25 @@
 //! one-shot object ([`BoundedTimestamp::one_shot`]) it is the caller's
 //! pid, which the one-shot guard already makes unique; on a budgeted
 //! object it is the call's value of the admission counter that enforces
-//! the budget. `R[1..m]` is one contiguous slice of `AtomicU32` words,
-//! read and written `SeqCst`: `0` for `⊥`, or `rnd` and `writer + 1`
-//! side by side. The sequence a line-15 write carries lives in a
-//! write-once cell of the writing call, one cell per writer index, freed
-//! with the object. The cell is published before the register store, so
-//! a reader that sees the word sees the cell. No write allocates except
+//! the budget. `R[1..m]` is one contiguous slice of `AtomicU64`s, read
+//! and written `SeqCst`. The low 32 bits of each are the register's
+//! word, `0` for `⊥` or `rnd` and `writer + 1` side by side; the high 32
+//! bits are the epoch of its last write, which only the Section 6.3
+//! accounting reads (below). The sequence a line-15 write carries lives
+//! in a write-once cell of the writing call, one cell per writer index,
+//! freed with the object. The cell is published before the register
+//! store, so a reader that sees the word sees the cell. No write allocates except
 //! an opener's one cell, and no access pins an epoch or defers a free.
 //!
-//! The words are not padded. `CollectMax`'s registers are single-writer
+//! The registers are not padded. `CollectMax`'s registers are single-writer
 //! and written by every call, so each sits on a line of its own and a
 //! write invalidates no other writer's line. Algorithm 4's registers are
 //! the opposite: multi-writer and read-mostly. A call reads the prefix
 //! `R[1..=myrnd+1]` at least once and writes each register at most
 //! once, and at most `2M` writes in all are invalidation writes (Claim
-//! 6.13). Packing the words lets a prefix read touch as few lines as the
-//! prefix spans (`m = 16` words fill 64 bytes), and since the scan
-//! compares words (below) it needs no write stamps.
+//! 6.13). Packing the registers lets a prefix read touch as few lines
+//! as the prefix spans (`m = 16` registers fill 128 bytes), and since
+//! the scan compares words (below) it needs no write stamps.
 //!
 //! Two facts make this the paper's algorithm and not an approximation
 //! of it.
@@ -84,8 +86,18 @@
 //! hands them to its [`SpaceMeter`] in three adds
 //! ([`record_prefix`](SpaceMeter::record_prefix),
 //! [`record_reads`](SpaceMeter::record_reads)) instead of one per read.
-//! Writes are metered one by one, so the space bound reads exactly the
-//! registers written.
+//! Writes are metered one by one, in the writing thread's stripe of the
+//! meter, so the space bound reads exactly the registers written.
+//!
+//! A write is one `swap` of its register: the word under the current
+//! epoch (the highest register a phase-opening write has gone to, or
+//! the opened register for the opening write itself). It is an
+//! invalidation write iff the epoch the swap returns differs: the
+//! register's first write in the current visible phase. The
+//! classification is thus ordered with the register's own store and
+//! adds no RMW to it: besides its register, a write reads the epoch,
+//! which changes only when a phase opens, and bumps its own thread's
+//! meter stripe and its call's record.
 //!
 //! The rest of a call's bookkeeping lives in one unpadded record per
 //! writer index: the line-15 cell, the one-shot `used` flag, the exit
@@ -99,8 +111,8 @@
 //! storage trait: reading and writing `R[j]` as a word, the line-15 cell
 //! of a writer, and the width of the word's writer field. The scan of
 //! line 13 is part of the body. [`BoundedTimestamp`] is one storage:
-//! the contiguous words, the per-call records and the Section 6.3
-//! accounting below. [`GrowableTimestamp`](crate::GrowableTimestamp) is
+//! the contiguous registers, the per-call records and the Section 6.3
+//! phase clock. [`GrowableTimestamp`](crate::GrowableTimestamp) is
 //! the second: the Section 7 object, whose registers and cells grow on
 //! demand. The third is the model checker's
 //! [`BoundedModel`](crate::model::BoundedModel), whose storage replays
@@ -154,41 +166,6 @@ pub enum OverwritePolicy {
     Never,
 }
 
-/// The Section 6.3 phase clock that classifies writes as invalidation
-/// writes.
-#[derive(Debug)]
-struct Accounting {
-    /// Visible-phase epoch: incremented at each phase-opening write.
-    epoch: AtomicU64,
-    /// Epoch of the last write per register (u64::MAX = never written).
-    last_write_epoch: Vec<AtomicU64>,
-}
-
-impl Accounting {
-    fn new(m: usize) -> Self {
-        Self {
-            epoch: AtomicU64::new(0),
-            last_write_epoch: (0..m).map(|_| AtomicU64::new(u64::MAX)).collect(),
-        }
-    }
-
-    /// Notes a write to `R[paper_index]`; true if it is an invalidation
-    /// write in the paper's sense (the register's first write in the
-    /// current visible phase).
-    fn record_write(&self, paper_index: usize, opens_phase: bool) -> bool {
-        let epoch = if opens_phase {
-            // Racing scanners may both open the same phase k by writing
-            // R[k]; the phase number is the highest register opened, not
-            // the number of opening writes.
-            self.epoch.fetch_max(paper_index as u64, Ordering::Relaxed);
-            paper_index as u64
-        } else {
-            self.epoch.load(Ordering::Relaxed)
-        };
-        self.last_write_epoch[paper_index - 1].swap(epoch, Ordering::Relaxed) != epoch
-    }
-}
-
 /// One call's bookkeeping, by writer index. Only the call's own thread
 /// writes it.
 #[derive(Default)]
@@ -210,7 +187,9 @@ struct Record {
 /// Phases are counted at *visible* granularity (a phase is counted when
 /// its opening register write lands, not at the opening scan), which
 /// can only under-count invalidation writes relative to the paper's
-/// definition; the paper's upper bounds still apply.
+/// definition; the paper's upper bounds still apply. A write is
+/// classified by the same atomic swap that stores it (module docs), so
+/// the classification is ordered with the register's own store.
 ///
 /// The counts are summed from per-call records, so they are exact once
 /// the object is quiescent (every call that started has returned, as
@@ -277,8 +256,9 @@ impl PhaseStats {
 /// assert!(Timestamp::compare(&a, &b));
 /// ```
 pub struct BoundedTimestamp {
-    /// `R[1..m]` as words: `0` for `⊥`, else `rnd` over `writer + 1`.
-    regs: Box<[AtomicU32]>,
+    /// `R[1..m]`: the epoch of each register's last write over its
+    /// word, `0` for `⊥` or `rnd` over `writer + 1`.
+    regs: Box<[AtomicU64]>,
     /// One record per writer index.
     records: Box<[Record]>,
     meter: SpaceMeter,
@@ -288,10 +268,12 @@ pub struct BoundedTimestamp {
     /// Built with [`BoundedTimestamp::one_shot`]: calls are keyed by pid.
     one_shot: bool,
     /// The admission counter of a budgeted object. Padded, like
-    /// `accounting`, so the counters calls bump do not share a line with
-    /// the fields every call reads.
+    /// `epoch`, so the counters calls bump do not share a line with the
+    /// fields every call reads.
     invocations: CachePadded<AtomicU64>,
-    accounting: CachePadded<Accounting>,
+    /// The Section 6.3 visible phase: the highest register a
+    /// phase-opening write has gone to.
+    epoch: CachePadded<AtomicU64>,
 }
 
 /// `⌈2√M⌉` computed exactly: the least `m` with `m² ≥ 4M`.
@@ -313,6 +295,9 @@ pub(crate) const WRITER_BITS: u32 = 20;
 const WRITER_MASK: u32 = (1 << WRITER_BITS) - 1;
 /// The register word of `⊥`.
 const BOT: u64 = 0;
+/// A [`BoundedTimestamp`] register never written: `⊥` under an epoch
+/// no write carries (epochs are register indices).
+const UNWRITTEN: u64 = (u32::MAX as u64) << 32;
 
 /// Where one Algorithm 4 object keeps its registers `R[1..]` and its
 /// line-15 cells; [`get_ts`] is the algorithm over any of them.
@@ -605,7 +590,7 @@ impl BoundedTimestamp {
         // the ceiling equals the phase count.
         let m = registers_for_budget(budget).max(2);
         Self {
-            regs: (0..m).map(|_| AtomicU32::new(BOT as u32)).collect(),
+            regs: (0..m).map(|_| AtomicU64::new(UNWRITTEN)).collect(),
             records: (0..budget).map(|_| Record::default()).collect(),
             meter: SpaceMeter::new(m),
             m,
@@ -613,7 +598,7 @@ impl BoundedTimestamp {
             policy,
             one_shot: false,
             invocations: CachePadded::new(AtomicU64::new(0)),
-            accounting: CachePadded::new(Accounting::new(m)),
+            epoch: CachePadded::new(AtomicU64::new(0)),
         }
     }
 
@@ -671,7 +656,7 @@ impl BoundedTimestamp {
             m: self.m,
             budget: self.budget,
             calls: turn_returns + early_returns + scans,
-            phases: self.accounting.epoch.load(Ordering::Relaxed),
+            phases: self.epoch.load(Ordering::Relaxed),
             invalidation_writes,
             total_writes: meter.total_writes(),
             scans,
@@ -731,21 +716,32 @@ impl Storage for BoundedTimestamp {
         self.m
     }
 
-    /// One load; the caller meters its reads in bulk.
+    /// One load, masked to the word; the caller meters its reads in
+    /// bulk.
     fn read(&self, j: usize) -> Result<u64, Infallible> {
-        Ok(self.regs[j - 1].load(Ordering::SeqCst).into())
+        Ok(self.regs[j - 1].load(Ordering::SeqCst) & u64::from(u32::MAX))
     }
 
-    /// One store, metered, and charged to the writer's record if it is
-    /// an invalidation write.
+    /// One swap of the word under the current epoch, metered, and
+    /// charged to the writer's record if it is an invalidation write:
+    /// one whose register's previous write carried another epoch. On
+    /// x86-64 the swap is the `xchg` a `SeqCst` store compiles to anyway.
     fn write(&self, j: usize, word: u64, opens_phase: bool) -> Result<(), Infallible> {
-        if self.accounting.record_write(j, opens_phase) {
+        let epoch = if opens_phase {
+            // Racing scanners may both open phase j by writing R[j]: the
+            // phase number is the highest register opened, not the
+            // number of opening writes.
+            self.epoch.fetch_max(j as u64, Ordering::Relaxed);
+            j as u64
+        } else {
+            self.epoch.load(Ordering::Relaxed)
+        };
+        self.meter.record_write(j - 1);
+        if self.regs[j - 1].swap((epoch << 32) | word, Ordering::SeqCst) >> 32 != epoch {
             let writer = writer_field::<Self>(word) as usize - 1;
             let count = &self.records[writer].invalidations;
             count.store(count.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         }
-        self.meter.record_write(j - 1);
-        self.regs[j - 1].store(word as u32, Ordering::SeqCst);
         Ok(())
     }
 
@@ -800,7 +796,8 @@ impl fmt::Debug for BoundedTimestamp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
+    use std::collections::HashSet;
     use std::sync::Arc;
 
     #[test]
@@ -875,18 +872,22 @@ mod tests {
         assert_eq!(stats.scans, 4);
         assert_eq!(stats.turn_returns, 6);
         assert_eq!(stats.total_writes, 10);
+        // Every write lands in a register not yet written in its phase:
+        // each opener's R[k], then one turn write per register.
+        assert_eq!(stats.invalidation_writes, 10);
         assert_eq!(stats.registers_written, 4);
     }
 
     type Line15 = OnceLock<Box<[u32]>>;
 
     /// A storage over plain words that counts every access per register,
-    /// for one call: `reads[j - 1]` and `writes[j - 1]` count `R[j]`.
+    /// for one call: `reads[j - 1]` counts reads of `R[j]`, and `written`
+    /// logs each write as `(j, opens_phase)` in order.
     struct Counted<'a> {
         regs: &'a [AtomicU64],
         cells: &'a [Line15],
         reads: Vec<Cell<u64>>,
-        writes: Vec<Cell<u64>>,
+        written: RefCell<Vec<(usize, bool)>>,
     }
 
     impl<'a> Counted<'a> {
@@ -895,7 +896,7 @@ mod tests {
                 regs,
                 cells,
                 reads: vec![Cell::new(0); regs.len()],
-                writes: vec![Cell::new(0); regs.len()],
+                written: RefCell::default(),
             }
         }
 
@@ -917,8 +918,8 @@ mod tests {
             Ok(self.regs[j - 1].load(Ordering::SeqCst))
         }
 
-        fn write(&self, j: usize, word: u64, _opens_phase: bool) -> Result<(), Infallible> {
-            self.writes[j - 1].set(self.writes[j - 1].get() + 1);
+        fn write(&self, j: usize, word: u64, opens_phase: bool) -> Result<(), Infallible> {
+            self.written.borrow_mut().push((j, opens_phase));
             self.regs[j - 1].store(word, Ordering::SeqCst);
             Ok(())
         }
@@ -956,7 +957,9 @@ mod tests {
                     reads.meter(&meter);
                     for (j, total) in counted.iter_mut().enumerate() {
                         *total += storage.reads[j].get();
-                        writes[j] += storage.writes[j].get();
+                    }
+                    for &(j, _) in storage.written.borrow().iter() {
+                        writes[j - 1] += 1;
                     }
                 }
                 let case = format!("{policy:?}, M = {budget}");
@@ -968,6 +971,61 @@ mod tests {
                 let snap = ts.meter().snapshot();
                 assert_eq!(snap.reads, counted, "{case}: object meter");
                 assert_eq!(snap.writes, writes, "{case}: object meter");
+            }
+        }
+    }
+
+    #[test]
+    fn phase_stats_match_a_reference_classifier() {
+        // Section 6.3 by its definition, over the logged writes of a
+        // sequential run: the visible phase is the highest register a
+        // line-15 write has opened, and a write is an invalidation write
+        // iff it is its register's first write in that phase.
+        for policy in [
+            OverwritePolicy::Paper,
+            OverwritePolicy::Always,
+            OverwritePolicy::Never,
+        ] {
+            for budget in 1..=64 {
+                let (regs, cells) = counted_object(budget);
+                let mut phase = 0;
+                let mut first_in_phase = HashSet::new();
+                let mut written = HashSet::new();
+                let (mut invalidation_writes, mut total_writes) = (0, 0);
+                for me in 0..budget {
+                    let storage = Counted::new(&regs, &cells);
+                    let Ok(_) = get_ts(&storage, me, policy);
+                    for &(j, opens_phase) in storage.written.borrow().iter() {
+                        if opens_phase {
+                            phase = phase.max(j);
+                        }
+                        if first_in_phase.insert((j, phase)) {
+                            invalidation_writes += 1;
+                        }
+                        written.insert(j);
+                        total_writes += 1;
+                    }
+                }
+                let ts = BoundedTimestamp::with_budget_and_policy(budget, policy);
+                for k in 0..budget as u32 {
+                    ts.get_ts_with_id(GetTsId::new(k, 0)).unwrap();
+                }
+                let stats = ts.phase_stats();
+                assert_eq!(
+                    (
+                        stats.phases,
+                        stats.invalidation_writes,
+                        stats.total_writes,
+                        stats.registers_written
+                    ),
+                    (
+                        phase as u64,
+                        invalidation_writes,
+                        total_writes,
+                        written.len()
+                    ),
+                    "{policy:?}, M = {budget}"
+                );
             }
         }
     }
@@ -1159,6 +1217,11 @@ mod tests {
             assert_eq!(stats.calls, n as u64, "{stats:?}");
             assert!(stats.space_bound_holds(), "{stats:?}");
             assert!(stats.invalidation_bound_holds(), "{stats:?}");
+            assert!(stats.invalidation_writes <= stats.total_writes, "{stats:?}");
+            assert!(
+                stats.phases as usize <= stats.registers_written,
+                "{stats:?}"
+            );
         }
     }
 

@@ -29,8 +29,8 @@
 //!    accesses total, independent of `n`, and the cache is the only
 //!    cache line among them that another process writes: a register
 //!    write is one store to the writer's own line, the space meter
-//!    keeps each register's counts on a line of their own, and the
-//!    metered write doubles as the call count;
+//!    counts it on the writing thread's own stripe, and the metered
+//!    write doubles as the call count;
 //! 2. **validation failure** (the CAS lost a race): fall back to the
 //!    classic full collect — seeded with the cache value the failed CAS
 //!    observed — write `max + 1` to the own register, then publish it

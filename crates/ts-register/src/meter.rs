@@ -13,19 +13,19 @@ use std::sync::Arc;
 
 use crate::pad::CachePadded;
 
-/// Stripes of read counters. A thread adds its reads to one stripe, so
-/// readers of the same register on different threads bump different
-/// lines unless more than this many threads share a meter.
-const READ_STRIPES: usize = 8;
+/// Stripes of counters. A thread adds its reads and writes to one
+/// stripe, so threads accessing the same register bump different lines
+/// unless more than this many threads share a meter.
+const STRIPES: usize = 8;
 
-/// Read counters per padded chunk: 16 × 8 bytes fill one 128-byte line.
+/// Counters per padded chunk: 16 × 8 bytes fill one 128-byte line.
 const LANES: usize = 16;
 
-/// Hands each thread its read stripe, round-robin in first-use order.
+/// Hands each thread its stripe, round-robin in first-use order.
 static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % READ_STRIPES;
+    static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
 }
 
 /// Shared recorder of per-register read/write counts.
@@ -35,13 +35,12 @@ thread_local! {
 /// [`RegisterArray`](crate::RegisterArray) built with a meter does so
 /// on every access).
 ///
-/// Each register's write counter sits on a cache line of its own, so
-/// the owner of a single-writer register meters its writes without
-/// touching a line any other writer touches. Read counters are striped
-/// per thread instead: a thread bumps its own stripe's counter for the
-/// register, sixteen registers to a padded line, and
-/// [`snapshot`](SpaceMeter::snapshot) sums the stripes, so concurrent
-/// readers of one register meter their reads on different lines.
+/// Read and write counters are striped per thread: a thread bumps its
+/// own stripe's counter for the register, sixteen registers to a padded
+/// line, and [`snapshot`](SpaceMeter::snapshot) sums the stripes. So
+/// two threads reading or writing one register (a multi-writer register
+/// of Algorithm 4, say) meter on different lines, and a thread's
+/// counters share a line with no other thread's.
 ///
 /// Reads of a whole prefix `0..len` are recorded with one add
 /// ([`SpaceMeter::record_prefix`]): each stripe also keeps one counter
@@ -69,36 +68,48 @@ pub struct SpaceMeter {
     inner: Arc<Inner>,
 }
 
+/// `STRIPES` stripes of `chunks` chunks each: register `i`'s count in
+/// stripe `s` is lane `i % LANES` of chunk `s * chunks + i / LANES`.
+type Table = Box<[CachePadded<[AtomicU64; LANES]>]>;
+
 struct Inner {
-    /// Per-register write counters, one line each.
-    writes: Box<[CachePadded<AtomicU64>]>,
-    /// `READ_STRIPES` stripes of `chunks` chunks each: register `i`'s
-    /// count in stripe `s` is lane `i % LANES` of chunk
-    /// `s * chunks + i / LANES`.
-    reads: Box<[CachePadded<[AtomicU64; LANES]>]>,
-    /// Laid out like `reads`, with slot `i` counting reads of the prefix
-    /// `0..=i`: snapshots add its suffix sums to the registers' own
-    /// counts.
-    prefixes: Box<[CachePadded<[AtomicU64; LANES]>]>,
+    reads: Table,
+    writes: Table,
+    /// Slot `i` counts reads of the prefix `0..=i`: snapshots add its
+    /// suffix sums to the registers' own counts.
+    prefixes: Table,
     /// Chunks per stripe, `ceil(capacity / LANES)`.
     chunks: usize,
+    capacity: usize,
 }
 
 impl Inner {
-    /// Slot `index` of stripe `stripe` in `table` (`reads` or
-    /// `prefixes`).
-    fn counter<'a>(
-        &self,
-        table: &'a [CachePadded<[AtomicU64; LANES]>],
-        stripe: usize,
-        index: usize,
-    ) -> &'a AtomicU64 {
+    /// Slot `index` of stripe `stripe` in `table`.
+    fn counter<'a>(&self, table: &'a Table, stripe: usize, index: usize) -> &'a AtomicU64 {
         &table[stripe * self.chunks + index / LANES][index % LANES]
+    }
+
+    /// Adds `n` to register `index`'s slot of the calling thread's
+    /// stripe in `table`; `n = 0` adds nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= capacity`: the last chunk has lanes past it.
+    fn add(&self, table: &Table, index: usize, n: u64) {
+        assert!(
+            index < self.capacity,
+            "register index {index} out of meter capacity {}",
+            self.capacity
+        );
+        if n > 0 {
+            self.counter(table, stripe(), index)
+                .fetch_add(n, Ordering::Relaxed);
+        }
     }
 }
 
-/// The calling thread's read stripe; a thread whose locals are already
-/// torn down shares stripe 0.
+/// The calling thread's stripe; a thread whose locals are already torn
+/// down shares stripe 0.
 fn stripe() -> usize {
     STRIPE.try_with(|s| *s).unwrap_or(0)
 }
@@ -108,23 +119,24 @@ impl SpaceMeter {
     pub fn new(capacity: usize) -> Self {
         let chunks = capacity.div_ceil(LANES);
         let table = || {
-            (0..READ_STRIPES * chunks)
+            (0..STRIPES * chunks)
                 .map(|_| CachePadded::default())
                 .collect()
         };
         Self {
             inner: Arc::new(Inner {
-                writes: (0..capacity).map(|_| CachePadded::default()).collect(),
                 reads: table(),
+                writes: table(),
                 prefixes: table(),
                 chunks,
+                capacity,
             }),
         }
     }
 
     /// Number of registers the meter observes.
     pub fn capacity(&self) -> usize {
-        self.inner.writes.len()
+        self.inner.capacity
     }
 
     /// Records a read of register `index` in the calling thread's
@@ -144,17 +156,7 @@ impl SpaceMeter {
     ///
     /// Panics if `index >= capacity`.
     pub fn record_reads(&self, index: usize, n: u64) {
-        assert!(
-            index < self.capacity(),
-            "register index {index} out of meter capacity {}",
-            self.capacity()
-        );
-        if n > 0 {
-            let inner = &*self.inner;
-            inner
-                .counter(&inner.reads, stripe(), index)
-                .fetch_add(n, Ordering::Relaxed);
-        }
+        self.inner.add(&self.inner.reads, index, n);
     }
 
     /// Records `n` reads of each register in `0..len` with one atomic
@@ -170,11 +172,8 @@ impl SpaceMeter {
             "prefix length {len} exceeds meter capacity {}",
             self.capacity()
         );
-        if len > 0 && n > 0 {
-            let inner = &*self.inner;
-            inner
-                .counter(&inner.prefixes, stripe(), len - 1)
-                .fetch_add(n, Ordering::Relaxed);
+        if len > 0 {
+            self.inner.add(&self.inner.prefixes, len - 1, n);
         }
     }
 
@@ -184,13 +183,14 @@ impl SpaceMeter {
         self.record_prefix(self.capacity(), 1);
     }
 
-    /// Records a write of register `index`.
+    /// Records a write of register `index` in the calling thread's
+    /// stripe.
     ///
     /// # Panics
     ///
     /// Panics if `index >= capacity`.
     pub fn record_write(&self, index: usize) {
-        self.inner.writes[index].fetch_add(1, Ordering::Relaxed);
+        self.inner.add(&self.inner.writes, index, 1);
     }
 
     /// Takes a consistent-enough snapshot of the counters.
@@ -200,14 +200,13 @@ impl SpaceMeter {
     /// it).
     pub fn snapshot(&self) -> MeterSnapshot {
         let inner = &*self.inner;
-        let summed = |table: &[CachePadded<[AtomicU64; LANES]>], i: usize| {
-            (0..READ_STRIPES)
+        let summed = |table: &Table, i: usize| {
+            (0..STRIPES)
                 .map(|s| inner.counter(table, s, i).load(Ordering::Relaxed))
                 .sum::<u64>()
         };
-        let mut reads: Vec<u64> = (0..self.capacity())
-            .map(|i| summed(&inner.reads, i))
-            .collect();
+        let per_register = |table| (0..self.capacity()).map(|i| summed(table, i)).collect();
+        let mut reads: Vec<u64> = per_register(&inner.reads);
         // A prefix of length `i + 1` read registers `0..=i`: register `i`
         // gets every prefix at least that long.
         let mut longer = 0;
@@ -217,11 +216,7 @@ impl SpaceMeter {
         }
         MeterSnapshot {
             reads,
-            writes: inner
-                .writes
-                .iter()
-                .map(|w| w.load(Ordering::Relaxed))
-                .collect(),
+            writes: per_register(&inner.writes),
         }
     }
 }
@@ -325,7 +320,7 @@ mod tests {
         // More threads than stripes, so some threads share a stripe;
         // 20 registers span two chunks per stripe.
         let threads = 12;
-        assert!(threads > READ_STRIPES);
+        assert!(threads > STRIPES);
         let meter = SpaceMeter::new(20);
         meter.record_write(3);
         meter.record_write(17);
@@ -350,6 +345,37 @@ mod tests {
         writes[3] = 1;
         writes[17] = 1;
         assert_eq!(snap.writes, writes);
+    }
+
+    #[test]
+    fn striped_writes_count_exactly_when_threads_share_a_register() {
+        // More threads than stripes, all writing the same registers, as
+        // Algorithm 4's multi-writer registers are written; 20 registers
+        // span two chunks per stripe.
+        let threads = 12;
+        assert!(threads > STRIPES);
+        let meter = SpaceMeter::new(20);
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(|| {
+                    for _ in 0..10_000 {
+                        meter.record_write(0);
+                        meter.record_write(17);
+                    }
+                    meter.record_write(19);
+                });
+            }
+        });
+        let snap = meter.snapshot();
+        let mut writes = vec![0; 20];
+        writes[0] = 120_000;
+        writes[17] = 120_000;
+        writes[19] = 12;
+        assert_eq!(snap.writes, writes);
+        assert_eq!(snap.total_writes(), 240_012);
+        assert_eq!(snap.registers_written(), 3);
+        assert_eq!(snap.max_written_index(), Some(19));
+        assert_eq!(snap.total_reads(), 0);
     }
 
     #[test]
@@ -408,7 +434,7 @@ mod tests {
     #[test]
     fn striped_prefixes_count_exactly_when_threads_share_stripes() {
         let threads = 12;
-        assert!(threads > READ_STRIPES);
+        assert!(threads > STRIPES);
         let meter = SpaceMeter::new(20);
         std::thread::scope(|s| {
             for t in 0..threads {
@@ -445,5 +471,12 @@ mod tests {
     fn reading_past_capacity_panics_inside_the_last_chunk() {
         // Index 3 exists in the padded chunk but not in the array.
         SpaceMeter::new(3).record_read(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of meter capacity")]
+    fn writing_past_capacity_panics_inside_the_last_chunk() {
+        // Index 3 exists in the padded chunk but not in the array.
+        SpaceMeter::new(3).record_write(3);
     }
 }

@@ -3,10 +3,12 @@
 //! changes behaviour, these diffs surface it immediately.
 
 use timestamp_suite::ts_core::model::BoundedModel;
+use timestamp_suite::ts_core::PhaseStats;
 use timestamp_suite::ts_lowerbound::grid::Grid;
 use timestamp_suite::ts_lowerbound::longlived::LongLivedConstruction;
 use timestamp_suite::ts_lowerbound::oneshot::OneShotConstruction;
 use timestamp_suite::ts_lowerbound::signature::OrderedSignature;
+use ts_bench::run_phase_accounting;
 
 /// Compares renderings ignoring trailing whitespace per line.
 fn assert_grid_eq(actual: &str, expected_lines: &[&str]) {
@@ -199,4 +201,32 @@ fn sequential_walkthrough_trace_is_stable() {
         "\n{rendered}"
     );
     assert!(!rendered.contains("R[3]"), "{rendered}");
+}
+
+#[test]
+fn sequential_phase_accounting_rows_are_pinned() {
+    // The threads = 1 rows of the E5 table (`table_phase_accounting`):
+    // one caller drives Algorithm 4 to budget exhaustion, so every count
+    // is deterministic. Sequentially the phase opened by `R[k]` serves
+    // `k` calls, and every write is its register's first in its phase.
+    let row = |budget: usize, m, phases, turns| PhaseStats {
+        m,
+        budget,
+        calls: budget as u64,
+        phases,
+        invalidation_writes: budget as u64,
+        total_writes: budget as u64,
+        scans: phases,
+        early_returns: 0,
+        turn_returns: turns,
+        registers_written: phases as usize,
+    };
+    for (budget, want) in [
+        (16, row(16, 8, 6, 10)),
+        (64, row(64, 16, 11, 53)),
+        (256, row(256, 32, 23, 233)),
+        (1024, row(1024, 64, 45, 979)),
+    ] {
+        assert_eq!(run_phase_accounting(budget, 1), want, "M = {budget}");
+    }
 }
