@@ -28,6 +28,7 @@
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crossbeam::thread;
 use serde::Serialize;
@@ -128,18 +129,39 @@ pub struct OneShotRun {
     pub ordered_ok: bool,
 }
 
+/// Most worker threads one half of [`run_concurrent_oneshot`] starts.
+const ONESHOT_WORKERS: usize = 8;
+
+/// Runs pids `0..n/2`, joins, then runs pids `n/2..n`: the join orders
+/// every first-half call before every second-half call. Each half is
+/// served by at most [`ONESHOT_WORKERS`] threads that take pids from a
+/// shared counter, so large `n` never starts one thread per pid.
 fn run_concurrent_oneshot<T: OneShotTimestamp>(
     ts: &T,
     n: usize,
 ) -> (Vec<Timestamp>, Vec<Timestamp>) {
-    // Two barrier-separated rounds establish real happens-before edges.
     let half = n / 2;
     let round = |lo: usize, hi: usize| -> Vec<Timestamp> {
+        let next = AtomicUsize::new(lo);
         thread::scope(|s| {
-            let handles: Vec<_> = (lo..hi)
-                .map(|p| s.spawn(move |_| ts.get_ts(p).expect("one-shot get_ts")))
+            let handles: Vec<_> = (0..(hi - lo).min(ONESHOT_WORKERS))
+                .map(|_| {
+                    s.spawn(|_| {
+                        let mut stamps = Vec::new();
+                        loop {
+                            let p = next.fetch_add(1, Ordering::Relaxed);
+                            if p >= hi {
+                                return stamps;
+                            }
+                            stamps.push(ts.get_ts(p).expect("one-shot get_ts"));
+                        }
+                    })
+                })
                 .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
         })
         .unwrap()
     };
@@ -278,6 +300,18 @@ mod tests {
         assert!(run.ordered_ok);
         assert!(stats.space_bound_holds());
         assert!(stats.invalidation_bound_holds());
+    }
+
+    #[test]
+    fn oneshot_halves_call_every_pid_once_on_a_few_workers() {
+        // A reused pid would fail the one-shot guard; a skipped one
+        // would shorten its half.
+        for n in [1, 2, 3, 17, 1024] {
+            let ts = SimpleOneShot::new(n);
+            let (first, second) = run_concurrent_oneshot(&ts, n);
+            assert_eq!((first.len(), second.len()), (n / 2, n - n / 2));
+            assert!(rounds_ordered(&first, &second), "n = {n}");
+        }
     }
 
     #[test]

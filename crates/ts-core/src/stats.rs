@@ -17,10 +17,21 @@ use ts_register::CachePadded;
 /// counters per process id or lease slot, summed when read.
 ///
 /// A counter shared by all callers is one more contended cache line on
-/// every call. Here each caller bumps only its own slot's row, which
-/// no other caller writes while it holds the slot, so counting adds no
-/// line that moves between CPUs. Bumps are `Relaxed`: the counts are
-/// statistics and publish nothing.
+/// every call, and even an uncontended `fetch_add` is a locked
+/// read-modify-write. Here each row has **one writer at a time**, so
+/// [`add`](SlotCounters::add) is a plain load and store, both
+/// `Relaxed`, with no locked instruction and no line that moves between
+/// CPUs. Who holds the one-writer rule:
+///
+/// - a service row is a lease slot, written only by the slot's lease
+///   holder. The lease is taken with an `Acquire` CAS and released with
+///   a `SeqCst` store, so one holder's adds happen before the next
+///   holder's and none is lost;
+/// - a [`CollectMax`](crate::CollectMax) row is a pid, written only by
+///   that pid's calls, which already are its register's single writer.
+///
+/// Two threads adding to one row at once may lose counts; no caller
+/// does. The counts are statistics and publish nothing.
 pub struct SlotCounters<const N: usize> {
     rows: Box<[CachePadded<[AtomicU64; N]>]>,
 }
@@ -35,21 +46,31 @@ impl<const N: usize> SlotCounters<N> {
         }
     }
 
-    /// Adds `by` to counter `counter` of `slot`'s row.
+    /// Adds `by` to counter `counter` of `slot`'s row. The caller must
+    /// be the row's one writer (see the type docs).
     ///
     /// # Panics
     ///
     /// Panics if `slot` or `counter` is out of range.
     pub fn add(&self, slot: usize, counter: usize, by: u64) {
-        self.rows[slot][counter].fetch_add(by, Ordering::Relaxed);
+        let cell = &self.rows[slot][counter];
+        cell.store(cell.load(Ordering::Relaxed) + by, Ordering::Relaxed);
+    }
+
+    /// Counter `counter` of `slot`'s row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` or `counter` is out of range.
+    pub fn get(&self, slot: usize, counter: usize) -> u64 {
+        self.rows[slot][counter].load(Ordering::Relaxed)
     }
 
     /// Counter `counter` summed over every slot. Exact once the writers
     /// have quiesced; a racing read may miss bumps still in flight.
     pub fn sum(&self, counter: usize) -> u64 {
-        self.rows
-            .iter()
-            .map(|row| row[counter].load(Ordering::Relaxed))
+        (0..self.rows.len())
+            .map(|slot| self.get(slot, counter))
             .sum()
     }
 }
@@ -293,6 +314,37 @@ mod tests {
         let a = &counters.rows[0] as *const _ as usize;
         let b = &counters.rows[1] as *const _ as usize;
         assert!(b - a >= 128, "rows {a:#x}/{b:#x} share a line");
+    }
+
+    #[test]
+    fn a_row_handed_between_threads_sums_exactly() {
+        // One row, four writers taking turns: each waits for its turn on
+        // an Acquire load and hands the row on with a Release store, as
+        // a slot lease does. No add is lost across the hand-offs.
+        const THREADS: u64 = 4;
+        const TURNS: u64 = 500;
+        let counters = SlotCounters::<2>::new(1);
+        let turn = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (counters, turn) = (&counters, &turn);
+                s.spawn(move || {
+                    for round in 0..TURNS {
+                        let mine = round * THREADS + t;
+                        while turn.load(Ordering::Acquire) != mine {
+                            std::thread::yield_now();
+                        }
+                        for _ in 0..10 {
+                            counters.add(0, 0, 1);
+                        }
+                        counters.add(0, 1, t);
+                        turn.store(mine + 1, Ordering::Release);
+                    }
+                });
+            }
+        });
+        assert_eq!(counters.get(0, 0), THREADS * TURNS * 10);
+        assert_eq!(counters.get(0, 1), TURNS * (0..THREADS).sum::<u64>());
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //! - **return**: dropping the [`Lease`] stores `false`. The store
 //!   releases, so the next holder sees every register write of the
 //!   previous one — `Shard::publish` reads the pair, compares and
-//!   writes, and must never act on a stale value.
+//!   writes, and must never act on a stale value — and every count the
+//!   previous one added to the slot's counter row, which holders add to
+//!   with plain stores.
 //!
 //! Steady-state sessions therefore keep their own slot, its registers
 //! and its counter row; only callers that find *every* slot busy touch

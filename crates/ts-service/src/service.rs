@@ -3,7 +3,7 @@
 use std::fmt;
 
 use ts_core::{ServiceStats, ShardedTimestamp, VpidAllocator};
-use ts_register::{PackedBackend, RegisterBackend, SpaceMeter};
+use ts_register::{MeterSnapshot, PackedBackend, RegisterBackend};
 
 use crate::batch::ShardBatch;
 use crate::session::ClientSession;
@@ -141,10 +141,15 @@ impl<B: RegisterBackend<u64>> ShardedCollectMax<B> {
         best
     }
 
-    /// A shard's register-traffic meter (space accounting, same
-    /// substrate as [`CollectMax::meter`](ts_core::CollectMax::meter)).
-    pub fn meter(&self, shard: usize) -> &SpaceMeter {
-        self.shards[shard].meter()
+    /// A shard's register traffic, per register, in the shape of
+    /// [`CollectMax::meter`](ts_core::CollectMax::meter)'s snapshot:
+    /// index `slot` is a slot's local register and `slots_per_shard +
+    /// slot` its epoch register. Rebuilt from the counts each slot's
+    /// lease holder keeps in its slot row and the shard's count of
+    /// [`read_max`](Self::read_max) collects; exact once the callers
+    /// have quiesced.
+    pub fn meter_snapshot(&self, shard: usize) -> MeterSnapshot {
+        self.shards[shard].meter_snapshot()
     }
 
     /// Snapshot of the unified hot-path counters (per-slot rows of
@@ -169,6 +174,12 @@ impl<B: RegisterBackend<u64>> ShardedCollectMax<B> {
     /// it at the slot leased), reserves with one CAS, publishes the top
     /// to the leased register. Sessions call this; it is the
     /// single-stamp path too (`k == 1`).
+    ///
+    /// A call makes three locked read-modify-writes: the lease CAS, the
+    /// reservation CAS (more only when it loses a race) and the lease
+    /// release. Its counts go to the leased slot's counter row with
+    /// plain stores, and nothing on the path touches thread-local
+    /// state.
     pub(crate) fn issue_batch(
         &self,
         shard: usize,
@@ -182,14 +193,6 @@ impl<B: RegisterBackend<u64>> ShardedCollectMax<B> {
         let slot = lease.slot();
         *slot_hint = slot;
         let res = sh.get_batch(slot, floor, u64::from(k));
-        sh.counters.add(slot, CALLS, 1);
-        if res.fast {
-            sh.counters.add(slot, FAST_HITS, 1);
-        }
-        if k > 1 {
-            sh.counters.add(slot, BATCHES, 1);
-            sh.counters.add(slot, BATCHED, u64::from(k));
-        }
         drop(lease);
         ShardBatch::new(res.first, res.last, shard as u32)
     }
@@ -267,6 +270,6 @@ mod tests {
         let service = ShardedCollectMax::new(ServiceConfig::new(1, 2));
         let mut s = service.session();
         s.get_ts();
-        assert!(service.meter(0).snapshot().total_writes() >= 1);
+        assert!(service.meter_snapshot(0).total_writes() >= 1);
     }
 }

@@ -27,18 +27,24 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ts_core::SlotCounters;
-use ts_register::{BackendRegister, CachePadded, Register, RegisterBackend, SpaceMeter};
+use ts_register::{BackendRegister, CachePadded, MeterSnapshot, Register, RegisterBackend};
 
 use crate::pool::SlotPool;
 
 /// Columns of [`Shard::counters`]: stamps issued, issue calls, calls
 /// whose reservation CAS won on the first attempt, and batch
-/// reservations (`k > 1`) and their stamps.
+/// reservations (`k > 1`) and their stamps; then [`Shard::publish`]'s
+/// register traffic: reads of the slot's epoch and local registers and
+/// writes of its local and epoch registers.
 pub(crate) const STAMPS: usize = 0;
 pub(crate) const CALLS: usize = 1;
 pub(crate) const FAST_HITS: usize = 2;
 pub(crate) const BATCHES: usize = 3;
 pub(crate) const BATCHED: usize = 4;
+const EPOCH_READS: usize = 5;
+const LOCAL_READS: usize = 6;
+const LOCAL_WRITES: usize = 7;
+const EPOCH_WRITES: usize = 8;
 
 /// Largest value of the packed word's `local` half.
 const LOCAL_MAX: u64 = u32::MAX as u64;
@@ -85,12 +91,15 @@ pub(crate) struct Shard<B: RegisterBackend<u64>> {
     locals: Box<[CachePadded<B::Reg>]>,
     /// Single-writer `epoch` registers, paired with `locals`.
     epochs: Box<[CachePadded<B::Reg>]>,
-    meter: SpaceMeter,
     /// Slot leases: slot `i`'s registers have one writer at a time.
     pub(crate) pool: SlotPool,
-    /// Issue counters, one row per slot, bumped by the slot's lease
-    /// holder; the shard's stamp total is the imbalance signal.
-    pub(crate) counters: SlotCounters<5>,
+    /// Issue counters and the slot's register traffic, one row per
+    /// slot, written only by the slot's lease holder; the shard's stamp
+    /// total is the imbalance signal.
+    pub(crate) counters: SlotCounters<9>,
+    /// Observer collects ([`Shard::collect_max_word`]), each one read
+    /// of every register. Padded: observers bump it, issuers never do.
+    sweeps: CachePadded<AtomicU64>,
 }
 
 impl<B: RegisterBackend<u64>> Shard<B> {
@@ -105,11 +114,9 @@ impl<B: RegisterBackend<u64>> Shard<B> {
             word: CachePadded::new(AtomicU64::new(0)),
             locals: registers(),
             epochs: registers(),
-            // Meter indexes: `slot` for the local register, `slots +
-            // slot` for its epoch partner.
-            meter: SpaceMeter::new(2 * slots),
             pool: SlotPool::new(slots),
             counters: SlotCounters::new(slots),
+            sweeps: CachePadded::new(AtomicU64::new(0)),
         }
     }
 
@@ -160,6 +167,8 @@ impl<B: RegisterBackend<u64>> Shard<B> {
     /// writers per slot, so the read-check-write is safe; skipping
     /// non-advances keeps the published word monotone even though
     /// different clients (with different floors) time-share the slot.
+    /// Each register access is counted in the slot's counter row, which
+    /// the lease holder alone writes, so counting takes plain stores.
     ///
     /// Write ordering: `local` lands **before** `epoch`. Combined with
     /// the collect's epoch-before-local read order, every observed pair
@@ -168,45 +177,57 @@ impl<B: RegisterBackend<u64>> Shard<B> {
     /// frontier — without any read-retry loop.
     fn publish(&self, slot: usize, word: u64) {
         let (epoch, local) = (word >> 32, word & LOCAL_MAX);
-        self.meter.record_read(self.locals.len() + slot);
+        let count = |column| self.counters.add(slot, column, 1);
+        count(EPOCH_READS);
         let cur_epoch = self.epochs[slot].read();
         if cur_epoch > epoch {
             return;
         }
         if cur_epoch == epoch {
-            self.meter.record_read(slot);
+            count(LOCAL_READS);
             if self.locals[slot].read() >= local {
                 return;
             }
         }
-        self.meter.record_write(slot);
+        count(LOCAL_WRITES);
         self.locals[slot].write(local);
         if cur_epoch < epoch {
-            self.meter.record_write(self.locals.len() + slot);
+            count(EPOCH_WRITES);
             self.epochs[slot].write(epoch);
         }
     }
 
-    /// Reserves `k` stamps above `floor` and publishes the range's top
-    /// to the leased slot's register.
+    /// Reserves `k` stamps above `floor`, publishes the range's top to
+    /// the leased slot's register and counts the call in the slot's
+    /// row. The caller must hold `slot`'s lease.
     pub(crate) fn get_batch(&self, slot: usize, floor: u64, k: u64) -> Reservation {
         let res = self.reserve(floor, k);
         self.publish(slot, res.last);
-        self.counters.add(slot, STAMPS, k);
+        let count = |column, by| self.counters.add(slot, column, by);
+        count(CALLS, 1);
+        count(STAMPS, k);
+        if res.fast {
+            count(FAST_HITS, 1);
+        }
+        if k > 1 {
+            count(BATCHES, 1);
+            count(BATCHED, k);
+        }
         res
     }
 
     /// Collect over the register bank: the largest published word, or
     /// `None` if nothing was published yet. A read-only observation
-    /// pass (`2n` metered reads), lower-bounding the reservation
-    /// frontier [`Shard::word`] — reading each pair epoch-before-local
-    /// (see [`Shard::publish`] for why that never over-reports).
+    /// pass that reads all `2n` registers, counted as one sweep (one
+    /// shard-wide add, off the issue path), lower-bounding the
+    /// reservation frontier [`Shard::word`] — reading each pair
+    /// epoch-before-local (see [`Shard::publish`] for why that never
+    /// over-reports).
     pub(crate) fn collect_max_word(&self) -> Option<u64> {
+        self.sweeps.fetch_add(1, Ordering::Relaxed);
         let mut max = 0;
         for slot in 0..self.locals.len() {
-            self.meter.record_read(self.locals.len() + slot);
             let epoch = self.epochs[slot].read();
-            self.meter.record_read(slot);
             let local = self.locals[slot].read();
             max = max.max((epoch << 32) | local);
         }
@@ -218,9 +239,20 @@ impl<B: RegisterBackend<u64>> Shard<B> {
         self.counters.sum(STAMPS)
     }
 
-    /// The shard's register-traffic meter.
-    pub(crate) fn meter(&self) -> &SpaceMeter {
-        &self.meter
+    /// Per-register reads and writes, rebuilt from the slot rows and
+    /// the sweeps: index `slot` is a local register, `slots + slot` its
+    /// epoch partner. Exact once the callers have quiesced.
+    pub(crate) fn meter_snapshot(&self) -> MeterSnapshot {
+        let slots = self.locals.len();
+        let sweeps = self.sweeps.load(Ordering::Relaxed);
+        let per_register = |local, epoch, plus| {
+            let column = |c| (0..slots).map(move |slot| self.counters.get(slot, c) + plus);
+            column(local).chain(column(epoch)).collect()
+        };
+        MeterSnapshot {
+            reads: per_register(LOCAL_READS, EPOCH_READS, sweeps),
+            writes: per_register(LOCAL_WRITES, EPOCH_WRITES, 0),
+        }
     }
 }
 
@@ -269,6 +301,22 @@ mod tests {
         // A lower floor on the same slot must not regress the register.
         shard.get_batch(1, 0, 1);
         assert_eq!(shard.collect_max_word(), Some(word(0, 4)));
+    }
+
+    #[test]
+    fn meter_snapshot_rebuilds_every_register_access() {
+        let shard = Shard::<PackedBackend>::new(2);
+        // Slot 0, same epoch: reads its epoch and local, writes local.
+        shard.get_batch(0, 0, 1);
+        // Slot 1, a later epoch: reads its epoch, writes local, then epoch.
+        shard.raise_floor(word(3, 0));
+        shard.get_batch(1, 0, 1);
+        // A collect reads all four registers once.
+        shard.collect_max_word();
+        let snap = shard.meter_snapshot();
+        // Indexes: locals 0 and 1, then their epoch registers 2 and 3.
+        assert_eq!(snap.writes, [1, 1, 0, 1]);
+        assert_eq!(snap.reads, [2, 1, 2, 2]);
     }
 
     #[test]

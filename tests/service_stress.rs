@@ -17,10 +17,13 @@
 //! - **Lease hand-off**: 8 sessions share 2 slots while an observer
 //!   polls the published maximum; a holder that missed its
 //!   predecessor's register writes could regress a slot's pair.
+//! - **Counts across hand-offs**: 8 sessions on 4 threads share 2
+//!   slots while an observer collects; the per-slot counts and the
+//!   register traffic they rebuild stay exact.
 //! - **Slot affinity**: uncrowded sessions keep the slot they leased.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
 
 use timestamp_suite::ts_core::{EpochBackend, PackedBackend, RegisterBackend, ShardedTimestamp};
@@ -211,6 +214,83 @@ fn lease_hand_off_keeps_the_published_max_monotone() {
     assert_eq!(stats.calls, (THREADS * per_thread) as u64);
 }
 
+/// A slot's counter row is written by whoever holds the slot's lease,
+/// so its counts pass from holder to holder with the lease. 4 threads
+/// drive 8 sessions over 2 slots, until slots have changed hands with
+/// a caller waiting for a lease, while an observer collects; every
+/// count stays exact.
+#[test]
+fn counts_stay_exact_across_lease_hand_offs() {
+    const ISSUERS: usize = 4;
+    const SESSIONS_PER_ISSUER: usize = 2;
+    /// Calls between checks for a lease wait; every fourth is a batch.
+    const CHUNK: u64 = 1_000;
+    /// Gives up on seeing a lease wait after this many calls per thread.
+    const MAX_CALLS: u64 = 2_000_000;
+    let service = ShardedCollectMax::new(ServiceConfig::new(1, 2));
+    let slots = service.config().slots_per_shard as u64;
+    let stop = AtomicBool::new(false);
+    let collects = AtomicU64::new(0);
+    let barrier = Barrier::new(ISSUERS);
+    let (calls, stamps) = std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::Acquire) {
+                service.read_max();
+                collects.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        let issuers: Vec<_> = (0..ISSUERS)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut sessions: Vec<_> = (0..SESSIONS_PER_ISSUER)
+                        .map(|_| service.session())
+                        .collect();
+                    let (mut calls, mut stamps) = (0u64, 0u64);
+                    barrier.wait();
+                    let settled =
+                        || service.stats().lease_waits > 0 && collects.load(Ordering::Relaxed) > 0;
+                    while calls == 0 || (calls < MAX_CALLS && !settled()) {
+                        for i in 0..CHUNK {
+                            let session = &mut sessions[i as usize % SESSIONS_PER_ISSUER];
+                            stamps += if i % 4 == 3 {
+                                session.get_ts_batch(16).count() as u64
+                            } else {
+                                session.get_ts();
+                                1
+                            };
+                        }
+                        calls += CHUNK;
+                    }
+                    (calls, stamps)
+                })
+            })
+            .collect();
+        let (calls, stamps) = issuers
+            .into_iter()
+            .map(|d| d.join().expect("issuer panicked"))
+            .fold((0, 0), |(c, s), (dc, ds)| (c + dc, s + ds));
+        stop.store(true, Ordering::Release);
+        (calls, stamps)
+    });
+    let collects = collects.into_inner();
+    let stats = service.stats();
+    assert!(stats.lease_waits > 0, "no caller ever waited for a lease");
+    assert!(collects > 0, "the observer never collected");
+    assert_eq!(stats.calls, calls);
+    assert_eq!(stats.stamps, stamps);
+    assert_eq!(stats.batched_stamps, calls / 4 * 16);
+    // Meter indexes: `slot` for a local register, `slots + slot` for its
+    // epoch partner. Every call writes its slot's local register once
+    // (no floor is raised, so the epoch stays 0), and every call and
+    // every collect reads each epoch register it visits once.
+    let meter = service.meter_snapshot(0);
+    let (local, epoch) = meter.writes.split_at(slots as usize);
+    assert_eq!(local.iter().sum::<u64>(), calls);
+    assert_eq!(epoch.iter().sum::<u64>(), 0);
+    let epoch_reads: u64 = meter.reads[slots as usize..].iter().sum();
+    assert_eq!(epoch_reads, calls + slots * collects);
+}
+
 /// Two sessions on one shard of two slots keep one slot each: session
 /// `i` starts on slot `i` and, uncrowded, is never moved off it.
 #[test]
@@ -225,7 +305,7 @@ fn alternating_sessions_keep_their_own_slots() {
     // Meter indexes: `slot` for a local register, `2 + slot` for its
     // epoch partner. Every publish reads the epoch, then (same epoch)
     // the local, and writes only the local.
-    let snapshot = service.meter(0).snapshot();
+    let snapshot = service.meter_snapshot(0);
     assert_eq!(snapshot.writes, [10, 10, 0, 0]);
     assert_eq!(snapshot.reads, [10, 10, 10, 10]);
     assert_eq!(service.stats().lease_waits, 0);
