@@ -14,7 +14,7 @@
 
 use std::hint::black_box;
 
-use ts_core::workload::{StampSource, StampWorker, StepGate, WorkloadTarget, WorkloadWorker};
+use ts_core::workload::{StampSource, StampWorker, WorkloadTarget, WorkloadWorker};
 use ts_core::RegisterBackend;
 
 use crate::fcfs_lock::FcfsLock;
@@ -24,7 +24,7 @@ impl<B: RegisterBackend<u64>> StampSource for FcfsLock<B> {
     type State<'a> = usize;
     type Stamp = u64;
 
-    fn issue(&self, slot: &mut usize, _gate: Option<&StepGate>) -> (u64, u64) {
+    fn issue(&self, slot: &mut usize) -> (u64, u64) {
         let guard = self.lock(*slot);
         let ticket = self.ticket_of(*slot);
         drop(guard);
@@ -69,7 +69,7 @@ impl<B: RegisterBackend<u64>> StampSource for KExclusion<B> {
     type State<'a> = (usize, u64);
     type Stamp = u64;
 
-    fn issue(&self, (slot, cycles): &mut (usize, u64), _gate: Option<&StepGate>) -> (u64, u64) {
+    fn issue(&self, (slot, cycles): &mut (usize, u64)) -> (u64, u64) {
         drop(self.acquire(*slot));
         *cycles += 1;
         (*cycles, *cycles)

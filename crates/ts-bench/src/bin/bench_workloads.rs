@@ -33,17 +33,10 @@
 //! `BENCH_workloads.json` (override with `--out PATH`, `--out -`
 //! skips) so the perf trajectory has per-scenario history.
 //!
-//! Besides the traffic-shape grid, the sweep runs the **replay**
-//! scenario family: every `ts_workloads::replay` corpus case
-//! (regenerated from the model checker at run time) is replayed
-//! against its real object, with per-released-step latency reported in
-//! the same row shape (`scenario = "replay_{case}"`, thread count =
-//! trace processes).
-//!
-//! It also runs the **chaos** scenario family (`crash_minority`,
-//! `crash_majority_heal`, `stalled_writer_scan`): fault campaigns
-//! applied at deterministic op thresholds while the closed loop runs,
-//! under a liveness watchdog. Those rows populate the robustness
+//! Besides the traffic-shape grid, the sweep runs the **chaos**
+//! scenario family (`crash_minority`, `crash_majority_heal`,
+//! `stalled_writer_scan`): fault campaigns applied at deterministic op
+//! thresholds while the closed loop runs, under a liveness watchdog. Those rows populate the robustness
 //! columns — `quorum_timeouts` / `quorum_degraded` /
 //! `quorum_unavailable`, the router's `net_*` injected-fault counters
 //! (also filled on the faulty-network profile cells), and
@@ -65,7 +58,6 @@ use ts_core::{
 };
 use ts_replica::{ClusterConfig, FaultPlan, ReplicatedCollectMax, ReplicatedTryRegisters};
 use ts_service::{IssueMode, ServiceConfig};
-use ts_workloads::replay::{case_target, corpus_cases, corpus_traces, replay_trace, ReplayReport};
 use ts_workloads::{
     catalog, run_scenario, run_scenario_with, Arrival, Campaign, EngineOptions, FaultEvent,
     FaultSchedule, OpMix, RunConfig, Scenario, ScenarioReport, ServiceTarget, TimedFault,
@@ -125,47 +117,6 @@ struct WorkloadRow {
 }
 
 impl WorkloadRow {
-    /// A replay case as a grid row: ops are trace steps, latency is the
-    /// controller's per-released-step gate latency, `threads` is the
-    /// number of replayed trace processes, `lives` the completed ops.
-    fn from_replay(scenario: String, processes: usize, r: &ReplayReport) -> Self {
-        let steps = r.steps_replayed as u64;
-        Self {
-            object: r.object.to_string(),
-            backend: r.backend.to_string(),
-            scenario,
-            threads: processes,
-            lives: r.completed.len() as u64,
-            ops: steps,
-            get_ts_ops: r.completed.len() as u64,
-            scan_ops: 0,
-            compare_ops: 0,
-            elapsed_secs: r.elapsed_secs,
-            throughput_ops_per_sec: steps as f64 / r.elapsed_secs.max(f64::MIN_POSITIVE),
-            mean_ns: r.step_latency.mean_ns(),
-            p50_ns: r.step_latency.percentile(50.0),
-            p90_ns: r.step_latency.percentile(90.0),
-            p99_ns: r.step_latency.percentile(99.0),
-            p999_ns: r.step_latency.percentile(99.9),
-            max_ns: r.step_latency.max_ns(),
-            stamps_per_sec: None,
-            fast_hit_ratio: None,
-            avg_batch_fill: None,
-            shard_imbalance: None,
-            lease_waits: None,
-            quorum_rounds_per_call: None,
-            quorum_repair_ratio: None,
-            quorum_timeouts: None,
-            quorum_degraded: None,
-            quorum_unavailable: None,
-            net_dropped: None,
-            net_duplicated: None,
-            net_delayed: None,
-            net_reordered: None,
-            recovery_ms: None,
-        }
-    }
-
     fn from_report(r: &ScenarioReport, stats: Option<&ServiceStats>) -> Self {
         // Robustness counters only mean something on cells whose
         // registers ran the quorum protocol; elsewhere they stay null
@@ -611,33 +562,6 @@ fn main() {
             // latency tail.
             ts_register::reclaim::flush();
         }
-    }
-
-    // The replay scenario family: corpus counterexamples and
-    // adversarial schedules driven against the real objects.
-    let traces = corpus_traces();
-    for case in corpus_cases() {
-        let entry = traces
-            .iter()
-            .find(|e| e.name == case.trace_name)
-            .expect("case names a corpus trace");
-        let target = case_target(&case, &entry.trace);
-        let report = replay_trace(target.as_ref(), &entry.trace);
-        assert_eq!(
-            report.violation.is_some(),
-            case.expect_violation,
-            "replay case {} diverged from its expectation",
-            case.name
-        );
-        let row = WorkloadRow::from_replay(
-            format!("replay_{}", case.name),
-            entry.trace.processes,
-            &report,
-        );
-        if ts_bench::json_mode() {
-            println!("{}", serde_json::to_string(&row).expect("rows serialize"));
-        }
-        rows.push(row);
     }
 
     // The chaos scenario family: crash/stall campaigns applied at

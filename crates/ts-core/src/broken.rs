@@ -127,20 +127,11 @@ impl fmt::Debug for BrokenStaleRead {
 /// larger timestamps, letting a fourth, strictly later call return a
 /// non-larger value. Unlike [`BrokenConstant`] and [`BrokenStaleRead`],
 /// this bug *requires an adversarial interleaving* — sequential runs
-/// are clean — which makes it the canonical target for the schedule
-/// replay harness: the model explorer finds the interleaving by
-/// re-running this object's `getTS` body
-/// ([`BrokenCounterModel`](crate::model::BrokenCounterModel)), and
-/// replaying the minimized schedule against this object reproduces the
-/// violation on real threads, which pause before the read and before
-/// the write exactly where the counterexample needs them.
-///
-/// Its [`WorkloadTarget`](crate::workload::WorkloadTarget) impl is
-/// **replay-only**: each slot supports exactly one `GetTs` (matching
-/// the one-shot model), and a second op panics. To drive it with the
-/// scenario engine, wrap it in
-/// [`OneShotPool`](crate::workload::OneShotPool) like the other
-/// one-shot objects.
+/// are clean — which makes it the model checker's canonical
+/// counterexample: the explorer finds the interleaving by re-running
+/// this object's `getTS` body
+/// ([`BrokenCounterModel`](crate::model::BrokenCounterModel)), and the
+/// minimized schedule is checked into the trace corpus.
 pub struct BrokenCounter {
     register: WordRegister,
     used: Vec<AtomicBool>,
@@ -153,16 +144,6 @@ impl BrokenCounter {
             register: WordRegister::new(0),
             used: (0..processes).map(|_| AtomicBool::new(false)).collect(),
         }
-    }
-
-    /// `getTS` for `pid` on `words`: this object, or a view of it.
-    pub(crate) fn get_ts_on<S>(&self, words: &S, pid: usize) -> Result<Timestamp, GetTsError>
-    where
-        S: words::Words<Point = (), Halt = Infallible>,
-    {
-        one_shot_guard(&self.used, pid)?;
-        let Ok(t) = get_ts(words);
-        Ok(Timestamp::scalar(t))
     }
 }
 
@@ -194,7 +175,9 @@ impl words::Words for BrokenCounter {
 
 impl OneShotTimestamp for BrokenCounter {
     fn get_ts(&self, pid: usize) -> Result<Timestamp, GetTsError> {
-        self.get_ts_on(self, pid)
+        one_shot_guard(&self.used, pid)?;
+        let Ok(t) = get_ts(self);
+        Ok(Timestamp::scalar(t))
     }
 
     fn processes(&self) -> usize {
@@ -240,8 +223,8 @@ mod tests {
     #[test]
     fn broken_counter_is_sequentially_clean() {
         // The counter's bug needs an adversarial interleaving; any
-        // sequential order is correct — that's what makes it the replay
-        // harness's canary rather than a trivially broken object.
+        // sequential order is correct — that's what makes it the model
+        // checker's canary rather than a trivially broken object.
         let ts = BrokenCounter::new(4);
         let mut last = Timestamp::scalar(0);
         for p in 0..4 {
@@ -249,39 +232,6 @@ mod tests {
             assert!(Timestamp::compare(&last, &t), "{last} !< {t}");
             last = t;
         }
-    }
-
-    #[test]
-    fn broken_counter_stalled_writer_rolls_back() {
-        // Drive the rollback by hand through a step gate: p0 reads 0
-        // and stalls before its write; p1 and p2 finish (register
-        // reaches 2, t1 = 1, t2 = 2); p0's pending write lands 1,
-        // rolling the register back; p3's strictly-later call returns 2
-        // again — equal to t2, violating the property.
-        use crate::words::Gated;
-        use crate::workload::StepGate;
-        let timeout = std::time::Duration::from_secs(10);
-        let ts = BrokenCounter::new(4);
-        let gate = StepGate::new();
-        std::thread::scope(|s| {
-            let handle = s.spawn(|| {
-                let t = ts.get_ts_on(&Gated::new(&ts, &gate), 0).unwrap();
-                gate.finish();
-                t
-            });
-            gate.release_next(timeout).unwrap(); // p0 reads 0, poised to write 1
-            let t1 = ts.get_ts(1).unwrap();
-            let t2 = ts.get_ts(2).unwrap();
-            assert!(Timestamp::compare(&t1, &t2));
-            gate.release_next(timeout).unwrap(); // p0's stale write rolls back
-            let t0 = handle.join().unwrap();
-            assert_eq!(t0, Timestamp::scalar(1));
-            let t3 = ts.get_ts(3).unwrap(); // strictly after p2 responded
-            assert!(
-                !Timestamp::compare(&t2, &t3),
-                "expected the rollback to break ordering: t2={t2} t3={t3}"
-            );
-        });
     }
 
     #[test]

@@ -40,8 +40,7 @@
 //! storage. Whether the cache word exists is a constant of the storage
 //! type: without it the body is the classic collect alone, the
 //! algorithm Theorem 1.1's covering construction runs on. The object is
-//! the storage with the cache; `Registers` is its register-only view,
-//! which the replay harness drives. `ts_core::model::CollectMaxModel`
+//! the storage with the cache. `ts_core::model::CollectMaxModel`
 //! re-runs the same body with and without the cache word, so the
 //! explorer and PCT sweeps of `tests/model_check.rs` check this code.
 //!
@@ -314,8 +313,7 @@ impl<B: RegisterBackend<u64>> CollectMax<B> {
     /// cache is monotone (I1), so intervals from *all* batch calls and
     /// all fast-path singles are pairwise disjoint — the stamps they
     /// issue are globally unique, not merely ordered. Only the
-    /// collect fallback of [`get_ts`](LongLivedTimestamp::get_ts) (and
-    /// the register-only collect the replay harness drives) can
+    /// collect fallback of [`get_ts`](LongLivedTimestamp::get_ts) can
     /// duplicate a concurrent reservation's value, exactly as two
     /// concurrent collect calls could before; the timestamp property is
     /// indifferent to it.
@@ -493,15 +491,18 @@ impl<B: RegisterBackend<u64>> words::Words for CollectMax<B> {
 }
 
 /// A [`CollectMax`] without its cache: `getTS` on it is the classic
-/// collect, the algorithm of `ts_core::model::CollectMaxModel::new`.
+/// collect, the algorithm of `ts_core::model::CollectMaxModel::new`,
+/// which the tests check the model against word for word.
 ///
 /// One access is not the algorithm's: a register write also publishes
 /// its value into the cache with a silent `fetch_max`, so a later
 /// fast-path call on the object still sees every completed call (I2).
 /// The cache never feeds back into this view, so the silent access
 /// changes no observation.
+#[cfg(test)]
 pub(crate) struct Registers<'a, B: RegisterBackend<u64>>(pub(crate) &'a CollectMax<B>);
 
+#[cfg(test)]
 impl<B: RegisterBackend<u64>> words::Words for Registers<'_, B> {
     type Halt = Infallible;
     type Point = Point;
@@ -548,8 +549,6 @@ impl<B: RegisterBackend<u64>> fmt::Debug for CollectMax<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::words::Gated;
-    use crate::workload::StepGate;
     use std::sync::Arc;
 
     #[test]
@@ -637,22 +636,6 @@ mod tests {
         }
         assert_eq!(ts.read_max_collect(), top);
         assert_eq!(ts.read_max(), top);
-    }
-
-    #[test]
-    fn gated_calls_announce_the_documented_access_sequence() {
-        let gate = StepGate::new();
-        gate.release_all();
-        let ts = CollectMax::new(2);
-        let t = ts.get_ts_on(&Gated::new(&ts, &gate), 0).unwrap();
-        assert_eq!(t, Timestamp::scalar(1));
-        // Solo fast path: cache load, CAS, own write.
-        assert_eq!(gate.progress().announced, 3);
-        assert_eq!(ts.fast_path_hits(), 1);
-        // Register-only: two reads and the own write.
-        ts.get_ts_on(&Gated::new(&Registers(&ts), &gate), 1)
-            .unwrap();
-        assert_eq!(gate.progress().announced, 3 + 3);
     }
 
     #[test]

@@ -66,8 +66,7 @@ pub use stats::{ServiceStats, SlotCounters};
 pub use timestamp::{ShardedTimestamp, Timestamp};
 pub use traits::{LongLivedTimestamp, OneShotTimestamp};
 pub use workload::{
-    CollectMaxFast, GateError, GateProgress, OneShotPool, ReplayGranularity, StepGate,
-    VpidAllocator, WorkloadOp, WorkloadTarget, WorkloadWorker,
+    OneShotPool, StepGate, VpidAllocator, WorkloadOp, WorkloadTarget, WorkloadWorker,
 };
 
 // Re-exported so downstream constructors can name backends without a

@@ -274,8 +274,7 @@ impl Body for SimpleCall {
 /// Model algorithm for [`BrokenCounter`](crate::BrokenCounter),
 /// re-running its `getTS` body: correct for `n ≤ 3`, broken for `n ≥ 4`
 /// (a stalled writer rolls the register back). Its minimized `n = 4`
-/// counterexample seeds the replay corpus, which reproduces the
-/// violation on real threads.
+/// counterexample is checked into the trace corpus.
 pub type BrokenCounterModel = WordModel<BrokenCounterCall>;
 
 impl BrokenCounterModel {

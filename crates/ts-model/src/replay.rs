@@ -1,24 +1,23 @@
-//! Serializable schedule traces for replay against real objects.
+//! Serializable schedule traces: model-checker interleavings as
+//! readable, diffable regression files.
 //!
 //! The explorer, the random scheduler and the PCT scheduler all produce
 //! schedules — sequences of process ids — but a raw schedule is only
 //! meaningful next to the algorithm that generated it. A
-//! [`ReplayTrace`] bundles the schedule with everything a *replay
-//! harness* needs to drive real threads along the same interleaving:
+//! [`ReplayTrace`] bundles the schedule with what it did:
 //!
 //! - the algorithm label and its static parameters (`processes`,
 //!   `registers`, `ops_per_process`),
 //! - the step-by-step projection of the schedule ([`ReplayStep`]): who
 //!   invoked, which register each shared-memory step touched, and the
-//!   output of every completed call (as its `Debug` rendering, so the
-//!   replayed object's outputs can be diffed against the model's),
+//!   output of every completed call (as its `Debug` rendering),
 //! - whether the modeled history violates the timestamp property
 //!   (counterexample traces are the interesting ones).
 //!
 //! Traces serialize to JSON via the workspace `serde` stack, so model
 //! counterexamples can be checked into a corpus (`tests/traces/` at the
-//! workspace root) and replayed as regression tests by
-//! `ts-workloads`' replay engine — see `ts_workloads::replay`.
+//! workspace root), whose regression test regenerates every file from
+//! its model and diffs it byte for byte.
 //!
 //! # Example
 //!
@@ -50,11 +49,10 @@ use crate::system::{StepOutcome, System};
 /// Schema tag carried by every serialized trace.
 pub const TRACE_SCHEMA: &str = "ts-model/replay-trace/v1";
 
-/// What one scheduled step did, from the replay harness's perspective.
+/// What one scheduled step did.
 ///
 /// `Invoke` and `Return` are local actions (they delimit the operation
-/// interval); `Read` and `Write` are the shared-memory accesses a
-/// replay controller gates one at a time.
+/// interval); `Read` and `Write` are the shared-memory accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum StepKind {
     /// The process invoked its next `getTS()` (local).
@@ -80,13 +78,12 @@ pub struct ReplayStep {
     /// Register index for `Read`/`Write` steps, `None` for local steps.
     pub reg: Option<usize>,
     /// `Debug` rendering of the call's output for `Return` steps,
-    /// `None` otherwise. Replay harnesses diff the real object's
-    /// outputs against this to assert deterministic reproduction.
+    /// `None` otherwise.
     pub output: Option<String>,
 }
 
 /// A schedule bundled with its algorithm parameters and step-by-step
-/// effects — everything a replay harness needs.
+/// effects.
 ///
 /// Construct with [`trace_from_schedule`] (or [`minimized_trace`] to
 /// shrink a counterexample first); serialize with
@@ -96,8 +93,7 @@ pub struct ReplayTrace {
     /// Always [`TRACE_SCHEMA`].
     pub schema: String,
     /// Label of the generating algorithm ("collect_max",
-    /// "broken_counter", ...). Replay harnesses use it to pick the real
-    /// object.
+    /// "broken_counter", ...).
     pub algorithm: String,
     /// Number of processes the algorithm instance was configured for.
     pub processes: usize,
@@ -260,11 +256,8 @@ pub fn trace_from_schedule<A: Algorithm + Clone>(
             },
             // A CAS projects onto the v1 step grammar by its effect: a
             // successful swap mutated the register (`Write`), a failed
-            // one only observed it (`Read`). Replay controllers gate
-            // one sub-step per recorded step either way, and a gated
-            // replay serializes all accesses in trace order, so the
-            // real CAS deterministically succeeds/fails exactly as
-            // recorded.
+            // one only observed it (`Read`). Either way it is one
+            // recorded step, so step counts match the schedule.
             StepOutcome::Cased { reg, success, .. } => ReplayStep {
                 pid,
                 op_index: pending_op[pid],

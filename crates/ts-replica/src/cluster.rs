@@ -54,7 +54,7 @@ use std::convert::Infallible;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ts_core::workload::{StepGate, VpidAllocator};
+use ts_core::workload::VpidAllocator;
 use ts_core::{CachePadded, ServiceStats, Timestamp};
 use ts_register::SegTable;
 
@@ -935,40 +935,19 @@ pub(crate) fn get_ts<T: Transport>(t: &T, pid: usize, write_quorum: usize) -> Re
     Ok(proposal)
 }
 
-/// A transport, pausing at a gate before every exchange.
-pub(crate) struct Gated<'a, T>(pub(crate) &'a T, pub(crate) &'a StepGate);
-
-impl<T: Transport> Transport for Gated<'_, T> {
-    type Halt = T::Halt;
-
-    fn replicas(&self) -> usize {
-        self.0.replicas()
-    }
-
-    fn fetch(&self, r: usize) -> Result<u64, T::Halt> {
-        self.1.pause();
-        self.0.fetch(r)
-    }
-
-    fn install(&self, r: usize, expected: u64, new: u64) -> Result<u64, T::Halt> {
-        self.1.pause();
-        self.0.install(r, expected, new)
-    }
-}
-
 /// The replicated timestamp object whose steps are **messages**.
 ///
 /// Each `getTS` reads `f + 1` replicas (rotating by pid, and widening
 /// past any that is down), proposes `max + 1`, then conditionally
 /// installs it on its write quorum. Every replica exchange is one step
 /// of [`QuorumModel`](crate::QuorumModel), which runs this same code,
-/// so the model checker's message interleavings replay against these
-/// real replicas through the usual [`StepGate`] pacing.
+/// so the model checker explores the message interleavings of the
+/// body that ships.
 ///
 /// [`QuorumTs::broken`] shrinks the write quorum to a single replica:
 /// reads and writes then no longer intersect, and the explorer finds
-/// the duplicate-timestamp interleaving — which replays here, on real
-/// replicas, as the acceptance counterexample.
+/// the duplicate-timestamp interleaving; two sequential calls on real
+/// replicas already show it.
 #[derive(Debug)]
 pub struct QuorumTs {
     cluster: Arc<Cluster>,
@@ -1019,17 +998,7 @@ impl QuorumTs {
     /// Panics if fewer than `f + 1` replicas answer: the rest are
     /// crashed, or cut off from this client by a partition.
     pub fn get_ts(&self, pid: usize) -> Timestamp {
-        self.get_ts_on(self, pid)
-    }
-
-    /// `getTS` for process `pid` over `transport`, which reaches this
-    /// object's replicas.
-    pub(crate) fn get_ts_on(
-        &self,
-        transport: &impl Transport<Halt = Infallible>,
-        pid: usize,
-    ) -> Timestamp {
-        let Ok(t) = get_ts(transport, pid, self.write_quorum);
+        let Ok(t) = get_ts(self, pid, self.write_quorum);
         Timestamp::scalar(t)
     }
 
@@ -1322,6 +1291,26 @@ mod tests {
         cluster.crash(holder);
         cluster.restart(holder, RestartMode::Retain);
         assert_eq!(cluster.replica(holder as usize).stored(reg).1, 7);
+    }
+
+    #[test]
+    fn skip_resync_restart_duplicates_a_stamp_across_disjoint_calls() {
+        // pid 0 installs 1 on replicas {0, 1}; replica 1 then crashes
+        // and rejoins wiped. pid 1 reads {1, 2}: without the resync
+        // sweep both answer 0, so a call that starts after pid 0's
+        // returned hands out the same stamp. With it, replica 1 holds
+        // 1 again and the later call is ordered after.
+        for (resync, expected) in [(false, 1), (true, 2)] {
+            let ts = QuorumTs::new(1);
+            assert_eq!(ts.get_ts(0), Timestamp::scalar(1));
+            ts.cluster().crash(1);
+            if resync {
+                ts.cluster().restart(1, RestartMode::Wipe);
+            } else {
+                ts.cluster().restart_skip_resync(1, RestartMode::Wipe);
+            }
+            assert_eq!(ts.get_ts(1), Timestamp::scalar(expected), "resync {resync}");
+        }
     }
 
     #[test]

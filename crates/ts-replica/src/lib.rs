@@ -22,20 +22,19 @@
 //! | [`cluster`] | [`Cluster`]: ABD reads/writes, retransmission, [`with_cluster`] scoping; [`QuorumTs`], the message-step timestamp object, and its one `getTS` body over a replica transport |
 //! | [`backend`] | [`QuorumBackend`] / [`QuorumRegister`]: the [`RegisterBackend`](ts_register::RegisterBackend) seam |
 //! | [`model`] | [`QuorumModel`] / [`QuorumCall`]: `QuorumTs`'s `getTS` re-run by the model checker (one register per replica, one step per message) |
-//! | [`workload`] | [`QuorumTsTarget`], [`ReplicatedCollectMax`]: grid / replay adapters |
+//! | [`workload`] | [`ReplicatedCollectMax`], [`ReplicatedTryRegisters`]: workload-engine and bench-grid adapters |
 //!
-//! # The model ↔ real loop, now over messages
+//! # The model checker, now over messages
 //!
-//! The repo's loop — model-check an algorithm, minimize the violating
-//! schedule, replay it against the real object under a step barrier —
-//! extends to the network. [`QuorumModel`] re-runs [`QuorumTs`]'s own
-//! `getTS` body, one model step per message delivery, so an explorer
-//! counterexample (e.g. the non-intersecting write quorum of
-//! [`QuorumModel::broken`]) replays step-for-step against real replicas
-//! through the same body with a pause at a
-//! [`StepGate`](ts_core::workload::StepGate) before every exchange, and
-//! the router's [step hook](Router::set_step_hook) puts arbitrary
-//! cluster traffic under the same pacing.
+//! [`QuorumModel`] re-runs [`QuorumTs`]'s own `getTS` body, one model
+//! step per message delivery, so the explorer enumerates message
+//! interleavings of the code that ships, and its counterexamples (the
+//! non-intersecting write quorum of [`QuorumModel::broken`], the
+//! amnesiac restart of [`QuorumModel::crash_skip_resync`]) are
+//! checked into the trace corpus. The router's
+//! [step hook](Router::set_step_hook) runs before every delivery, so
+//! tests can crash, restart or park replicas at exact points of live
+//! cluster traffic.
 //!
 //! # Example
 //!
@@ -71,6 +70,4 @@ pub use model::{QuorumCall, QuorumModel};
 pub use net::{FaultPlan, NetStats, Router, StepHook};
 pub use proto::{Message, MsgKind, WriteStamp};
 pub use replica::Replica;
-pub use workload::{
-    QuorumTsCrashTarget, QuorumTsTarget, ReplicatedCollectMax, ReplicatedTryRegisters,
-};
+pub use workload::{ReplicatedCollectMax, ReplicatedTryRegisters};

@@ -9,9 +9,8 @@
 //! (the replica's conditional install is exactly a CAS on its word,
 //! and the reply carries the prior word). One model step = one message
 //! delivery, so the explorer enumerates **message interleavings** of
-//! the code that ships, and a counterexample schedule replays
-//! step-for-step against real [`Replica`](crate::Replica)s through the
-//! standard trace machinery. A machine's state key is its call, its
+//! the code that ships, and a counterexample schedule serializes
+//! through the standard trace machinery. A machine's state key is its call, its
 //! poised step and the body's last point: phase, window, observed
 //! words, scan index and proposal.
 //!
@@ -19,7 +18,7 @@
 //! quorum of 1): reads and writes stop intersecting, and two
 //! non-overlapping `getTS` calls can read disjoint replica sets and
 //! return equal timestamps. The explorer finds that interleaving in a
-//! few dozen states; the minimized trace is checked into the replay
+//! few dozen states; the minimized trace is checked into the trace
 //! corpus.
 //!
 //! # Crash-stop faults
@@ -46,8 +45,9 @@
 //! reader whose quorum hits the amnesiac replica (plus an untouched
 //! one) sees only initial values and proposes an already-issued
 //! timestamp. The explorer finds the interleaving; the minimized trace
-//! joins the replay corpus, and the real cluster's resync sweep is
-//! exactly the mechanism that closes it.
+//! joins the trace corpus, and the real cluster's resync sweep is
+//! exactly the mechanism that closes it (a sequential test of
+//! `restart_skip_resync` on real replicas shows the same duplicate).
 //!
 //! The adversary's op is excluded from the timestamp property via
 //! [`Algorithm::op_observable`] — a crash has no timestamp — but its

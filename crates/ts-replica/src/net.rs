@@ -56,11 +56,7 @@
 //! every message delivery**, outside any queue lock: a held queue
 //! releases its lock around the hook and takes it again after, so a
 //! hook may read [`Router::stats`], crash or restart replicas, or park
-//! on a gate. With no hook armed no extra lock is taken. Pointing it at
-//! [`StepGate::pause`](ts_core::workload::StepGate::pause) puts each
-//! delivery under controller pacing — the same barrier protocol that
-//! replays memory-access schedules — so message interleavings become
-//! steppable and replayable exactly like register accesses.
+//! on a gate. With no hook armed no extra lock is taken.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};

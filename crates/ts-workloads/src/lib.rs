@@ -3,12 +3,13 @@
 //! The paper (Helmi–Higham–Pacheco–Woelfel, PODC 2011) studies
 //! timestamp objects under *adversarial process behavior* — the
 //! `ts-model` crate formalizes that as schedules chosen by an
-//! adversary. This crate drives the **real concurrent objects** under
-//! the operational analogues of those behaviors: bursty arrivals,
-//! skewed operation mixes, and thread churn (workers exiting mid-run,
-//! which exercises the epoch backend's orphan-garbage handoff).
+//! adversary, and model-checks the objects' own `getTS` bodies under
+//! them. This crate drives the **real concurrent objects** under the
+//! operational analogues of those behaviors: bursty arrivals, skewed
+//! operation mixes, and thread churn (workers exiting mid-run, which
+//! exercises the epoch backend's orphan-garbage handoff).
 //!
-//! Four layers:
+//! Three layers:
 //!
 //! - [`LatencyHistogram`] — log-bucketed (HDR-style) latency recording,
 //!   allocation-free on the hot path, with p50/p99/p999/max readouts
@@ -24,12 +25,7 @@
 //!   [`ScenarioReport`]; [`run_scenario_with`] adds a fault
 //!   [`Campaign`] (seeded crash/partition/stall schedules from the
 //!   [`faults`] module, applied at deterministic op thresholds) and a
-//!   liveness watchdog;
-//! - [`replay`] — adversarial schedule replay: drives real objects
-//!   along `ts-model` Explorer/PCT traces (including minimized
-//!   counterexamples) with one OS thread per trace process, released
-//!   step-by-step through the
-//!   [`StepGate`](ts_core::workload::StepGate) barrier.
+//!   liveness watchdog.
 //!
 //! The `bench_workloads` binary in `ts-bench` sweeps the full
 //! (object × backend × scenario × threads) grid and records the rows
@@ -61,7 +57,6 @@
 pub mod engine;
 pub mod faults;
 pub mod histogram;
-pub mod replay;
 pub mod scenario;
 pub mod service;
 
@@ -70,6 +65,5 @@ pub use engine::{
 };
 pub use faults::{AppliedFault, Campaign, CampaignShape, FaultEvent, FaultSchedule, TimedFault};
 pub use histogram::{LatencyHistogram, NUM_BUCKETS, SUB_BUCKETS};
-pub use replay::{replay_trace, ReplayReport, ReplayViolation, ReplayedOp};
 pub use scenario::{catalog, Arrival, Churn, OpMix, Scenario};
 pub use service::ServiceTarget;

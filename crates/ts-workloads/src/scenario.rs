@@ -8,8 +8,7 @@
 //! exercising the epoch backend's orphan-garbage handoff).
 //!
 //! [`catalog`] returns the standard shapes every benchmark run covers;
-//! deliberately deferred shapes are listed in ROADMAP.md (NUMA pinning,
-//! adversarial schedules replayed from `ts-model` traces).
+//! deliberately deferred shapes are listed in ROADMAP.md (NUMA pinning).
 
 use rand::rngs::StdRng;
 use rand::Rng;

@@ -38,7 +38,7 @@
 
 use std::hint::black_box;
 
-use ts_core::workload::{StampSource, StampWorker, StepGate, WorkloadTarget, WorkloadWorker};
+use ts_core::workload::{StampSource, StampWorker, WorkloadTarget, WorkloadWorker};
 use ts_core::{PackedBackend, RegisterBackend, ServiceStats, ShardedTimestamp};
 use ts_service::{ClientSession, IssueMode, ServiceConfig, ShardedCollectMax};
 
@@ -106,11 +106,7 @@ impl<B: RegisterBackend<u64>> StampSource for ServiceTarget<B> {
     type State<'a> = ClientSession<'a, B>;
     type Stamp = ShardedTimestamp;
 
-    fn issue(
-        &self,
-        session: &mut ClientSession<'_, B>,
-        _gate: Option<&StepGate>,
-    ) -> (ShardedTimestamp, ShardedTimestamp) {
+    fn issue(&self, session: &mut ClientSession<'_, B>) -> (ShardedTimestamp, ShardedTimestamp) {
         match self.mode {
             IssueMode::Single => {
                 let t = session.get_ts();
@@ -131,8 +127,7 @@ impl<B: RegisterBackend<u64>> StampSource for ServiceTarget<B> {
     /// The service's per-client guarantee: every stamp a session
     /// obtains exceeds its previous one, across batches and migrations.
     /// Cross-client, cross-shard ordering is exactly what the service
-    /// relaxes, so `last_ts` stays `None`: replay checks order, not
-    /// outputs.
+    /// relaxes.
     fn checked(&self) -> bool {
         true
     }

@@ -338,8 +338,8 @@ fn parked_fcfs_ticket_holder_bounds_waiter_sojourn_after_resume() {
         // may enter while the holder is parked.
         assert!(order.lock().unwrap().is_empty(), "FCFS overtaken");
         assert_eq!(handovers.load(Ordering::SeqCst), 0);
-        // Resume the holder — one credit, exactly what Resume grants.
-        gate.grant(1);
+        // Resume the holder, exactly as a campaign's Resume does.
+        gate.release_all();
     });
 
     // After resume: ticket order, and each waiter's sojourn bounded by
