@@ -22,10 +22,18 @@
 //! a requirement, so clients widen their target set on retry and
 //! survive any minority of unreachable replicas.
 //!
+//! A phase keeps the replies it has across retries: a retry asks only
+//! the replicas that have not answered, and every reply folds into a
+//! fixed summary (who answered, how many, the largest `(stamp, word)`,
+//! whether the stamps diverged) rather than a list of messages. A wipe
+//! anywhere in the cluster during the phase drops the kept replies (see
+//! `quorum_rpc`).
+//!
 //! # Determinism
 //!
 //! Every client owns its message queue, its op counter and its
-//! counter stripes, and every fault decision is hashed from the
+//! counter stripes (each written only by the client's own thread), and
+//! every fault decision is hashed from the
 //! message's identity (see [`net`](crate::net)). So a client's network
 //! schedule — which of its messages are lost, duplicated, delayed, and
 //! the order its queue delivers them — depends only on the router's
@@ -48,7 +56,7 @@
 //! fault-free `f = 1` cluster, which keeps doc-tests and quick probes
 //! zero-ceremony.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -171,6 +179,11 @@ impl std::fmt::Display for Unavailable {
 impl std::error::Error for Unavailable {}
 
 /// One client's quorum counters; the [`Cluster`] getters sum them.
+///
+/// Only the owning client's thread writes its stripe (client ids are
+/// per thread), so a bump is a plain `Relaxed` load and store (see
+/// [`bump`]): no locked instruction on the quorum path. Readers sum the
+/// stripes and are exact once the clients have quiesced.
 #[derive(Debug, Default)]
 struct QuorumStripe {
     rounds: AtomicU64,
@@ -180,6 +193,64 @@ struct QuorumStripe {
     backoffs: AtomicU64,
     degraded: AtomicU64,
     unavailable: AtomicU64,
+}
+
+/// Adds `by` to `counter`, a field of the calling client's own
+/// [`QuorumStripe`]; only that client's thread writes it.
+fn bump(counter: &AtomicU64, by: u64) {
+    counter.store(counter.load(Ordering::Relaxed) + by, Ordering::Relaxed);
+}
+
+/// The replies one quorum phase has counted, folded as they arrive:
+/// which replicas answered, how many, and the largest `(stamp, word)`.
+#[derive(Debug, Clone, Copy)]
+struct Replies {
+    /// The op id of the phase's first attempt (since its last wipe
+    /// reset): a reply to it or to any later attempt counts.
+    first: u64,
+    /// The replicas that answered, one bit each ([`Cluster::new`] caps
+    /// replicas at 64).
+    answered: u64,
+    /// How many replicas answered.
+    count: usize,
+    /// The largest `(stamp, word)` among the replies.
+    max: (WriteStamp, u64),
+    /// Whether two replies carried different stamps.
+    diverged: bool,
+}
+
+impl Replies {
+    /// No replies yet to a phase whose first attempt is `first`.
+    fn since(first: u64) -> Self {
+        Self {
+            first,
+            answered: 0,
+            count: 0,
+            max: (WriteStamp::INITIAL, 0),
+            diverged: false,
+        }
+    }
+
+    /// Whether `replica` already answered.
+    fn has(&self, replica: u32) -> bool {
+        self.answered & (1 << replica) != 0
+    }
+
+    /// Counts `reply` unless its replica already answered.
+    fn fold(&mut self, reply: &Message) {
+        if self.has(reply.from) {
+            return;
+        }
+        let stamp = reply.stamp();
+        if self.count == 0 || stamp > self.max.0 {
+            self.diverged |= self.count > 0;
+            self.max = (stamp, reply.word);
+        } else if stamp < self.max.0 {
+            self.diverged = true;
+        }
+        self.answered |= 1 << reply.from;
+        self.count += 1;
+    }
 }
 
 /// The client running one ABD operation: its id and its counter
@@ -195,6 +266,9 @@ thread_local! {
     static AMBIENT: RefCell<Vec<Arc<Cluster>>> = const { RefCell::new(Vec::new()) };
     /// This thread's client id per cluster uid.
     static CLIENT_IDS: RefCell<HashMap<u64, u32>> = RefCell::new(HashMap::new());
+    /// The `(cluster uid, client id)` pair `Cluster::client_id` answered
+    /// last, so a thread that stays on one cluster skips the map.
+    static LAST_CLIENT: Cell<(u64, u32)> = const { Cell::new((u64::MAX, 0)) };
 }
 
 static NEXT_CLUSTER_UID: AtomicU64 = AtomicU64::new(0);
@@ -239,12 +313,13 @@ pub struct Cluster {
     restarts: AtomicU64,
     resynced_regs: AtomicU64,
     /// Bumped (Release) right *before* every wipe. A quorum phase
-    /// snapshots it at attempt start and re-checks (Acquire) after its
-    /// last reply: a change means some acking replica may have been
-    /// wiped — and resynced from others that had not yet seen this
+    /// snapshots it before its first probe and re-checks (Acquire)
+    /// after every attempt: a change means some acking replica may have
+    /// been wiped — and resynced from others that had not yet seen this
     /// phase's write — *inside* the ack window, so the phase discards
-    /// the replies and retries instead of reporting a durability level
-    /// it no longer has. See `quorum_rpc` for the full argument.
+    /// its kept replies and re-earns its quorum instead of reporting a
+    /// durability level it no longer has. See `quorum_rpc` for the full
+    /// argument.
     wipe_epoch: AtomicU64,
 }
 
@@ -552,11 +627,17 @@ impl Cluster {
 
     /// This thread's client id on this cluster (minted on first use).
     pub fn client_id(&self) -> u32 {
-        CLIENT_IDS.with(|m| {
+        let (uid, id) = LAST_CLIENT.get();
+        if uid == self.uid {
+            return id;
+        }
+        let id = CLIENT_IDS.with(|m| {
             *m.borrow_mut()
                 .entry(self.uid)
                 .or_insert_with(|| Message::CLIENT_BASE + self.client_vpids.next())
-        })
+        });
+        LAST_CLIENT.set((self.uid, id));
+        id
     }
 
     /// ABD read: returns the quorum-maximum `(stamp, word)`, repairing
@@ -577,7 +658,7 @@ impl Cluster {
     /// read-repair, or [`Unavailable`] once the step deadline expires.
     pub fn try_abd_read(&self, reg: u32) -> Result<(WriteStamp, u64), Unavailable> {
         let me = self.caller();
-        me.stripe.rounds.fetch_add(1, Ordering::Relaxed);
+        bump(&me.stripe.rounds, 1);
         let need = self.quorum();
         let replies = self.quorum_rpc(me, need, "read", reg, |op, from, to| Message {
             kind: MsgKind::ReadQuery,
@@ -590,16 +671,12 @@ impl Cluster {
             word: 0,
             expected: 0,
         })?;
-        let best = replies
-            .iter()
-            .max_by_key(|m| m.stamp())
-            .expect("quorum_rpc returns a full quorum");
-        let (stamp, word) = (best.stamp(), best.word);
-        if replies.iter().any(|m| m.stamp() < stamp) {
+        let (stamp, word) = replies.max;
+        if replies.diverged {
             // Read-repair: the replies diverged, so the maximum may be
             // durable on fewer than f + 1 replicas. Write it back
             // before returning or a later read could go backwards.
-            me.stripe.repairs.fetch_add(1, Ordering::Relaxed);
+            bump(&me.stripe.repairs, 1);
             self.try_write_back(me, reg, stamp, word)?;
         }
         Ok((stamp, word))
@@ -614,7 +691,7 @@ impl Cluster {
     /// quorum system.
     pub fn try_abd_write(&self, reg: u32, word: u64) -> Result<WriteStamp, Unavailable> {
         let me = self.caller();
-        me.stripe.rounds.fetch_add(1, Ordering::Relaxed);
+        bump(&me.stripe.rounds, 1);
         let need = self.quorum();
         let replies = self.quorum_rpc(me, need, "write", reg, |op, from, to| Message {
             kind: MsgKind::ReadQuery,
@@ -627,12 +704,7 @@ impl Cluster {
             word: 0,
             expected: 0,
         })?;
-        let max = replies
-            .iter()
-            .map(|m| m.stamp())
-            .max()
-            .expect("quorum_rpc returns a full quorum");
-        let stamp = max.next(me.id);
+        let stamp = replies.max.0.next(me.id);
         self.try_write_back(me, reg, stamp, word)?;
         Ok(stamp)
     }
@@ -646,7 +718,7 @@ impl Cluster {
         stamp: WriteStamp,
         word: u64,
     ) -> Result<(), Unavailable> {
-        me.stripe.rounds.fetch_add(1, Ordering::Relaxed);
+        bump(&me.stripe.rounds, 1);
         let need = self.quorum();
         let acks = self.quorum_rpc(me, need, "write-back", reg, |op, from, to| Message {
             kind: MsgKind::Write,
@@ -659,14 +731,21 @@ impl Cluster {
             word,
             expected: 0,
         })?;
-        debug_assert!(acks.iter().all(|a| a.kind == MsgKind::WriteAck));
+        // An ack carries the replica's stamp after the install.
+        debug_assert!(acks.max.0 >= stamp);
         Ok(())
     }
 
     /// Sends one request per target replica and collects `need`
     /// replies from distinct replicas, retransmitting (with a fresh op
-    /// id and a widened target set) whenever the client's own queue
-    /// runs dry.
+    /// id, a widened target set, and only to the replicas that have not
+    /// answered yet) whenever the client's own queue runs dry.
+    ///
+    /// The phase keeps its replies across attempts: it remembers the op
+    /// id of its first attempt and counts a reply to that attempt or any
+    /// later one, once per replica, folded into a [`Replies`] summary.
+    /// An attempt whose backoff drain already completed the quorum sends
+    /// nothing.
     ///
     /// Every probe, pump, and backoff tick is one **client-local
     /// step**; the phase fails with [`Unavailable`] once the step
@@ -674,11 +753,11 @@ impl Cluster {
     /// client waits out a seeded exponential backoff
     /// (`2^min(attempt, CAP)` steps plus deterministic jitter hashed
     /// from `(plan seed, client, op, attempt)`). The waiting ticks pump
-    /// only this client's queue, so its late duplicates drain; other
-    /// clients never depend on it to move their traffic. The client
-    /// yields its thread between attempts only while fewer than `need`
-    /// replicas are reachable, since then only a restart or heal on
-    /// another thread can end the wait.
+    /// only this client's queue, so its late replies count and its late
+    /// duplicates drain; other clients never depend on it to move their
+    /// traffic. The client yields its thread between attempts only while
+    /// fewer than `need` replicas are reachable, since then only a
+    /// restart or heal on another thread can end the wait.
     ///
     /// On the queued path the client locks its queue once per attempt
     /// and once per backoff wait (see [`net`](crate::net)); the sends,
@@ -690,43 +769,48 @@ impl Cluster {
         phase: &'static str,
         reg: u32,
         build: impl Fn(u64, u32, u32) -> Message,
-    ) -> Result<Vec<Message>, Unavailable> {
+    ) -> Result<Replies, Unavailable> {
         let Caller { id: client, stripe } = me;
         let n = self.replicas.len();
         debug_assert!(need <= n);
         let deadline = self.config.deadline;
+        let direct = self.config.plan.is_fault_free();
         let mut attempt = 0u64;
         let mut steps = 0u64;
+        let mut op = self.router.next_op(client);
+        let mut replies = Replies::since(op);
+        // Snapshot the wipe epoch before the phase's first probe;
+        // re-checked after every attempt.
+        let mut epoch = self.wipe_epoch.load(Ordering::Acquire);
         loop {
-            let op = self.router.next_op(client);
-            // Snapshot the wipe epoch before the first probe of this
-            // attempt; re-checked after the last reply.
-            let epoch = self.wipe_epoch.load(Ordering::Acquire);
             // Rotate the window by client id (load spreading) and by
-            // attempt, widening until every replica is targeted.
+            // attempt, widening until every replica is targeted; ask
+            // only its members that have not answered yet.
             let width = (need + attempt as usize).min(n);
             let start = (client as usize + attempt as usize) % n;
-            let direct = self.config.plan.is_fault_free();
-            let mut replies: Vec<Message> = Vec::with_capacity(need);
-            if direct {
-                for i in 0..width {
-                    let to = ((start + i) % n) as u32;
+            let kept = replies;
+            let silent = (0..width)
+                .map(|i| ((start + i) % n) as u32)
+                .filter(|&to| !kept.has(to));
+            if replies.count >= need {
+                // The backoff drain completed the quorum.
+            } else if direct {
+                for to in silent {
                     steps += 1;
                     if let Some(reply) = self.interact_direct(build(op, client, to)) {
-                        replies.push(reply);
-                        if replies.len() == need {
+                        replies.fold(&reply);
+                        if replies.count == need {
                             break;
                         }
                     }
                 }
             } else {
                 let mut queue = self.router.hold(client);
-                for i in 0..width {
-                    let to = ((start + i) % n) as u32;
+                for to in silent {
                     steps += 1;
                     queue.send(build(op, client, to), 0);
                 }
-                self.collect_replies(&mut queue, op, need, &mut replies, &mut steps);
+                self.collect_replies(&mut queue, need, &mut replies, &mut steps);
             }
             // The ack-window wipe check: a reply only proves its
             // replica held the state *when it answered*. If a replica
@@ -735,22 +819,25 @@ impl Cluster {
             // reply would overstate durability (a write-back could
             // "complete" on fewer than `f + 1` surviving copies, the
             // exact regression the skip-resync model counterexample
-            // exhibits at the protocol level). An unchanged epoch
-            // proves no wipe overlapped the window, so every counted
-            // reply is still standing; on a change the phase pays a
-            // retry and re-earns its quorum. The deadline still bounds
-            // the loop either way.
-            if replies.len() == need && self.wipe_epoch.load(Ordering::Acquire) == epoch {
+            // exhibits at the protocol level). Every kept reply was
+            // produced after the epoch snapshot, so an unchanged epoch
+            // proves no wipe overlapped the window and every counted
+            // reply is still standing. On a change the phase drops its
+            // replies, takes a fresh snapshot and first op id, and
+            // re-earns its quorum. The deadline still bounds the loop
+            // either way.
+            let wiped = self.wipe_epoch.load(Ordering::Acquire) != epoch;
+            if replies.count >= need && !wiped {
                 if attempt > 0 {
-                    stripe.degraded.fetch_add(1, Ordering::Relaxed);
+                    bump(&stripe.degraded, 1);
                 }
                 return Ok(replies);
             }
             attempt += 1;
-            stripe.retries.fetch_add(1, Ordering::Relaxed);
+            bump(&stripe.retries, 1);
             if steps >= deadline {
-                stripe.timeouts.fetch_add(1, Ordering::Relaxed);
-                stripe.unavailable.fetch_add(1, Ordering::Relaxed);
+                bump(&stripe.timeouts, 1);
+                bump(&stripe.unavailable, 1);
                 return Err(Unavailable {
                     reg,
                     op: phase,
@@ -768,15 +855,12 @@ impl Cluster {
             let jitter = mix(self.config.plan.seed, client as u64, op, attempt) % base;
             let wait = (base + jitter).min(deadline.saturating_sub(steps));
             steps += wait;
-            stripe.backoffs.fetch_add(wait, Ordering::Relaxed);
+            bump(&stripe.backoffs, wait);
             let mut queue = self.router.hold(client);
             for _ in 0..wait {
-                // Late replies to the failed attempt land in its
-                // `replies` and are dropped with it.
+                // Late replies to this phase's attempts still count.
                 match queue.pump() {
-                    Pumped::Deliver(msg, copy) => {
-                        self.deliver(&mut queue, msg, copy, op, &mut replies)
-                    }
+                    Pumped::Deliver(msg, copy) => self.deliver(&mut queue, msg, copy, &mut replies),
                     Pumped::Discarded => {}
                     Pumped::Idle => break,
                 }
@@ -786,6 +870,11 @@ impl Cluster {
             // a quorum; drops, delays and wipes retry without yielding.
             if self.router.reachable(n) < need {
                 std::thread::yield_now();
+            }
+            op = self.router.next_op(client);
+            if wiped {
+                replies = Replies::since(op);
+                epoch = self.wipe_epoch.load(Ordering::Acquire);
             }
         }
     }
@@ -805,38 +894,31 @@ impl Cluster {
 
     /// Hands one delivered message on: a request is handled inline by
     /// its replica and the reply re-enters the client's held queue; a
-    /// reply to `op` from a replica not yet counted joins `replies`
-    /// (stale and duplicate replies are dropped).
-    fn deliver(
-        &self,
-        queue: &mut HeldQueue<'_>,
-        msg: Message,
-        copy: u8,
-        op: u64,
-        replies: &mut Vec<Message>,
-    ) {
+    /// reply to one of the phase's attempts (op id at least
+    /// `replies.first`) is folded into `replies`, which counts each
+    /// replica once (replies to earlier phases are dropped).
+    fn deliver(&self, queue: &mut HeldQueue<'_>, msg: Message, copy: u8, replies: &mut Replies) {
         if msg.to < Message::CLIENT_BASE {
             let reply = self.replicas[msg.to as usize].handle(&msg);
             queue.send(reply, copy);
-        } else if msg.op == op && !replies.iter().any(|r| r.from == msg.from) {
-            replies.push(msg);
+        } else if msg.op >= replies.first {
+            replies.fold(&msg);
         }
     }
 
     /// Pumps the held queue until `need` distinct replicas answered
-    /// `op`, or the queue runs dry (time to retransmit).
+    /// the phase, or the queue runs dry (time to retransmit).
     fn collect_replies(
         &self,
         queue: &mut HeldQueue<'_>,
-        op: u64,
         need: usize,
-        replies: &mut Vec<Message>,
+        replies: &mut Replies,
         steps: &mut u64,
     ) {
-        while replies.len() < need {
+        while replies.count < need {
             *steps += 1;
             match queue.pump() {
-                Pumped::Deliver(msg, copy) => self.deliver(queue, msg, copy, op, replies),
+                Pumped::Deliver(msg, copy) => self.deliver(queue, msg, copy, replies),
                 Pumped::Discarded => {}
                 Pumped::Idle => return,
             }
@@ -1450,19 +1532,94 @@ mod tests {
         assert_eq!(
             cluster.net_stats(),
             NetStats {
-                sent: 7950,
-                delivered: 7710,
-                dropped: 411,
-                duplicated: 171,
-                delayed: 5870,
+                sent: 7338,
+                delivered: 7112,
+                dropped: 378,
+                duplicated: 152,
+                delayed: 5417,
                 ..NetStats::default()
             }
         );
-        assert_eq!(cluster.quorum_rounds(), 1561);
-        assert_eq!(cluster.quorum_retries(), 305);
-        assert_eq!(cluster.quorum_backoff_steps(), 779);
-        assert_eq!(cluster.quorum_repairs(), 61);
-        assert_eq!(cluster.quorum_degraded(), 298);
+        assert_eq!(cluster.quorum_rounds(), 1556);
+        assert_eq!(cluster.quorum_retries(), 301);
+        assert_eq!(cluster.quorum_backoff_steps(), 753);
+        assert_eq!(cluster.quorum_repairs(), 56);
+        assert_eq!(cluster.quorum_degraded(), 300);
+    }
+
+    #[test]
+    fn a_retry_re_asks_only_the_replicas_that_have_not_answered() {
+        // A delay-only plan takes the queued path and loses nothing.
+        // With the first replica of this client's window partitioned,
+        // each phase's first attempt hears from one replica and retries
+        // over the widened window, where only the two silent replicas
+        // are asked again: 2 requests + 1 reply, then 2 requests + 1
+        // reply, per phase.
+        let plan = FaultPlan {
+            seed: 9,
+            delay_max: 2,
+            ..FaultPlan::default()
+        };
+        let cluster = Cluster::new(ClusterConfig::new(1).with_plan(plan));
+        let reg = cluster.alloc_register(0);
+        let start = cluster.client_id() as usize % cluster.replicas();
+        cluster.router().partition(&[start as u32]);
+        cluster.abd_write(reg, 5);
+        assert_eq!(cluster.net_stats().sent, 12, "{:?}", cluster.net_stats());
+        assert_eq!(cluster.quorum_retries(), 2, "one retry per phase");
+    }
+
+    #[test]
+    fn a_wipe_between_attempts_drops_the_kept_replies() {
+        use std::sync::Mutex;
+        // The queued-path twin of the ack-window test below. With this
+        // client's first window replica partitioned, the write-back's
+        // first attempt collects one ack, which the phase keeps. The
+        // hook then crashes and wipe-restarts that acker as the retry's
+        // first request is delivered: its resync reads replicas that
+        // do not hold the write, so the kept ack no longer stands for a
+        // copy. Counting it would finish the write on one holder.
+        let plan = FaultPlan {
+            seed: 4,
+            drop_permille: 100,
+            delay_max: 2,
+            ..FaultPlan::default()
+        };
+        let cluster = Cluster::new(ClusterConfig::new(1).with_plan(plan));
+        let reg = cluster.alloc_register(0);
+        let start = cluster.client_id() as usize % cluster.replicas();
+        cluster.router().partition(&[start as u32]);
+        // The first ack's replica and op id, then whether the hook fired.
+        let state = Arc::new(Mutex::new((None::<(u32, u64)>, false)));
+        let (c2, s2) = (Arc::clone(&cluster), Arc::clone(&state));
+        cluster
+            .router()
+            .set_step_hook(Some(Box::new(move |msg: &Message| {
+                let mut state = s2.lock().expect("hook state");
+                match (msg.kind, state.0) {
+                    (MsgKind::WriteAck, None) => state.0 = Some((msg.from, msg.op)),
+                    (MsgKind::Write, Some((acker, op))) if msg.op > op && !state.1 => {
+                        state.1 = true;
+                        c2.crash(acker);
+                        c2.restart(acker, RestartMode::Wipe);
+                    }
+                    _ => {}
+                }
+            })));
+        let stamp = cluster.abd_write(reg, 9);
+        cluster.router().set_step_hook(None);
+        cluster.router().heal();
+        assert!(
+            state.lock().expect("hook state").1,
+            "a retry followed the kept ack"
+        );
+        let wipes: u64 = (0..3).map(|r| cluster.replica(r).wipes()).sum();
+        assert_eq!(wipes, 1);
+        let holders = (0..3)
+            .filter(|&r| cluster.replica(r).stored(reg) == (stamp, 9))
+            .count();
+        assert!(holders >= 2, "only {holders} replicas hold the write");
+        assert!(cluster.quorum_retries() > 0);
     }
 
     #[test]

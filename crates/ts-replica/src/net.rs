@@ -184,10 +184,12 @@ struct Queue {
 }
 
 /// One client's network state. Only the owning client's thread sends
-/// into or pumps its queue; other threads only read its stripe.
+/// into or pumps its queue and mints its op ids; other threads only
+/// read its stripe.
 #[derive(Debug, Default)]
 struct ClientNet {
     queue: Mutex<Queue>,
+    /// The next op id; written only by the owning client's thread.
     next_op: AtomicU64,
 }
 
@@ -291,8 +293,17 @@ impl Router {
     }
 
     /// Mints `client`'s next op id (op ids are per client).
+    ///
+    /// Only `client`'s own thread may call this: client ids are per
+    /// thread, so each counter has one writer and a mint is a plain
+    /// `Relaxed` load and store, no locked instruction. Ids increase
+    /// strictly, which lets a quorum phase accept any reply whose op id
+    /// is at least its first attempt's.
     pub(crate) fn next_op(&self, client: u32) -> u64 {
-        self.client(client).next_op.fetch_add(1, Ordering::Relaxed)
+        let next = &self.client(client).next_op;
+        let op = next.load(Ordering::Relaxed);
+        next.store(op + 1, Ordering::Relaxed);
+        op
     }
 
     /// Installs (or clears) the per-delivery step hook.

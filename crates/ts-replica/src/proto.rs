@@ -100,8 +100,10 @@ pub enum MsgKind {
 pub struct Message {
     /// Request/reply discriminator.
     pub kind: MsgKind,
-    /// Client-minted operation id replies echo (retransmissions mint a
-    /// fresh one, so stale replies are ignored by construction).
+    /// Client-minted operation id replies echo. Every attempt of a
+    /// quorum phase mints a fresh one; the phase counts replies to its
+    /// own attempts only, so replies to earlier phases are ignored by
+    /// construction.
     pub op: u64,
     /// Sending node.
     pub from: u32,
