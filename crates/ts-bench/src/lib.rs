@@ -14,11 +14,10 @@
 //! | `table_3k_configurations` | E6 | Lemma 3.2 |
 //! | `table_growable` | E7 | Section 7 extension |
 //! | `table_ablation` | E9 | overwrite-policy ablation |
-//! | `bench_contention` | substrate scaling | epoch vs packed backends, 1..=N threads; writes `BENCH_baseline.json` |
 //! | `bench_workloads` | scenario grid | `ts-workloads` engine: object × backend × scenario × threads with latency percentiles; writes `BENCH_workloads.json` |
-//!
-//! The `benches/` directory holds the criterion benches (E8): `getTS`
-//! latency, scan cost, thread contention and the ablation timing.
+//! | `bench_explore` | model-checker reduction | full vs DPOR vs parallel explored-state counts; writes `BENCH_explore.json` |
+//! | `chaos_campaign` | crash-stop chaos | minority faults, majority outage, wipe-restart resync, determinism; writes `CAMPAIGN_chaos.json` |
+//! | `shrink_demo` | counterexample workflow | explore → shrink → trace on the toy counter at `n = 4` |
 //!
 //! Output contract: every table binary prints markdown normally and
 //! *only* JSON lines (prose suppressed) when `TS_BENCH_JSON` is set —

@@ -13,8 +13,8 @@
 //! Register contents are bounded counters, so the object defaults to the
 //! word-inlined [`PackedBackend`] (one hardware atomic per register
 //! operation). The packed value budget is 32 bits — comfortably more
-//! than 4 × 10⁹ `getTS` calls; workloads beyond that should use
-//! [`EpochCollectMax`].
+//! than 4 × 10⁹ `getTS` calls; workloads beyond that should use the
+//! epoch-reclaimed backend, `CollectMax::<EpochBackend>::with_backend`.
 //!
 //! # The cached-max fast path
 //!
@@ -81,7 +81,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ts_register::{
-    CachePadded, EpochBackend, PackedBackend, Register, RegisterArray, RegisterBackend, SpaceMeter,
+    CachePadded, PackedBackend, Register, RegisterArray, RegisterBackend, SpaceMeter,
 };
 
 use crate::error::GetTsError;
@@ -202,11 +202,6 @@ pub struct CollectMax<B: RegisterBackend<u64> = PackedBackend> {
 const SLOW: usize = 0;
 const BATCHES: usize = 1;
 const BATCHED: usize = 2;
-
-/// [`CollectMax`] over epoch-reclaimed heap-cell registers — same
-/// algorithm, heavier substrate; supports counters beyond the packed
-/// 32-bit budget and anchors the `bench_contention` comparison.
-pub type EpochCollectMax = CollectMax<EpochBackend>;
 
 impl CollectMax<PackedBackend> {
     /// Creates an object for `processes` processes using `n` word-inlined
@@ -543,6 +538,7 @@ impl<B: RegisterBackend<u64>> fmt::Debug for CollectMax<B> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use ts_register::EpochBackend;
 
     #[test]
     fn sequential_calls_increase() {
@@ -565,7 +561,7 @@ mod tests {
 
     #[test]
     fn epoch_backend_behaves_identically_sequentially() {
-        let ts = EpochCollectMax::with_backend(3);
+        let ts = CollectMax::<EpochBackend>::with_backend(3);
         let mut last = Timestamp::scalar(0);
         for p in [0usize, 1, 2, 0, 1, 2] {
             let t = ts.get_ts(p).unwrap();

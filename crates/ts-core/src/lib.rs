@@ -56,12 +56,12 @@ pub mod workload;
 
 pub use bounded::{BoundedTimestamp, OverwritePolicy, PhaseStats};
 pub use broken::{BrokenConstant, BrokenCounter, BrokenStaleRead};
-pub use collectmax::{CollectMax, EpochCollectMax, StampBatch};
+pub use collectmax::{CollectMax, StampBatch};
 pub use error::{GetTsError, UsedError};
 pub use growable::GrowableTimestamp;
 pub use ids::GetTsId;
 pub use recorder::{HistoryRecorder, RecordedCall, RecordedViolation};
-pub use simple::{EpochSimpleOneShot, SimpleOneShot};
+pub use simple::SimpleOneShot;
 pub use stats::{ServiceStats, SlotCounters};
 pub use timestamp::{ShardedTimestamp, Timestamp};
 pub use traits::{LongLivedTimestamp, OneShotTimestamp};

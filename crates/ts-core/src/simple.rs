@@ -14,8 +14,6 @@
 //! Because every register value fits two bits, the object defaults to
 //! the word-inlined [`PackedBackend`]: each register operation is a
 //! single hardware atomic, with no heap traffic and no epoch pinning.
-//! The epoch-backed variant ([`EpochSimpleOneShot`]) exists for
-//! apples-to-apples substrate comparisons in `bench_contention`.
 //!
 //! `simple-getTS` is written once, as `get_ts` over the crate's
 //! register-word storage: the object is one storage, and the model
@@ -26,7 +24,7 @@ use std::convert::Infallible;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use ts_register::{BackendRegister, EpochBackend, PackedBackend, RegisterBackend, SpaceMeter};
+use ts_register::{BackendRegister, PackedBackend, RegisterBackend, SpaceMeter};
 
 use crate::error::GetTsError;
 use crate::timestamp::Timestamp;
@@ -53,11 +51,6 @@ pub struct SimpleOneShot<B: RegisterBackend<u64> = PackedBackend> {
     meter: SpaceMeter,
     processes: usize,
 }
-
-/// [`SimpleOneShot`] over epoch-reclaimed heap-cell registers — same
-/// algorithm, heavier substrate; used to quantify the packed backend's
-/// advantage.
-pub type EpochSimpleOneShot = SimpleOneShot<EpochBackend>;
 
 impl SimpleOneShot<PackedBackend> {
     /// Creates an object for `processes` processes using `⌈n/2⌉`
@@ -196,6 +189,7 @@ impl<B: RegisterBackend<u64>> fmt::Debug for SimpleOneShot<B> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use ts_register::EpochBackend;
 
     #[test]
     fn register_count_is_half_n_rounded_up() {
@@ -220,7 +214,7 @@ mod tests {
 
     #[test]
     fn epoch_backend_behaves_identically_sequentially() {
-        let ts = EpochSimpleOneShot::with_backend(8);
+        let ts = SimpleOneShot::<EpochBackend>::with_backend(8);
         assert_eq!(ts.registers(), 4);
         let mut last = None;
         for p in 0..8 {

@@ -27,8 +27,8 @@
 //! when values are unbounded or non-`Copy`. An object can often move its large parts out of the register
 //! instead: Algorithm 4, bounded or growable, packs `(rnd, writer)` into
 //! the word and keeps each sequence in a write-once cell of its writer.
-//! The contention benchmark (`bench_contention` in `ts-bench`)
-//! quantifies the gap.
+//! perfbench's `register.write_ns` and `register.epoch_write_ns` rows
+//! quantify the gap.
 //!
 //! # Ordering contract (all backends, one place)
 //!

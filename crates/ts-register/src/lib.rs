@@ -15,7 +15,7 @@
 //! |---|---|---|
 //! | [`PackedRegister`] / [`PackedRegisterArray`] | a [`Packable`] value of ≤ 32 bits | every paper object's registers |
 //! | [`WordRegister`] | one `u64` | single-word cells, the broken counter |
-//! | [`AtomicRegister`] | any `T: Clone`, behind a lock-free pointer | `bench_contention`'s baseline row, tests |
+//! | [`AtomicRegister`] | any `T: Clone`, behind a lock-free pointer | tests |
 //! | [`StampedRegister`] / [`RegisterArray`] on [`EpochBackend`] | any `T: Clone`, with a write stamp | the `EpochBackend` variants, perfbench's ladder rows |
 //!
 //! [`SegTable`] is the append-only segmented table that objects growing
@@ -40,8 +40,8 @@
 //! Pick `PackedBackend` whenever the register's contents fit a word for
 //! the object's whole lifetime (the simple one-shot algorithm's
 //! `{0, 1, 2}` slots, collect-max counters): it bypasses allocation and
-//! reclamation entirely, which is worth an order of magnitude under
-//! contention (see `bench_contention` in `ts-bench`). `EpochBackend`
+//! reclamation entirely (perfbench's `register.write_ns` and
+//! `register.epoch_write_ns` rows time the two backends). `EpochBackend`
 //! remains for contents that outgrow a word. [`RegisterArray`] and the
 //! `ts-snapshot` scan are generic over the choice; `ts-core`
 //! constructors expose it.
