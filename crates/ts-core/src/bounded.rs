@@ -76,18 +76,28 @@
 //! make finitely many writes, so the scan ends and the object stays
 //! wait-free within its budget (Lemma 6.14).
 //!
-//! # Counting once per call
+//! # Counting on the call's own record
 //!
 //! Every read the algorithm makes falls in one of four patterns: lines
 //! 1–4 read `R[1..=myrnd+1]` once each, line 7 reads a prefix `R[1..=k]`
 //! once each, line 6 reads `R[myrnd + 1]` some number of times, and each
 //! collect reads `R[1..=myrnd+1]` once each. The body counts them as it
-//! goes and returns them with its exit line, and [`BoundedTimestamp`]
-//! hands them to its [`SpaceMeter`] in three adds
-//! ([`record_prefix`](SpaceMeter::record_prefix),
-//! [`record_reads`](SpaceMeter::record_reads)) instead of one per read.
-//! Writes are metered one by one, in the writing thread's stripe of the
-//! meter, so the space bound reads exactly the registers written.
+//! goes and returns them with its exit line: four numbers per call.
+//!
+//! Besides its line-15 cell, a call's bookkeeping lives in one unpadded
+//! record per writer index: the one-shot `used` flag, the exit line,
+//! those four read numbers, and the call's writes and invalidation
+//! writes. Only the call's own thread writes its record, with plain
+//! `Relaxed` stores (the one-writer rule of
+//! [`SlotCounters`](crate::SlotCounters)), so a call counts its reads
+//! with no RMW and bumps no counter another call bumps. It files its
+//! reads and exit line when it returns.
+//!
+//! Which registers a call wrote does not fit its record: a bit per
+//! register would cost 256 bytes a call at
+//! [`MAX_BUDGET`](BoundedTimestamp::MAX_BUDGET). So a write also adds
+//! one to its register's count in the writing thread's stripe of the
+//! object's one write table, a [`StripedCounts`].
 //!
 //! A write is one `swap` of its register: the word under the current
 //! epoch (the highest register a phase-opening write has gone to, or
@@ -95,15 +105,19 @@
 //! invalidation write iff the epoch the swap returns differs: the
 //! register's first write in the current visible phase. The
 //! classification is thus ordered with the register's own store and
-//! adds no RMW to it: besides its register, a write reads the epoch,
-//! which changes only when a phase opens, and bumps its own thread's
-//! meter stripe and its call's record.
+//! adds no access to it. Besides the swap, a write reads the epoch,
+//! which changes only when a phase opens, makes one `fetch_add` on its
+//! register's count in its thread's stripe of the write table, and
+//! bumps its call's record with plain stores.
 //!
-//! The rest of a call's bookkeeping lives in one unpadded record per
-//! writer index: the line-15 cell, the one-shot `used` flag, the exit
-//! line and the call's invalidation writes. Only the call's own thread
-//! writes its record, so no call bumps a counter another call bumps;
-//! [`BoundedTimestamp::phase_stats`] sums the records.
+//! [`BoundedTimestamp::meter`] rebuilds the per-register counts from
+//! these: a register's reads are suffix sums over the records' prefix
+//! reads, and its writes are the write table's.
+//! [`BoundedTimestamp::phase_stats`] sums the records, and counts as
+//! written the registers whose word is no longer the never-written one,
+//! which a write never stores. The write totals of the two thus come
+//! from different sources, the table and the records, and agree once
+//! the object is quiescent.
 //!
 //! # One body, three storages
 //!
@@ -136,10 +150,10 @@
 
 use std::convert::Infallible;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-use ts_register::{CachePadded, SpaceMeter};
+use ts_register::{CachePadded, MeterSnapshot, StripedCounts};
 
 use crate::error::GetTsError;
 use crate::ids::GetTsId;
@@ -167,19 +181,59 @@ pub enum OverwritePolicy {
 }
 
 /// One call's bookkeeping, by writer index. Only the call's own thread
-/// writes it.
+/// writes it, so its counts are bumped and filed with plain `Relaxed`
+/// stores (module docs).
+///
+/// Every count but `passes` is at most `m ≤ 2048`. `passes` is at most
+/// three plus the call's failed collects, each of which saw one of the
+/// at most `M · m < 2³¹` writes land.
+///
+/// A record is all atomics, so a slice of them is built as zeroes. The
+/// line-15 cells sit in a slice of their own: with a `OnceLock` in each
+/// record, building and dropping 64 records took 7 times as long
+/// (500 ns against 74 ns on an x86-64 container).
 #[derive(Default)]
 struct Record {
-    /// `r.seq` of the call's line-15 write, if it opened a phase: the
-    /// writer fields of `R[1..myrnd]` in its scan. The call's own id,
-    /// `last(seq)`, is the written word's writer field.
-    line15: OnceLock<Box<[u32]>>,
     /// One-shot guard: set by the call of the pid this record belongs to.
     used: AtomicBool,
     /// `0` until the call returns, then its [`Exit`].
     exit: AtomicU8,
+    /// The call's register writes.
+    writes: AtomicU16,
     /// The call's invalidation writes.
-    invalidations: AtomicU32,
+    invalidations: AtomicU16,
+    /// The call's [`Reads`], `0`s until it returns.
+    hi: AtomicU16,
+    passes: AtomicU32,
+    line7: AtomicU16,
+    line6: AtomicU16,
+}
+
+impl Record {
+    /// Files a returned call's exit line and reads.
+    fn file(&self, exit: Exit, reads: &Reads) {
+        self.hi.store(reads.hi as u16, Ordering::Relaxed);
+        self.passes.store(reads.passes as u32, Ordering::Relaxed);
+        self.line7.store(reads.line7 as u16, Ordering::Relaxed);
+        self.line6.store(reads.line6 as u16, Ordering::Relaxed);
+        self.exit.store(exit as u8, Ordering::Relaxed);
+    }
+
+    /// The reads filed by [`file`](Record::file): all `0` for a call
+    /// that has not returned.
+    fn reads(&self) -> Reads {
+        Reads {
+            hi: self.hi.load(Ordering::Relaxed).into(),
+            passes: self.passes.load(Ordering::Relaxed).into(),
+            line7: self.line7.load(Ordering::Relaxed).into(),
+            line6: self.line6.load(Ordering::Relaxed).into(),
+        }
+    }
+}
+
+/// Adds one to a count of the caller's own record.
+fn bump(count: &AtomicU16) {
+    count.store(count.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
 }
 
 /// Accounting snapshot for one [`BoundedTimestamp`]'s history.
@@ -261,7 +315,12 @@ pub struct BoundedTimestamp {
     regs: Box<[AtomicU64]>,
     /// One record per writer index.
     records: Box<[Record]>,
-    meter: SpaceMeter,
+    /// `r.seq` of each writer's line-15 write, if it opened a phase: the
+    /// writer fields of `R[1..myrnd]` in its scan. The writer's own id,
+    /// `last(seq)`, is the written word's writer field.
+    line15: Box<[OnceLock<Box<[u32]>>]>,
+    /// Writes per register, `R[i + 1]` at index `i`.
+    writes: StripedCounts,
     m: usize,
     budget: usize,
     policy: OverwritePolicy,
@@ -389,11 +448,18 @@ pub(crate) struct Reads {
 }
 
 impl Reads {
-    /// Adds these reads to `meter`, whose register `i` is `R[i + 1]`.
-    fn meter(&self, meter: &SpaceMeter) {
-        meter.record_prefix(self.hi, self.passes);
-        meter.record_prefix(self.line7, 1);
-        meter.record_reads(self.hi - 1, self.line6);
+    /// Adds these reads to `reads`, whose index `i` is `R[i + 1]`, and
+    /// to `prefixes`, whose index `i` counts full reads of
+    /// `R[1..=i + 1]`. Reads of a call that has not returned add nothing.
+    fn add_to(&self, reads: &mut [u64], prefixes: &mut [u64]) {
+        if self.hi == 0 {
+            return;
+        }
+        prefixes[self.hi - 1] += self.passes;
+        if self.line7 > 0 {
+            prefixes[self.line7 - 1] += 1;
+        }
+        reads[self.hi - 1] += self.line6;
     }
 }
 
@@ -592,7 +658,8 @@ impl BoundedTimestamp {
         Self {
             regs: (0..m).map(|_| AtomicU64::new(UNWRITTEN)).collect(),
             records: (0..budget).map(|_| Record::default()).collect(),
-            meter: SpaceMeter::new(m),
+            line15: (0..budget).map(|_| OnceLock::new()).collect(),
+            writes: StripedCounts::new(m),
             m,
             budget,
             policy,
@@ -636,20 +703,21 @@ impl BoundedTimestamp {
         self.budget
     }
 
-    /// The meter recording this object's register traffic.
-    pub fn meter(&self) -> &SpaceMeter {
-        &self.meter
+    /// This object's register traffic, read from its per-call records
+    /// and its write table (module docs).
+    pub fn meter(&self) -> BoundedMeter<'_> {
+        BoundedMeter(self)
     }
 
     /// A snapshot of the phase accounting (Section 6.3 quantities),
     /// exact once the object is quiescent (see [`PhaseStats`]).
     pub fn phase_stats(&self) -> PhaseStats {
-        let meter = self.meter.snapshot();
         let mut exits = [0u64; 4];
-        let mut invalidation_writes = 0;
+        let (mut invalidation_writes, mut total_writes) = (0, 0);
         for record in self.records.iter() {
             exits[usize::from(record.exit.load(Ordering::Relaxed))] += 1;
             invalidation_writes += u64::from(record.invalidations.load(Ordering::Relaxed));
+            total_writes += u64::from(record.writes.load(Ordering::Relaxed));
         }
         let [_, turn_returns, early_returns, scans] = exits;
         PhaseStats {
@@ -658,11 +726,15 @@ impl BoundedTimestamp {
             calls: turn_returns + early_returns + scans,
             phases: self.epoch.load(Ordering::Relaxed),
             invalidation_writes,
-            total_writes: meter.total_writes(),
+            total_writes,
             scans,
             early_returns,
             turn_returns,
-            registers_written: meter.registers_written(),
+            registers_written: self
+                .regs
+                .iter()
+                .filter(|reg| reg.load(Ordering::Relaxed) != UNWRITTEN)
+                .count(),
         }
     }
 
@@ -702,9 +774,46 @@ impl BoundedTimestamp {
     /// Runs the body as writer `me` and files the call's reads and exit.
     fn call(&self, me: usize) -> Timestamp {
         let Ok((ts, exit, reads)) = get_ts(self, me, self.policy);
-        reads.meter(&self.meter);
-        self.records[me].exit.store(exit as u8, Ordering::Relaxed);
+        self.records[me].file(exit, &reads);
         ts
+    }
+}
+
+/// The register traffic of one [`BoundedTimestamp`]
+/// ([`BoundedTimestamp::meter`]).
+#[derive(Clone, Copy)]
+pub struct BoundedMeter<'a>(&'a BoundedTimestamp);
+
+impl BoundedMeter<'_> {
+    /// Reads and writes per register, `R[i + 1]` at index `i`, rebuilt
+    /// from the per-call records and the write table. Exact once the
+    /// object is quiescent, like [`PhaseStats`].
+    pub fn snapshot(&self) -> MeterSnapshot {
+        let m = self.0.m;
+        let mut reads = vec![0; m];
+        let mut prefixes = vec![0; m];
+        for record in self.0.records.iter() {
+            record.reads().add_to(&mut reads, &mut prefixes);
+        }
+        // A prefix of length `i + 1` read registers `0..=i`: register `i`
+        // gets every prefix at least that long.
+        let mut longer = 0;
+        for (count, prefix) in reads.iter_mut().zip(&prefixes).rev() {
+            longer += prefix;
+            *count += longer;
+        }
+        MeterSnapshot {
+            reads,
+            writes: self.0.writes.to_vec(),
+        }
+    }
+}
+
+impl fmt::Debug for BoundedMeter<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("BoundedMeter")
+            .field(&self.snapshot())
+            .finish()
     }
 }
 
@@ -716,16 +825,17 @@ impl Storage for BoundedTimestamp {
         self.m
     }
 
-    /// One load, masked to the word; the caller meters its reads in
+    /// One load, masked to the word; the caller files its reads in
     /// bulk.
     fn read(&self, j: usize) -> Result<u64, Infallible> {
         Ok(self.regs[j - 1].load(Ordering::SeqCst) & u64::from(u32::MAX))
     }
 
-    /// One swap of the word under the current epoch, metered, and
-    /// charged to the writer's record if it is an invalidation write:
-    /// one whose register's previous write carried another epoch. On
-    /// x86-64 the swap is the `xchg` a `SeqCst` store compiles to anyway.
+    /// One swap of the word under the current epoch, counted in the
+    /// write table and on the writer's record, and charged to the
+    /// record as an invalidation write if its register's previous write
+    /// carried another epoch. On x86-64 the swap is the `xchg` a
+    /// `SeqCst` store compiles to anyway.
     fn write(&self, j: usize, word: u64, opens_phase: bool) -> Result<(), Infallible> {
         let epoch = if opens_phase {
             // Racing scanners may both open phase j by writing R[j]: the
@@ -736,17 +846,17 @@ impl Storage for BoundedTimestamp {
         } else {
             self.epoch.load(Ordering::Relaxed)
         };
-        self.meter.record_write(j - 1);
+        self.writes.add(j - 1, 1);
+        let record = &self.records[writer_field::<Self>(word) as usize - 1];
+        bump(&record.writes);
         if self.regs[j - 1].swap((epoch << 32) | word, Ordering::SeqCst) >> 32 != epoch {
-            let writer = writer_field::<Self>(word) as usize - 1;
-            let count = &self.records[writer].invalidations;
-            count.store(count.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+            bump(&record.invalidations);
         }
         Ok(())
     }
 
     fn line15(&self, writer: usize) -> &OnceLock<Box<[u32]>> {
-        &self.records[writer].line15
+        &self.line15[writer]
     }
 }
 
@@ -799,6 +909,17 @@ mod tests {
     use std::cell::{Cell, RefCell};
     use std::collections::HashSet;
     use std::sync::Arc;
+    use ts_register::SpaceMeter;
+
+    impl Reads {
+        /// Adds these reads to `meter`, whose register `i` is `R[i + 1]`:
+        /// a reference for the object's own rebuild.
+        fn meter(&self, meter: &SpaceMeter) {
+            meter.record_prefix(self.hi, self.passes);
+            meter.record_prefix(self.line7, 1);
+            meter.record_reads(self.hi - 1, self.line6);
+        }
+    }
 
     #[test]
     fn register_budget_formula_is_exact() {

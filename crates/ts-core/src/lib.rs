@@ -54,7 +54,7 @@ mod traits;
 mod words;
 pub mod workload;
 
-pub use bounded::{BoundedTimestamp, OverwritePolicy, PhaseStats};
+pub use bounded::{BoundedMeter, BoundedTimestamp, OverwritePolicy, PhaseStats};
 pub use broken::{BrokenConstant, BrokenCounter, BrokenStaleRead};
 pub use collectmax::{CollectMax, StampBatch};
 pub use error::{GetTsError, UsedError};

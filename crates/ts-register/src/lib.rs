@@ -85,7 +85,7 @@ pub use array::{PackedRegisterArray, RegisterArray};
 pub use atomic::AtomicRegister;
 pub use backend::{BackendRegister, EpochBackend, PackedBackend, RegisterBackend};
 pub use error::CapacityError;
-pub use meter::{MeterSnapshot, SpaceMeter};
+pub use meter::{MeterSnapshot, SpaceMeter, StripedCounts};
 pub use packed::{Packable, PackedRegister};
 pub use pad::CachePadded;
 pub use stamped::{Stamp, Stamped, StampedRegister};

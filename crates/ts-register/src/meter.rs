@@ -28,6 +28,106 @@ thread_local! {
     static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
 }
 
+/// Per-register counters striped per thread, summed when read.
+///
+/// A thread adds to its own stripe's counter for the register, sixteen
+/// registers to a padded line, so two threads counting the same
+/// register bump different lines, and a thread's counters share a line
+/// with no other thread's unless more than eight threads share the
+/// table. An add is one `Relaxed` `fetch_add`, so every count is exact;
+/// a read sums the stripes and is exact once the adders have quiesced.
+///
+/// [`SpaceMeter`] is three of these (reads, writes and prefix reads);
+/// an object that keeps its reads elsewhere can keep just its writes in
+/// one.
+///
+/// # Example
+///
+/// ```
+/// use ts_register::StripedCounts;
+///
+/// let writes = StripedCounts::new(3);
+/// writes.add(2, 1);
+/// std::thread::scope(|s| {
+///     s.spawn(|| writes.add(2, 4));
+/// });
+/// assert_eq!(writes.to_vec(), vec![0, 0, 5]);
+/// ```
+pub struct StripedCounts {
+    /// `STRIPES` stripes of `chunks` chunks each: register `i`'s count in
+    /// stripe `s` is lane `i % LANES` of chunk `s * chunks + i / LANES`.
+    table: Box<[CachePadded<[AtomicU64; LANES]>]>,
+    /// Chunks per stripe, `ceil(capacity / LANES)`.
+    chunks: usize,
+    capacity: usize,
+}
+
+impl StripedCounts {
+    /// Creates zeroed counters for `capacity` registers.
+    pub fn new(capacity: usize) -> Self {
+        let chunks = capacity.div_ceil(LANES);
+        Self {
+            table: (0..STRIPES * chunks)
+                .map(|_| CachePadded::default())
+                .collect(),
+            chunks,
+            capacity,
+        }
+    }
+
+    /// Number of registers counted.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Slot `index` of stripe `stripe`.
+    fn counter(&self, stripe: usize, index: usize) -> &AtomicU64 {
+        &self.table[stripe * self.chunks + index / LANES][index % LANES]
+    }
+
+    /// Adds `n` to register `index`'s slot of the calling thread's
+    /// stripe; `n = 0` adds nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= capacity`: the last chunk has lanes past it.
+    pub fn add(&self, index: usize, n: u64) {
+        assert!(
+            index < self.capacity,
+            "register index {index} out of meter capacity {}",
+            self.capacity
+        );
+        if n > 0 {
+            self.counter(stripe(), index)
+                .fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// Register `index`'s count, summed over the stripes.
+    pub fn get(&self, index: usize) -> u64 {
+        (0..STRIPES)
+            .map(|s| self.counter(s, index).load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Every register's count, in index order.
+    pub fn to_vec(&self) -> Vec<u64> {
+        (0..self.capacity).map(|i| self.get(i)).collect()
+    }
+}
+
+impl fmt::Debug for StripedCounts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.to_vec()).finish()
+    }
+}
+
+/// The calling thread's stripe; a thread whose locals are already torn
+/// down shares stripe 0.
+fn stripe() -> usize {
+    STRIPE.try_with(|s| *s).unwrap_or(0)
+}
+
 /// Shared recorder of per-register read/write counts.
 ///
 /// Clone the meter (cheap; internally `Arc`) and record accesses with
@@ -35,15 +135,13 @@ thread_local! {
 /// [`RegisterArray`](crate::RegisterArray) built with a meter does so
 /// on every access).
 ///
-/// Read and write counters are striped per thread: a thread bumps its
-/// own stripe's counter for the register, sixteen registers to a padded
-/// line, and [`snapshot`](SpaceMeter::snapshot) sums the stripes. So
-/// two threads reading or writing one register (a multi-writer register
-/// of Algorithm 4, say) meter on different lines, and a thread's
-/// counters share a line with no other thread's.
+/// Read and write counters are [`StripedCounts`]: a thread bumps its
+/// own stripe's counter for the register, and
+/// [`snapshot`](SpaceMeter::snapshot) sums the stripes. So two threads
+/// reading or writing one register meter on different lines.
 ///
 /// Reads of a whole prefix `0..len` are recorded with one add
-/// ([`SpaceMeter::record_prefix`]): each stripe also keeps one counter
+/// ([`SpaceMeter::record_prefix`]): the meter also keeps one counter
 /// per prefix length, and a snapshot adds to register `i` every prefix
 /// longer than `i` (a suffix sum). A collect is the prefix of every
 /// register ([`SpaceMeter::record_sweep`]), and a caller that knows its
@@ -68,75 +166,29 @@ pub struct SpaceMeter {
     inner: Arc<Inner>,
 }
 
-/// `STRIPES` stripes of `chunks` chunks each: register `i`'s count in
-/// stripe `s` is lane `i % LANES` of chunk `s * chunks + i / LANES`.
-type Table = Box<[CachePadded<[AtomicU64; LANES]>]>;
-
 struct Inner {
-    reads: Table,
-    writes: Table,
+    reads: StripedCounts,
+    writes: StripedCounts,
     /// Slot `i` counts reads of the prefix `0..=i`: snapshots add its
     /// suffix sums to the registers' own counts.
-    prefixes: Table,
-    /// Chunks per stripe, `ceil(capacity / LANES)`.
-    chunks: usize,
-    capacity: usize,
-}
-
-impl Inner {
-    /// Slot `index` of stripe `stripe` in `table`.
-    fn counter<'a>(&self, table: &'a Table, stripe: usize, index: usize) -> &'a AtomicU64 {
-        &table[stripe * self.chunks + index / LANES][index % LANES]
-    }
-
-    /// Adds `n` to register `index`'s slot of the calling thread's
-    /// stripe in `table`; `n = 0` adds nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= capacity`: the last chunk has lanes past it.
-    fn add(&self, table: &Table, index: usize, n: u64) {
-        assert!(
-            index < self.capacity,
-            "register index {index} out of meter capacity {}",
-            self.capacity
-        );
-        if n > 0 {
-            self.counter(table, stripe(), index)
-                .fetch_add(n, Ordering::Relaxed);
-        }
-    }
-}
-
-/// The calling thread's stripe; a thread whose locals are already torn
-/// down shares stripe 0.
-fn stripe() -> usize {
-    STRIPE.try_with(|s| *s).unwrap_or(0)
+    prefixes: StripedCounts,
 }
 
 impl SpaceMeter {
     /// Creates a meter for an array of `capacity` registers.
     pub fn new(capacity: usize) -> Self {
-        let chunks = capacity.div_ceil(LANES);
-        let table = || {
-            (0..STRIPES * chunks)
-                .map(|_| CachePadded::default())
-                .collect()
-        };
         Self {
             inner: Arc::new(Inner {
-                reads: table(),
-                writes: table(),
-                prefixes: table(),
-                chunks,
-                capacity,
+                reads: StripedCounts::new(capacity),
+                writes: StripedCounts::new(capacity),
+                prefixes: StripedCounts::new(capacity),
             }),
         }
     }
 
     /// Number of registers the meter observes.
     pub fn capacity(&self) -> usize {
-        self.inner.capacity
+        self.inner.reads.capacity()
     }
 
     /// Records a read of register `index` in the calling thread's
@@ -156,7 +208,7 @@ impl SpaceMeter {
     ///
     /// Panics if `index >= capacity`.
     pub fn record_reads(&self, index: usize, n: u64) {
-        self.inner.add(&self.inner.reads, index, n);
+        self.inner.reads.add(index, n);
     }
 
     /// Records `n` reads of each register in `0..len` with one atomic
@@ -173,7 +225,7 @@ impl SpaceMeter {
             self.capacity()
         );
         if len > 0 {
-            self.inner.add(&self.inner.prefixes, len - 1, n);
+            self.inner.prefixes.add(len - 1, n);
         }
     }
 
@@ -190,7 +242,7 @@ impl SpaceMeter {
     ///
     /// Panics if `index >= capacity`.
     pub fn record_write(&self, index: usize) {
-        self.inner.add(&self.inner.writes, index, 1);
+        self.inner.writes.add(index, 1);
     }
 
     /// Takes a consistent-enough snapshot of the counters.
@@ -200,23 +252,17 @@ impl SpaceMeter {
     /// it).
     pub fn snapshot(&self) -> MeterSnapshot {
         let inner = &*self.inner;
-        let summed = |table: &Table, i: usize| {
-            (0..STRIPES)
-                .map(|s| inner.counter(table, s, i).load(Ordering::Relaxed))
-                .sum::<u64>()
-        };
-        let per_register = |table| (0..self.capacity()).map(|i| summed(table, i)).collect();
-        let mut reads: Vec<u64> = per_register(&inner.reads);
+        let mut reads = inner.reads.to_vec();
         // A prefix of length `i + 1` read registers `0..=i`: register `i`
         // gets every prefix at least that long.
         let mut longer = 0;
         for i in (0..reads.len()).rev() {
-            longer += summed(&inner.prefixes, i);
+            longer += inner.prefixes.get(i);
             reads[i] += longer;
         }
         MeterSnapshot {
             reads,
-            writes: per_register(&inner.writes),
+            writes: inner.writes.to_vec(),
         }
     }
 }

@@ -122,6 +122,57 @@ fn bounded_budgeted_rounds_under_sound_policies() {
 }
 
 #[test]
+fn bounded_meter_rebuild_agrees_with_phase_stats_under_races() {
+    // The object rebuilds its meter from the write table and the
+    // per-call records, and `phase_stats` counts writes on the records
+    // and written registers from the register words. After threads race
+    // on one object, the three sources must agree.
+    let (calls, threads) = (1024, 4);
+    for policy in [OverwritePolicy::Paper, OverwritePolicy::Always] {
+        for one_shot in [true, false] {
+            let ts = if one_shot {
+                BoundedTimestamp::one_shot_with_policy(calls, policy)
+            } else {
+                BoundedTimestamp::with_budget_and_policy(calls, policy)
+            };
+            std::thread::scope(|s| {
+                for t in 0..threads {
+                    let ts = &ts;
+                    s.spawn(move || {
+                        for k in (t..calls).step_by(threads) {
+                            if one_shot {
+                                ts.get_ts(k)
+                            } else {
+                                ts.get_ts_with_id(GetTsId::new(t as u32, k as u32))
+                            }
+                            .unwrap();
+                        }
+                    });
+                }
+            });
+            let case = format!("{policy:?}, one-shot: {one_shot}");
+            let stats = ts.phase_stats();
+            let snap = ts.meter().snapshot();
+            assert_eq!(stats.calls, calls as u64, "{case}");
+            assert_eq!(snap.total_writes(), stats.total_writes, "{case}");
+            // `registers_written` counts the registers whose word is no
+            // longer the never-written one.
+            assert_eq!(snap.registers_written(), stats.registers_written, "{case}");
+            // Every call reads R[1], and nothing reads past the register
+            // above the written prefix.
+            assert!(snap.reads[0] >= stats.calls, "{case}: {snap:?}");
+            assert!(
+                snap.reads[stats.registers_written + 1..]
+                    .iter()
+                    .all(|&reads| reads == 0),
+                "{case}: {snap:?}"
+            );
+            assert_eq!(ts.meter().snapshot(), snap, "{case}");
+        }
+    }
+}
+
+#[test]
 fn budgeted_object_under_oversubscription() {
     // More threads than budget: exactly `budget` calls succeed, the rest
     // fail cleanly, and the successful ones are still ordered.
